@@ -1,10 +1,14 @@
 """Config-driven experiment runner.
 
-``epigraph-lab run config.json`` validates the config strictly (unknown keys
-are hard errors), executes one experiment, and writes deterministic artifacts
-(CSV tables without timestamps, a summary, a run record with a config hash
-and file manifest, optionally an SVG plot). Exit status is 0 only when every
-asserted check passed; validation problems exit 2, numerical failures exit 3.
+``epigraph-lab run config.json`` checks the config against one declarative
+schema (``_SECTIONS``, ``_COMMON`` and the ``_EXPERIMENTS`` table) before
+anything runs, executes one experiment on the typed, defaulted config, and
+writes deterministic artifacts (CSV tables without timestamps, a summary, a
+run record with a config hash and file manifest, optionally an SVG plot).
+Exit status is 0 only when every asserted check passed; a malformed or
+misapplied config (unknown key, key the chosen kind or experiment does not
+use, missing key, value of the wrong JSON type) exits 2, numerical failures
+exit 3.
 """
 
 import argparse
@@ -13,6 +17,7 @@ import hashlib
 import math
 import os
 import sys
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -30,54 +35,181 @@ from .nonlinearity import NONLINEARITY_KINDS, make_nonlinearity, eval_f, \
     is_unbounded
 from .reporting import write_csv, write_json, read_json, config_hash, \
     svg_line_plot, format_float
-from .solver import SolvePolicy, SolutionField, solve_semilinear, \
-    principal_eigenpair
-from .discretization import assemble_laplacian
+from .solver import SolvePolicy, SolutionField, solve_semilinear
 from .moving_plane import cap_sweep, hopf_slope_check
 
-CLOSED_FORM_PROFILES = ("saturating_front", "double_front", "tanh_front")
+# closed-form profile -> default window height; the windows reach past the
+# fronts so half-window sweeps see the flat region
+_PROFILE_YMAX = {"saturating_front": 3.0, "double_front": 6.0,
+                 "tanh_front": 12.0}
+_PROFILE_H = 1.0 / 32.0
+CLOSED_FORM_PROFILES = tuple(_PROFILE_YMAX)
 
 # frozen h^2 residual/error constants for the closed-form suite
-_RESIDUAL_C = {"saturating_front": 2.5, "double_front": 600.0}
-_TANH_SOLVE_C = 0.1
+_ORDER_C = {"saturating_front": 2.5, "double_front": 600.0, "tanh_front": 0.1}
 
 
 # ---------------------------------------------------------------------------
-# strict config plumbing
+# the config schema
 # ---------------------------------------------------------------------------
 
-def _check_keys(d: dict, allowed, where: str):
-    if not isinstance(d, dict):
-        raise ValidationError(f"{where} must be a JSON object")
-    unknown = sorted(set(d) - set(allowed))
+REQUIRED = object()   # default of a key that must be given
+
+
+class Kinds:
+    """A JSON object whose ``tag`` key (``default`` when not given; the case
+    None is the tag left out) picks the schema of its other keys."""
+
+    def __init__(self, tag, cases, default=None):
+        self.tag, self.cases, self.default = tag, cases, default
+
+
+class Either:
+    """A list in one form, any other JSON value in another (None: null)."""
+
+    def __init__(self, as_list, other):
+        self.as_list, self.other = as_list, other
+
+
+def _is_number(v) -> bool:
+    # finite JSON numbers only: booleans, NaN and Infinity are rejected
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+_LEAVES = {   # leaf name -> test; the name is the type in error messages
+    "number": _is_number,
+    "number > 0": lambda v: _is_number(v) and v > 0,
+    "number >= 0": lambda v: _is_number(v) and v >= 0,
+    "integer >= 0": lambda v: type(v) is int and v >= 0,
+    "integer >= 1": lambda v: type(v) is int and v >= 1,
+    "integer >= 2": lambda v: type(v) is int and v >= 2,
+    "boolean": lambda v: type(v) is bool,
+    "string": lambda v: type(v) is str,
+}
+
+
+def _parse(spec, value, where: str):
+    """Check ``value`` at the dotted path ``where`` against ``spec``; return
+    it typed (scalar numbers as float) with defaults filled in.
+
+    A spec is a leaf name of _LEAVES, a choice "a|b|c", a Kinds, an Either,
+    a list ([item] for any length, [item, item] for exactly two; returned as
+    given), or a dict mapping each allowed key to a spec or (spec, default),
+    where a bare spec is optional and stays absent when not given."""
+    if isinstance(spec, Either):
+        spec = spec.as_list if isinstance(value, list) else spec.other
+    if spec is None:                  # the null form of an Either
+        if value is not None:
+            raise ValidationError(f"{where} must be a list or null")
+        return value
+    if isinstance(spec, str):
+        if "|" in spec:
+            if value not in spec.split("|"):
+                raise ValidationError(f"{where} must be one of {spec}")
+        elif not _LEAVES[spec](value):
+            article = "an" if spec[0] in "aeiou" else "a"
+            raise ValidationError(f"{where} must be {article} {spec}")
+        return float(value) if spec.startswith("number") else value
+    if isinstance(spec, list):
+        if not isinstance(value, list) or \
+                len(spec) > 1 and len(value) != len(spec):
+            raise ValidationError(f"{where} must be a list" + (
+                f" of {len(spec)} entries" if len(spec) > 1 else ""))
+        for i, v in enumerate(value):
+            _parse(spec[0], v, f"{where}[{i}]")
+        return value
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where or 'config'} must be a JSON object")
+    if isinstance(spec, Kinds):
+        tag = value.get(spec.tag, spec.default)
+        if tag not in tuple(spec.cases) or tag is None and spec.tag in value:
+            raise ValidationError(f"{_child(where, spec.tag)} must be one of "
+                                  + "|".join(filter(None, spec.cases)))
+        rest = {k: v for k, v in value.items() if k != spec.tag}
+        out = _parse(spec.cases[tag], rest, where)
+        return out if tag is None else {spec.tag: tag, **out}
+    unknown = sorted(set(value) - set(spec))
     if unknown:
-        raise ValidationError(f"unknown key {unknown[0]!r} in {where}")
+        raise ValidationError(
+            f"unknown key {unknown[0]!r} in {where or 'config'}")
+    out = {}
+    for key, entry in spec.items():
+        node, default = entry if isinstance(entry, tuple) else (entry, None)
+        if key in value:
+            out[key] = _parse(node, value[key], _child(where, key))
+        elif default is REQUIRED:
+            raise ValidationError(f"{where or 'config'} needs {key!r}")
+        elif default is not None:
+            out[key] = _parse(node, default, _child(where, key))
+    return out
 
 
-def _as_float(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{where} must be a number")
-    return float(v)
+def _child(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
 
 
-def _as_int(v, where: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValidationError(f"{where} must be an integer")
-    return v
+_NUMBERS = ["number"]
+_DIM = {"dimension": ("integer >= 1", 2)}
+_EPIGRAPH_KEYS = {**_DIM, "normalize": ("boolean", True)}
+_EPIGRAPH = Kinds("kind", {"epigraph": Kinds("profile", {
+    **{name: {**_EPIGRAPH_KEYS, "params": ({}, {})}
+       for name in EPIGRAPH_KINDS},
+    "weierstrass": {**_EPIGRAPH_KEYS, "params": (
+        {"b": "integer >= 2", "alpha": "number", "tol": "number > 0"}, {})},
+    "custom_sampled": {**_EPIGRAPH_KEYS, "csv": ("string", REQUIRED)},
+}, default="half_space")})
+_SECTIONS = {
+    "domain": Kinds("kind", {
+        **_EPIGRAPH.cases, "winged_strip": {}, "under_parabola": {},
+        "orthant": _DIM,
+        "strip": {"a": ("number", 0.0), "b": ("number", 1.0), **_DIM},
+        "revolution": Kinds("profile", {
+            "constant": {**_DIM, "params": ({"value": "number"}, {})},
+            "cosine": {**_DIM, "params": (dict.fromkeys(
+                ("base", "amp", "freq"), "number"), {})},
+            "samples": {**_DIM, "csv": ("string", REQUIRED)},
+        }, default="constant")}),
+    "nonlinearity": Kinds("kind", {
+        "constant": {"value": "number"}, "linear": {"slope": "number"},
+        "power": {"exponent": "number"}, "allen_cahn": {},
+        "sqrt_saturation": {}, "double_front_source": {},
+        "custom_table": {"csv": ("string", REQUIRED)}}),
+    "grid": {"box": ([["number", "number"]], REQUIRED),
+             "h": ("number > 0", REQUIRED),
+             "face_policy": Either([["dirichlet|neumann"] * 2], None)},
+}
+# every section, each required
+_ALL_SECTIONS = {name: (spec, REQUIRED) for name, spec in _SECTIONS.items()}
+_COMMON = {
+    "output_dir": ("string", REQUIRED), "seed": ("integer >= 0", 0),
+    "svg": ("boolean", False),
+    "tolerances": ({"solve": ("number > 0", 1e-10),
+                    "check": ("number > 0", 1e-8),
+                    "eig": ("number > 0", 1e-10)}, {}),
+}
+_SOLVE_KEYS = {
+    "trace": ("number", 0.0), "method": ("auto|newton|picard", "auto"),
+    "init": (Either(_NUMBERS, "torsion_lift|front_lift|zero"),
+             "torsion_lift"),
+    "max_iter": ("integer >= 1", 80),
+}
+_SWEEP_KEYS = {
+    "lambda_max": "number", "tol": "number > 0",  # tol: tolerances.check
+    "hopf_lambdas": (_NUMBERS, []), "buffer": ("integer >= 0", 3),
+    "expect": ("monotone|sign_change", "monotone"),
+}
 
 
-def _as_str(v, where: str) -> str:
-    if not isinstance(v, str):
-        raise ValidationError(f"{where} must be a string")
-    return v
-
+# ---------------------------------------------------------------------------
+# building the configured objects
+# ---------------------------------------------------------------------------
 
 def _load_two_columns(path: str, where: str):
     """Read a two-column CSV (header row skipped) into float arrays."""
     try:
         with open(path, newline="") as fh:
             rows = list(_csv.reader(fh))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"{where}: cannot read {path}: {exc}")
     if len(rows) < 3:
         raise ValidationError(f"{where}: {path} needs a header and >= 2 rows")
@@ -88,124 +220,67 @@ def _load_two_columns(path: str, where: str):
     return data[:, 0], data[:, 1]
 
 
-def _build_domain(cfg: dict):
-    _check_keys(cfg, ("kind", "profile", "dimension", "normalize", "params",
-                      "a", "b", "csv"), "domain")
-    kind = _as_str(cfg.get("kind", ""), "domain.kind")
-    dim = _as_int(cfg.get("dimension", 2), "domain.dimension")
+def _build_domain(d: dict):
+    kind, params = d["kind"], d.get("params", {})
+    rest = {k: v for k, v in d.items()
+            if k not in ("kind", "profile", "params", "csv")}
+    if "csv" in d:
+        xs, ys = _load_two_columns(d["csv"], "domain.csv")
+        params = {"axes": (xs,), "values": ys} if kind == "epigraph" \
+            else {"xs": xs, "phis": ys}
     if kind == "epigraph":
-        profile = _as_str(cfg.get("profile", "half_space"), "domain.profile")
-        if profile not in EPIGRAPH_KINDS:
-            raise ValidationError(f"unknown epigraph profile {profile!r}")
-        params = dict(cfg.get("params", {}))
-        if profile == "custom_sampled":
-            if "csv" not in cfg:
-                raise ValidationError("custom_sampled domain needs 'csv'")
-            if dim != 2:
-                raise ValidationError("sampled profiles load from CSV only in"
-                                      " dimension 2")
-            xs, gs = _load_two_columns(cfg["csv"], "domain.csv")
-            params = {"axes": (xs,), "values": gs}
-        normalize = bool(cfg.get("normalize", True))
-        return make_epigraph(profile, dimension=dim, normalize=normalize,
-                             **params)
-    if kind == "strip":
-        return strip_set(_as_float(cfg.get("a", 0.0), "domain.a"),
-                         _as_float(cfg.get("b", 1.0), "domain.b"),
-                         dimension=dim)
-    if kind == "winged_strip":
-        return winged_strip_set()
-    if kind == "under_parabola":
-        return under_parabola_set()
-    if kind == "orthant":
-        return orthant_set(dimension=dim)
+        return make_epigraph(d["profile"], **rest, **params)
     if kind == "revolution":
-        profile = _as_str(cfg.get("profile", "constant"), "domain.profile")
-        params = dict(cfg.get("params", {}))
-        if profile == "samples":
-            if "csv" not in cfg:
-                raise ValidationError("sampled revolution profile needs 'csv'")
-            xs, phis = _load_two_columns(cfg["csv"], "domain.csv")
-            params = {"xs": xs, "phis": phis}
-        return revolution_set(profile=profile, dimension=dim, **params)
-    raise ValidationError(f"unknown domain kind {kind!r}")
+        return revolution_set(profile=d["profile"], **rest, **params)
+    builders = {"strip": strip_set, "winged_strip": winged_strip_set,
+                "under_parabola": under_parabola_set, "orthant": orthant_set}
+    return builders[kind](**rest)
 
 
-def _build_nonlinearity(cfg: dict):
-    _check_keys(cfg, ("kind", "value", "slope", "exponent", "csv"),
-                "nonlinearity")
-    kind = _as_str(cfg.get("kind", ""), "nonlinearity.kind")
-    if kind not in NONLINEARITY_KINDS:
-        raise ValidationError(f"unknown nonlinearity kind {kind!r}")
-    params = {}
-    if kind == "constant" and "value" in cfg:
-        params["value"] = _as_float(cfg["value"], "nonlinearity.value")
-    if kind == "linear" and "slope" in cfg:
-        params["slope"] = _as_float(cfg["slope"], "nonlinearity.slope")
-    if kind == "power" and "exponent" in cfg:
-        params["exponent"] = _as_float(cfg["exponent"],
-                                       "nonlinearity.exponent")
-    if kind == "custom_table":
-        if "csv" not in cfg:
-            raise ValidationError("custom_table nonlinearity needs 'csv'")
-        ts, fs = _load_two_columns(cfg["csv"], "nonlinearity.csv")
+def _build_nonlinearity(d: dict):
+    params = {k: v for k, v in d.items() if k != "kind"}
+    if d["kind"] == "custom_table":
+        ts, fs = _load_two_columns(d["csv"], "nonlinearity.csv")
         params = {"ts": ts, "fs": fs}
-    return make_nonlinearity(kind, **params)
+    return make_nonlinearity(d["kind"], **params)
 
 
-def _build_grid(domain, cfg: dict):
-    _check_keys(cfg, ("box", "h", "face_policy"), "grid")
-    if "box" not in cfg or "h" not in cfg:
-        raise ValidationError("grid needs 'box' and 'h'")
-    box = cfg["box"]
-    if not isinstance(box, list) or \
-            any(not isinstance(p, list) or len(p) != 2 for p in box):
-        raise ValidationError("grid.box must be a list of [lo, hi] pairs")
-    h = _as_float(cfg["h"], "grid.h")
-    if h <= 0:
-        raise ValidationError("grid.h must be positive")
-    return build_grid(domain, box, h, face_policy=cfg.get("face_policy"))
+def _problem(cfg: dict):
+    """The configured domain, nonlinearity and grid."""
+    domain = _build_domain(cfg["domain"])
+    f, g = _build_nonlinearity(cfg["nonlinearity"]), cfg["grid"]
+    return domain, f, build_grid(domain, g["box"], g["h"],
+                                 face_policy=g.get("face_policy"))
 
 
-def _tolerances(cfg: dict) -> dict:
-    _check_keys(cfg, ("solve", "check", "eig"), "tolerances")
-    tols = {"solve": 1e-10, "check": 1e-8, "eig": 1e-10}
-    for k in cfg:
-        tols[k] = _as_float(cfg[k], f"tolerances.{k}")
-        if tols[k] <= 0:
-            raise ValidationError(f"tolerances.{k} must be positive")
-    return tols
+def _solve(cfg: dict):
+    """Build the configured problem and solve it under the params policy."""
+    domain, f, grid = _problem(cfg)
+    p = cfg["params"]
+    policy = SolvePolicy(method=p["method"], init=p["init"],
+                         tol=cfg["tolerances"]["solve"],
+                         max_iter=p["max_iter"])
+    return domain, f, solve_semilinear(grid, f, trace=p["trace"],
+                                       policy=policy)
 
 
-def _policy_from_params(params: dict, tol: float) -> SolvePolicy:
-    return SolvePolicy(
-        method=_as_str(params.get("method", "auto"), "params.method"),
-        init=params.get("init", "torsion_lift"),
-        tol=tol,
-        max_iter=_as_int(params.get("max_iter", 80), "params.max_iter"))
-
-
-def _trace_from_params(params: dict) -> float:
-    return _as_float(params.get("trace", 0.0), "params.trace")
-
-
-def _forbid(cfg: dict, experiment: str, *keys):
-    for k in keys:
-        if k in cfg:
-            raise ValidationError(
-                f"section {k!r} is not used by experiment {experiment!r}")
-
-
-def _require(cfg: dict, experiment: str, *keys):
-    for k in keys:
-        if k not in cfg:
-            raise ValidationError(
-                f"experiment {experiment!r} needs a {k!r} section")
+def _finite_or_unbounded(x):
+    return "UNBOUNDED" if is_unbounded(x) else float(x)
 
 
 # ---------------------------------------------------------------------------
-# experiments: each returns (summary, checks, rows_by_csv, svg_payload)
+# experiments
 # ---------------------------------------------------------------------------
+
+@dataclass
+class _Result:
+    """What an experiment hands back for the artifacts of one run."""
+
+    summary: dict
+    checks: dict
+    csvs: dict = field(default_factory=dict)   # name -> (header, rows)
+    svg: dict = None                           # svg_line_plot keyword args
+
 
 def _solution_rows(sol: SolutionField):
     header = [f"x{i + 1}" for i in range(sol.grid.points.shape[1])] + ["u"]
@@ -216,9 +291,6 @@ def _solution_rows(sol: SolutionField):
 def _midline_series(sol: SolutionField):
     """Profile of u along the last axis at the lateral lattice midline."""
     pts = sol.grid.points
-    if pts.shape[1] == 1:
-        order = np.argsort(pts[:, 0])
-        return pts[order, 0], sol.values[order]
     mask = np.ones(len(pts), dtype=bool)
     for ax in range(pts.shape[1] - 1):
         axis = sol.grid.axes[ax]
@@ -230,15 +302,9 @@ def _midline_series(sol: SolutionField):
     return pts[mask, -1][order], sol.values[mask][order]
 
 
-def _run_solve(cfg, tols, params, rng):
-    _require(cfg, "solve", "domain", "nonlinearity", "grid")
-    _check_keys(params, ("trace", "method", "init", "max_iter"),
-                "params")
-    domain = _build_domain(cfg["domain"])
-    f = _build_nonlinearity(cfg["nonlinearity"])
-    grid = _build_grid(domain, cfg["grid"])
-    sol = solve_semilinear(grid, f, trace=_trace_from_params(params),
-                           policy=_policy_from_params(params, tols["solve"]))
+def _run_solve(cfg):
+    _, _, sol = _solve(cfg)
+    grid = sol.grid
     header, rows = _solution_rows(sol)
     summary = {
         "observations": {
@@ -254,7 +320,8 @@ def _run_solve(cfg, tols, params, rng):
     }
     checks = {
         "converged": True,
-        "residual_small": sol.residual_norm <= max(tols["solve"] * 1e3, 1e-7),
+        "residual_small": sol.residual_norm <=
+        max(cfg["tolerances"]["solve"] * 1e3, 1e-7),
     }
     svg = None
     series = _midline_series(sol)
@@ -262,17 +329,11 @@ def _run_solve(cfg, tols, params, rng):
         svg = {"series": [("u midline", series[0], series[1])],
                "title": "solution profile", "xlabel": "last axis",
                "ylabel": "u"}
-    return summary, checks, {"solution.csv": (header, rows)}, svg
+    return _Result(summary, checks, {"solution.csv": (header, rows)}, svg)
 
 
-def _profile_field(profile: str, params: dict):
+def _profile_field(profile: str, ymax: float, h: float):
     """Closed-form front on a narrow vertical window, constant laterally."""
-    # default windows reach past the fronts so half-window sweeps see the
-    # flat region
-    ymax = {"saturating_front": 3.0, "double_front": 6.0,
-            "tanh_front": 12.0}[profile]
-    ymax = _as_float(params.get("ymax", ymax), "params.ymax")
-    h = _as_float(params.get("h", 1.0 / 32.0), "params.h")
     fn = {"saturating_front": closed_forms.saturating_front,
           "double_front": closed_forms.double_front_profile,
           "tanh_front": closed_forms.tanh_front}[profile]
@@ -289,44 +350,23 @@ def _profile_field(profile: str, params: dict):
     return sol, spec
 
 
-def _run_moving_plane(cfg, tols, params, rng):
-    _check_keys(params, ("profile", "ymax", "h", "lambda_max", "tol",
-                         "hopf_lambdas", "expect", "buffer", "trace",
-                         "method", "init", "max_iter"), "params")
-    expect = _as_str(params.get("expect", "monotone"), "params.expect")
-    if expect not in ("monotone", "sign_change"):
-        raise ValidationError("params.expect must be 'monotone' or"
-                              " 'sign_change'")
-    buffer = _as_int(params.get("buffer", 3), "params.buffer")
-    if "profile" in params:
-        _forbid(cfg, "moving_plane", "domain", "nonlinearity", "grid")
-        profile = _as_str(params["profile"], "params.profile")
-        if profile not in CLOSED_FORM_PROFILES:
-            raise ValidationError(f"unknown profile {profile!r}")
-        sol, spec = _profile_field(profile, params)
+def _run_moving_plane(cfg):
+    p = cfg["params"]
+    if "profile" in p:
+        sol, spec = _profile_field(p["profile"], p["ymax"], p["h"])
     else:
-        _require(cfg, "moving_plane", "domain", "nonlinearity", "grid")
-        spec = _build_domain(cfg["domain"])
-        if not hasattr(spec, "g"):
-            raise ValidationError("moving_plane needs an epigraph domain")
-        f = _build_nonlinearity(cfg["nonlinearity"])
-        grid = _build_grid(spec, cfg["grid"])
-        sol = solve_semilinear(grid, f, trace=_trace_from_params(params),
-                               policy=_policy_from_params(params,
-                                                          tols["solve"]))
+        spec, _, sol = _solve(cfg)
     lambda_grid = None
-    if "lambda_max" in params:
-        lam_max = _as_float(params["lambda_max"], "params.lambda_max")
+    if "lambda_max" in p:
         lo = sol.grid.box[-1][0]
         h = sol.grid.h
-        lambda_grid = np.arange(lo + 2 * h, lam_max + h / 2, h)
-    tol = _as_float(params.get("tol", tols["check"]), "params.tol")
+        lambda_grid = np.arange(lo + 2 * h, p["lambda_max"] + h / 2, h)
+    tol = p.get("tol", cfg["tolerances"]["check"])
     rep = cap_sweep(sol, spec, lambda_grid=lambda_grid, tol=tol,
-                    buffer=buffer)
+                    buffer=p["buffer"])
     hopf = []
-    for lam in params.get("hopf_lambdas", []):
-        hrep = hopf_slope_check(sol, _as_float(lam, "params.hopf_lambdas"),
-                                buffer=buffer)
+    for lam in p["hopf_lambdas"]:
+        hrep = hopf_slope_check(sol, float(lam), buffer=p["buffer"])
         hopf.append({"lambda": hrep.lam, "defect": hrep.defect,
                      "dn_min": hrep.dn_min, "dn_max": hrep.dn_max})
     bounds = rep.meta.get("interp_bounds", np.zeros_like(rep.lambda_grid))
@@ -343,7 +383,7 @@ def _run_moving_plane(cfg, tols, params, rng):
         },
         "hopf": hopf,
     }
-    if expect == "monotone":
+    if p["expect"] == "monotone":
         finite = rep.cap_min_diff[~np.isnan(rep.cap_min_diff)]
         checks = {
             "cap_ordering": bool((finite >= -1e-10).all()),
@@ -360,43 +400,29 @@ def _run_moving_plane(cfg, tols, params, rng):
     svg = {"series": [("cap min diff", rep.lambda_grid, rep.cap_min_diff)],
            "title": "cap sweep", "xlabel": "plane height",
            "ylabel": "min(u_reflected - u)"}
-    return summary, checks, \
-        {"cap_sweep.csv": (["lambda", "cap_min_diff", "interp_bound"], rows)}, \
-        svg
+    return _Result(summary, checks, {"cap_sweep.csv": (
+        ["lambda", "cap_min_diff", "interp_bound"], rows)}, svg)
 
 
-def _run_threshold_scan(cfg, tols, params, rng):
-    _forbid(cfg, "threshold_scan", "domain", "nonlinearity", "grid")
-    _check_keys(params, ("L", "widths", "cells"), "params")
-    if "L" not in params:
-        raise ValidationError("threshold_scan needs params.L")
-    L = _as_float(params["L"], "params.L")
-    widths = params.get("widths", {"start": 0.5, "stop": 4.0, "count": 36})
+def _run_threshold_scan(cfg):
+    p = cfg["params"]
+    L, widths = p["L"], p["widths"]
     if isinstance(widths, dict):
-        _check_keys(widths, ("start", "stop", "count"), "params.widths")
-        start = _as_float(widths.get("start", 0.5), "params.widths.start")
-        stop = _as_float(widths.get("stop", 4.0), "params.widths.stop")
-        count = _as_int(widths.get("count", 36), "params.widths.count")
-        if count < 2 or stop <= start:
-            raise ValidationError("params.widths range must be increasing"
-                                  " with count >= 2")
-        widths = list(np.linspace(start, stop, count))
-    elif not isinstance(widths, list):
-        raise ValidationError("params.widths must be a list or a range spec")
-    cells = _as_int(params.get("cells", 128), "params.cells")
-    rep = threshold_scan(L, widths, cells=cells, eig_tol=tols["eig"])
+        widths = list(np.linspace(widths["start"], widths["stop"],
+                                  widths["count"]))
+    rep = threshold_scan(L, widths, cells=p["cells"],
+                         eig_tol=cfg["tolerances"]["eig"])
     eps = rep.epsilon_sufficient
     target = math.pi / math.sqrt(L)
     step = max(b - a for a, b in zip(widths, widths[1:]))
     summary = {
         "observations": {
             "L": L,
-            "epsilon_sufficient": "UNBOUNDED" if is_unbounded(eps)
-            else float(eps),
+            "epsilon_sufficient": _finite_or_unbounded(eps),
             "failure_width": rep.failure_width,
             "predicted_failure_width": target,
             "scan_step": step,
-            "cells": cells,
+            "cells": p["cells"],
         },
     }
     checks = {}
@@ -415,32 +441,26 @@ def _run_threshold_scan(cfg, tols, params, rng):
                        np.array([r[1] for r in rows]))],
            "title": "principal eigenvalue vs width", "xlabel": "width",
            "ylabel": "lambda1", "markers": markers}
-    return summary, checks, {"scan.csv": (["S", "lambda1"], rows)}, svg
+    return _Result(summary, checks, {"scan.csv": (["S", "lambda1"], rows)},
+                   svg)
 
 
-def _run_uniqueness(cfg, tols, params, rng):
-    _require(cfg, "uniqueness", "domain", "nonlinearity", "grid")
-    _check_keys(params, ("n_restarts", "amplitude"), "params")
-    domain = _build_domain(cfg["domain"])
-    f = _build_nonlinearity(cfg["nonlinearity"])
-    grid = _build_grid(domain, cfg["grid"])
-    rep = uniqueness_test(
-        grid, f,
-        n_restarts=_as_int(params.get("n_restarts", 20), "params.n_restarts"),
-        tol=tols["check"], seed=rng,
-        amplitude=_as_float(params.get("amplitude", 1.0), "params.amplitude"))
+def _run_uniqueness(cfg):
+    _, f, grid = _problem(cfg)
+    p = cfg["params"]
+    rep = uniqueness_test(grid, f, n_restarts=p["n_restarts"],
+                          tol=cfg["tolerances"]["check"], seed=cfg["seed"],
+                          amplitude=p["amplitude"])
     restarts = rep.meta["restarts"]
     rows = [[r["restart"],
              math.nan if r["norm"] is None else r["norm"],
              r.get("iterations", -1), r["outcome"]] for r in restarts]
-    eps = rep.epsilon_sufficient
     summary = {
         "observations": {
             "lambda1": rep.lambda1,
-            "lipschitz_bound": "UNBOUNDED" if is_unbounded(rep.L)
-            else float(rep.L),
-            "epsilon_sufficient": "UNBOUNDED" if is_unbounded(eps)
-            else float(eps),
+            "lipschitz_bound": _finite_or_unbounded(rep.L),
+            "epsilon_sufficient": _finite_or_unbounded(
+                rep.epsilon_sufficient),
             "n_restarts": len(restarts),
             "max_restart_norm": max((r["norm"] for r in restarts
                                      if r["norm"] is not None),
@@ -451,108 +471,63 @@ def _run_uniqueness(cfg, tols, params, rng):
     checks = {}
     if "status" not in rep.meta:
         checks["all_restarts_zero"] = rep.comparison_holds
-    return summary, checks, \
-        {"restarts.csv": (["restart", "norm", "iterations", "outcome"],
-                          rows)}, None
+    return _Result(summary, checks, {"restarts.csv": (
+        ["restart", "norm", "iterations", "outcome"], rows)})
 
 
-def _run_symmetry(cfg, tols, params, rng):
-    _forbid(cfg, "symmetry", "domain", "grid")
-    _check_keys(params, ("case", "cells", "half_width", "length", "base",
-                         "amp", "freq"), "params")
-    case = _as_str(params.get("case", ""), "params.case")
-    if case == "torsion_strip":
-        R = _as_float(params.get("half_width", 1.0), "params.half_width")
-        length = _as_float(params.get("length", 2.0), "params.length")
-        cells = _as_int(params.get("cells", 16), "params.cells")
-        h = R / cells
-        if abs(length / h - round(length / h)) > 1e-9:
-            raise ValidationError("params.length must be a multiple of"
-                                  " half_width/cells")
-        domain = strip_set(-R, R, dimension=2)
-        grid = build_grid(domain, [[0.0, length], [-R, R]], h)
+def _run_symmetry(cfg):
+    p, tols = cfg["params"], cfg["tolerances"]
+    if p["case"] == "torsion_strip":
+        R = p["half_width"]
+        h = R / p["cells"]
+        grid = build_grid(strip_set(-R, R, dimension=2),
+                          [[0.0, p["length"]], [-R, R]], h)
         f = make_nonlinearity("constant", value=1.0)
-        sol = solve_semilinear(grid, f, policy=SolvePolicy(tol=tols["solve"]))
-        exact = (R * R - grid.points[:, 1] ** 2) / 2.0
-        torsion_err = float(np.abs(sol.values - exact).max())
-        rep = symmetry_test(grid, f, lambda p: p * np.array([1.0, -1.0]),
-                            tol=tols["check"], solution=sol)
-        summary = {"observations": {
-            "torsion_error": torsion_err,
-            "reflection_defect": rep.meta["defect"],
-            "matched_nodes": rep.meta["n_matched"],
-        }}
-        checks = {
-            "torsion_exact": torsion_err <= 1e-12,
-            "reflection_symmetric": rep.comparison_holds,
-        }
-        header, rows = _solution_rows(sol)
-        return summary, checks, {"solution.csv": (header, rows)}, None
-    if case == "revolution":
-        base = _as_float(params.get("base", 1.0), "params.base")
-        amp = _as_float(params.get("amp", 0.2), "params.amp")
-        freq = _as_float(params.get("freq", 1.0), "params.freq")
-        cells = _as_int(params.get("cells", 64), "params.cells")
-        if amp < 0 or base <= amp:
-            raise ValidationError("need 0 <= amp < base")
-        period = 2.0 * math.pi / freq
-        h = period / cells
-        k = int(math.ceil((base + amp) / h - 1e-9)) + 1
-        domain = revolution_set(profile="cosine", dimension=2, base=base,
-                                amp=amp, freq=freq)
+    else:
+        period = 2.0 * math.pi / p["freq"]
+        h = period / p["cells"]
+        k = int(math.ceil((p["base"] + p["amp"]) / h - 1e-9)) + 1
+        domain = revolution_set(profile="cosine", dimension=2, base=p["base"],
+                                amp=p["amp"], freq=p["freq"])
         grid = build_grid(domain, [[-period, period], [-k * h, k * h]], h)
         f = _build_nonlinearity(cfg["nonlinearity"]) \
             if "nonlinearity" in cfg else make_nonlinearity("constant")
-        sol = solve_semilinear(grid, f, policy=SolvePolicy(tol=tols["solve"]))
-        mirror = symmetry_test(grid, f, lambda p: p * np.array([1.0, -1.0]),
-                               tol=tols["check"], solution=sol)
-        shift = symmetry_test(grid, f,
-                              lambda p: p + np.array([period, 0.0]),
+    sol = solve_semilinear(grid, f, policy=SolvePolicy(tol=tols["solve"]))
+    mirror = symmetry_test(grid, f, lambda x: x * np.array([1.0, -1.0]),
+                           tol=tols["check"], solution=sol)
+    obs = {"reflection_defect": mirror.meta["defect"]}
+    checks = {"reflection_symmetric": mirror.comparison_holds}
+    if p["case"] == "torsion_strip":
+        exact = (R * R - grid.points[:, 1] ** 2) / 2.0
+        obs["torsion_error"] = float(np.abs(sol.values - exact).max())
+        obs["matched_nodes"] = mirror.meta["n_matched"]
+        checks["torsion_exact"] = obs["torsion_error"] <= 1e-12
+    else:
+        shift = symmetry_test(grid, f, lambda x: x + np.array([period, 0.0]),
                               tol=1e-6, solution=sol)
-        summary = {"observations": {
-            "reflection_defect": mirror.meta["defect"],
-            "periodicity_defect": shift.meta["defect"],
-            "periodicity_overlap_nodes": shift.meta["n_matched"],
-        }}
-        checks = {
-            "reflection_symmetric": mirror.meta["defect"] <= tols["check"],
-            "periodic": shift.meta["defect"] <= 1e-6,
-        }
-        header, rows = _solution_rows(sol)
-        return summary, checks, {"solution.csv": (header, rows)}, None
-    raise ValidationError("params.case must be 'torsion_strip' or"
-                          " 'revolution'")
+        obs["periodicity_defect"] = shift.meta["defect"]
+        obs["periodicity_overlap_nodes"] = shift.meta["n_matched"]
+        checks["periodic"] = shift.meta["defect"] <= 1e-6
+    header, rows = _solution_rows(sol)
+    return _Result({"observations": obs}, checks,
+                   {"solution.csv": (header, rows)})
 
 
-def _run_section(cfg, tols, params, rng):
-    _require(cfg, "section", "domain")
-    _forbid(cfg, "section", "nonlinearity", "grid")
-    _check_keys(params, ("direction", "probes", "line_resolution", "window",
-                         "expect_unbounded"), "params")
+def _run_section(cfg):
+    p = cfg["params"]
     domain = _build_domain(cfg["domain"])
-    if "direction" not in params:
-        raise ValidationError("section needs params.direction")
-    nu = params["direction"]
-    if not isinstance(nu, list) or not nu:
-        raise ValidationError("params.direction must be a nonempty list")
-    probes = params.get("probes", {"lo": -10.0, "hi": 10.0, "count": 201})
+    nu, probes = p["direction"], p["probes"]
     if isinstance(probes, dict):
-        _check_keys(probes, ("lo", "hi", "count"), "params.probes")
-        lo = _as_float(probes.get("lo", -10.0), "params.probes.lo")
-        hi = _as_float(probes.get("hi", 10.0), "params.probes.hi")
-        count = _as_int(probes.get("count", 201), "params.probes.count")
-        axes = [np.linspace(lo, hi, count)] * (len(nu) - 1)
+        axes = [np.linspace(probes["lo"], probes["hi"], probes["count"])] \
+            * (len(nu) - 1)
         mesh = np.meshgrid(*axes, indexing="ij") if axes else []
         probe_grid = np.stack([m.ravel() for m in mesh], axis=1) \
             if axes else np.zeros((1, 0))
     else:
         probe_grid = np.asarray(probes, dtype=float)
-    rep = section_measure(
-        domain, np.asarray(nu, dtype=float), probe_grid,
-        _as_float(params.get("line_resolution", 1e-3),
-                  "params.line_resolution"),
-        window=_as_float(params.get("window", 100.0), "params.window"))
-    rows = [list(p) + [m] for p, m in rep.per_line]
+    rep = section_measure(domain, np.asarray(nu, dtype=float), probe_grid,
+                          p["line_resolution"], window=p["window"])
+    rows = [list(q) + [m] for q, m in rep.per_line]
     header = [f"p{i + 1}" for i in range(probe_grid.shape[1])] + ["measure"]
     summary = {"observations": {
         "section_value": rep.value,
@@ -561,44 +536,30 @@ def _run_section(cfg, tols, params, rng):
         "window": rep.window,
     }}
     checks = {}
-    if "expect_unbounded" in params:
+    if "expect_unbounded" in p:
         checks["unbounded_flag_matches"] = \
-            rep.unbounded_suspected == bool(params["expect_unbounded"])
+            rep.unbounded_suspected == p["expect_unbounded"]
     svg = None
     if probe_grid.shape[1] == 1:
-        xs = np.array([p[0] for p, _ in rep.per_line])
+        xs = np.array([q[0] for q, _ in rep.per_line])
         ms = np.array([m for _, m in rep.per_line])
         svg = {"series": [("per-line measure", xs, ms)],
                "title": "directional section", "xlabel": "probe",
                "ylabel": "line measure"}
-    return summary, checks, {"per_line.csv": (header, rows)}, svg
+    return _Result(summary, checks, {"per_line.csv": (header, rows)}, svg)
 
 
-def _run_estimates(cfg, tols, params, rng):
-    _require(cfg, "estimates", "domain", "nonlinearity", "grid")
-    _check_keys(params, ("trace", "method", "init", "max_iter", "brandt",
-                         "oscillation"), "params")
-    if "brandt" not in params and "oscillation" not in params:
-        raise ValidationError("estimates needs params.brandt and/or"
-                              " params.oscillation")
-    domain = _build_domain(cfg["domain"])
-    f = _build_nonlinearity(cfg["nonlinearity"])
-    grid = _build_grid(domain, cfg["grid"])
-    sol = solve_semilinear(grid, f, trace=_trace_from_params(params),
-                           policy=_policy_from_params(params, tols["solve"]))
+def _run_estimates(cfg):
+    _, f, sol = _solve(cfg)
+    p, grid = cfg["params"], sol.grid
     f_values = eval_f(f, sol.values)
     csvs = {}
     summary = {"observations": {"max_norm": sol.max_norm,
                                 "h": float(grid.h)}}
     checks = {}
-    if "brandt" in params:
-        bcfg = params["brandt"]
-        _check_keys(bcfg, ("n_probes", "delta"), "params.brandt")
-        if "delta" not in bcfg:
-            raise ValidationError("params.brandt needs 'delta'")
-        n_probes = _as_int(bcfg.get("n_probes", 100), "params.brandt.n_probes")
-        delta = _as_float(bcfg["delta"], "params.brandt.delta")
-        gen = np.random.default_rng(rng)
+    if "brandt" in p:
+        n_probes, delta = p["brandt"]["n_probes"], p["brandt"]["delta"]
+        gen = np.random.default_rng(cfg["seed"])
         reports, attempts = [], 0
         while len(reports) < n_probes and attempts < 200 * n_probes:
             attempts += 1
@@ -620,16 +581,12 @@ def _run_estimates(cfg, tols, params, rng):
         summary["observations"]["brandt_min_slack"] = \
             min(r.slack for r in reports)
         checks["brandt_all_hold"] = all(r.holds for r in reports)
-    if "oscillation" in params:
-        ocfg = params["oscillation"]
-        _check_keys(ocfg, ("centers", "radii"), "params.oscillation")
-        if "centers" not in ocfg or "radii" not in ocfg:
-            raise ValidationError("params.oscillation needs 'centers' and"
-                                  " 'radii'")
+    if "oscillation" in p:
         fits, rows = [], []
-        for center in ocfg["centers"]:
+        for center in p["oscillation"]["centers"]:
             fit = oscillation_fit(sol, np.asarray(center, dtype=float),
-                                  [float(r) for r in ocfg["radii"]])
+                                  [float(r) for r in
+                                   p["oscillation"]["radii"]])
             fits.append(fit)
             for r, osc in zip(fit.radii, fit.osc_values):
                 rows.append(list(fit.center) + [r, osc])
@@ -641,14 +598,21 @@ def _run_estimates(cfg, tols, params, rng):
              "C": f_.C_fit, "radii_used": len(f_.radii)} for f_ in fits]
         checks["oscillation_alpha_positive"] = \
             all(f_.alpha_fit > 0 for f_ in fits)
-    return summary, checks, csvs, None
+    return _Result(summary, checks, csvs)
 
 
-def _quartic_residual_rows(profile: str, fn, fkind: str, ymax: float):
-    """Stencil residual of a closed-form front on 1-D grids, three h."""
-    f = make_nonlinearity(fkind)
-    rows, resids = [], []
-    for h in (1 / 32, 1 / 64, 1 / 128):
+def _order_rows(example: str, hs, observe):
+    """Observed error per h against _ORDER_C h^2, and the least order."""
+    errs = [(h, observe(h)) for h in hs]
+    orders = [math.log(a / b, 2) for (_, a), (_, b) in zip(errs, errs[1:])]
+    c = _ORDER_C[example]
+    ok = all(e <= c * h * h for h, e in errs) and min(orders) >= 1.8
+    return [[example, h, e, c * h * h] for h, e in errs], min(orders), ok
+
+
+def _front_residual(fn, fkind: str, ymax: float):
+    """Stencil residual of a closed-form front on a 1-D grid of step h."""
+    def observe(h):
         grid = build_grid(strip_set(0.0, ymax, dimension=1),
                           [[0.0, ymax]], h)
         u = fn(grid.points[:, 0])
@@ -656,60 +620,45 @@ def _quartic_residual_rows(profile: str, fn, fkind: str, ymax: float):
         def trace(p):
             return fn(np.atleast_2d(p)[:, 0])
 
-        r = stencil_residual(grid, u, trace) - eval_f(f, u)
-        rmax = float(np.abs(r).max())
-        resids.append((h, rmax))
-        rows.append([profile, h, rmax, _RESIDUAL_C[profile] * h * h])
-    orders = [math.log(a[1] / b[1], 2)
-              for a, b in zip(resids, resids[1:])]
-    ok = all(r <= _RESIDUAL_C[profile] * h * h for h, r in resids) and \
-        min(orders) >= 1.8
-    return rows, min(orders), ok
+        r = stencil_residual(grid, u, trace) - \
+            eval_f(make_nonlinearity(fkind), u)
+        return float(np.abs(r).max())
+    return observe
 
 
-def _tanh_solve_errors():
-    """Allen-Cahn solve vs the hyperbolic-tangent front, two h."""
-    rows, errs = [], []
-    for h in (1 / 32, 1 / 64):
-        spec = make_epigraph("half_space", dimension=2)
-        grid = build_grid(spec, [[0.0, 0.25], [0.0, 12.0]], h)
+def _tanh_solve_error(h: float) -> float:
+    """Allen-Cahn solve vs the hyperbolic-tangent front."""
+    grid = build_grid(make_epigraph("half_space", dimension=2),
+                      [[0.0, 0.25], [0.0, 12.0]], h)
 
-        def trace(p):
-            return closed_forms.tanh_front(np.atleast_2d(p)[:, 1])
+    def trace(p):
+        return closed_forms.tanh_front(np.atleast_2d(p)[:, 1])
 
-        sol = solve_semilinear(grid, make_nonlinearity("allen_cahn"),
-                               trace=trace,
-                               policy=SolvePolicy(init="front_lift",
-                                                  tol=1e-11))
-        err = float(np.abs(sol.values -
-                           closed_forms.tanh_front(grid.points[:, 1])).max())
-        errs.append((h, err))
-        rows.append(["tanh_front", h, err, _TANH_SOLVE_C * h * h])
-    order = math.log(errs[0][1] / errs[1][1], 2)
-    ok = all(e <= _TANH_SOLVE_C * h * h for h, e in errs) and order >= 1.8
-    return rows, order, ok
+    sol = solve_semilinear(grid, make_nonlinearity("allen_cahn"), trace=trace,
+                           policy=SolvePolicy(init="front_lift", tol=1e-11))
+    return float(np.abs(sol.values -
+                        closed_forms.tanh_front(grid.points[:, 1])).max())
 
 
-def _run_verify_examples(cfg, tols, params, rng):
-    _forbid(cfg, "verify_examples", "domain", "nonlinearity", "grid")
-    _check_keys(params, (), "params")
+def _run_verify_examples(cfg):
     rows, checks, orders = [], {}, {}
-    for profile, fn, fkind, ymax in (
-            ("saturating_front", closed_forms.saturating_front,
-             "sqrt_saturation", 2.0),
-            ("double_front", closed_forms.double_front_profile,
-             "double_front_source", 6.0)):
-        prows, order, ok = _quartic_residual_rows(profile, fn, fkind, ymax)
-        rows.extend(prows)
-        orders[profile] = order
-        checks[f"{profile}_residual_order"] = ok
-    trows, torder, tok = _tanh_solve_errors()
-    rows.extend(trows)
-    orders["tanh_front"] = torder
-    checks["tanh_front_solve_order"] = tok
+    three_h = (1 / 32, 1 / 64, 1 / 128)
+    for example, hs, observe, check in (
+            ("saturating_front", three_h, _front_residual(
+                closed_forms.saturating_front, "sqrt_saturation", 2.0),
+             "residual_order"),
+            ("double_front", three_h, _front_residual(
+                closed_forms.double_front_profile, "double_front_source",
+                6.0), "residual_order"),
+            ("tanh_front", (1 / 32, 1 / 64), _tanh_solve_error,
+             "solve_order")):
+        erows, orders[example], checks[f"{example}_{check}"] = \
+            _order_rows(example, hs, observe)
+        rows.extend(erows)
 
-    sat, spec = _profile_field("saturating_front", {})
-    rep = cap_sweep(sat, spec, tol=tols["check"])
+    tol = cfg["tolerances"]["check"]
+    rep = cap_sweep(*_profile_field("saturating_front", _PROFILE_YMAX[
+        "saturating_front"], _PROFILE_H), tol=tol)
     finite = rep.cap_min_diff[~np.isnan(rep.cap_min_diff)]
     checks["saturating_front_cap_ordering"] = bool((finite >= -1e-10).all())
     checks["saturating_front_flat_detected"] = \
@@ -717,105 +666,157 @@ def _run_verify_examples(cfg, tols, params, rng):
     checks["saturating_front_no_sign_changes"] = \
         len(rep.sign_change_cells) == 0
 
-    dbl, spec = _profile_field("double_front", {})
-    rep2 = cap_sweep(dbl, spec, tol=tols["check"])
+    rep2 = cap_sweep(*_profile_field("double_front", _PROFILE_YMAX[
+        "double_front"], _PROFILE_H), tol=tol)
     checks["double_front_sign_changes_found"] = \
         len(rep2.sign_change_cells) > 0
 
     summary = {"observations": {"orders": orders,
                                 "double_front_sign_cells":
                                 len(rep2.sign_change_cells)}}
-    return summary, checks, \
-        {"examples.csv": (["example", "h", "observed", "bound"], rows)}, None
+    return _Result(summary, checks, {"examples.csv": (
+        ["example", "h", "observed", "bound"], rows)})
 
 
+def _length_fits(c) -> bool:
+    p = c["params"]
+    if p["case"] != "torsion_strip":
+        return True
+    cells = p["length"] / (p["half_width"] / p["cells"])
+    return abs(cells - round(cells)) <= 1e-9
+
+
+def _probes_fit(c) -> bool:
+    p = c["params"]
+    return isinstance(p["probes"], dict) or all(
+        len(q) == len(p["direction"]) - 1 for q in p["probes"])
+
+
+# experiment -> (runner, its top-level keys besides _COMMON, rules on the
+# parsed config as (predicate, message) pairs)
 _EXPERIMENTS = {
-    "solve": _run_solve,
-    "moving_plane": _run_moving_plane,
-    "threshold_scan": _run_threshold_scan,
-    "uniqueness": _run_uniqueness,
-    "symmetry": _run_symmetry,
-    "section": _run_section,
-    "estimates": _run_estimates,
-    "verify_examples": _run_verify_examples,
+    "solve": (_run_solve, {**_ALL_SECTIONS, "params": (_SOLVE_KEYS, {})}, ()),
+    "moving_plane": (_run_moving_plane, {
+        **_SECTIONS, "domain": _EPIGRAPH, "params": (Kinds("profile", {
+            None: {**_SWEEP_KEYS, **_SOLVE_KEYS},
+            **{name: {**_SWEEP_KEYS, "ymax": ("number > 0", ymax),
+                      "h": ("number > 0", _PROFILE_H)}
+               for name, ymax in _PROFILE_YMAX.items()}}), {})},
+        ((lambda c: all(("profile" in c["params"]) != (s in c)
+                        for s in _SECTIONS),
+          "moving_plane needs domain, nonlinearity and grid, unless"
+          " params.profile is given; then it uses none of them"),)),
+    "threshold_scan": (_run_threshold_scan, {"params": ({
+        "L": ("number > 0", REQUIRED), "cells": ("integer >= 1", 128),
+        "widths": (Either(_NUMBERS, {
+            "start": ("number", 0.5), "stop": ("number", 4.0),
+            "count": ("integer >= 2", 36)}), {})}, {})},
+        ((lambda c: isinstance(c["params"]["widths"], dict)
+          or len(c["params"]["widths"]) >= 2,
+          "params.widths needs at least 2 entries"),)),
+    "uniqueness": (_run_uniqueness, {**_ALL_SECTIONS, "params": (
+        {"n_restarts": ("integer >= 1", 20), "amplitude": ("number", 1.0)},
+        {})}, ()),
+    "symmetry": (_run_symmetry, {
+        "nonlinearity": _SECTIONS["nonlinearity"], "params": (Kinds("case", {
+            "torsion_strip": {"half_width": ("number > 0", 1.0),
+                              "length": ("number > 0", 2.0),
+                              "cells": ("integer >= 1", 16)},
+            "revolution": {"base": ("number", 1.0), "amp": ("number", 0.2),
+                           "freq": ("number > 0", 1.0),
+                           "cells": ("integer >= 1", 64)}}), {})},
+        ((lambda c: c["params"]["case"] == "revolution"
+          or "nonlinearity" not in c,
+          "symmetry case torsion_strip uses no nonlinearity"),
+         (lambda c: c["params"]["case"] == "torsion_strip"
+          or 0 <= c["params"]["amp"] < c["params"]["base"],
+          "need 0 <= amp < base"),
+         (_length_fits, "params.length must be a multiple of"
+          " half_width/cells"))),
+    "section": (_run_section, {"domain": _ALL_SECTIONS["domain"], "params": ({
+        "direction": (_NUMBERS, REQUIRED), "expect_unbounded": "boolean",
+        "probes": (Either([_NUMBERS], {
+            "lo": ("number", -10.0), "hi": ("number", 10.0),
+            "count": ("integer >= 1", 201)}), {}),
+        "line_resolution": ("number > 0", 1e-3),
+        "window": ("number >= 0", 100.0)}, {})},
+        ((_probes_fit, "params.probes points need len(direction) - 1"
+          " entries"),)),
+    "estimates": (_run_estimates, {**_ALL_SECTIONS, "params": ({
+        **_SOLVE_KEYS,
+        "brandt": {"n_probes": ("integer >= 1", 100),
+                   "delta": ("number > 0", REQUIRED)},
+        "oscillation": {"centers": ([_NUMBERS], REQUIRED),
+                        "radii": (_NUMBERS, REQUIRED)}}, {})},
+        ((lambda c: "brandt" in c["params"] or "oscillation" in c["params"],
+          "estimates needs params.brandt and/or params.oscillation"),)),
+    "verify_examples": (_run_verify_examples, {"params": ({}, {})}, ()),
 }
 
-_TOP_KEYS = ("experiment", "output_dir", "seed", "svg", "domain",
-             "nonlinearity", "grid", "tolerances", "params")
 
-
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _validate(config) -> dict:
+    """Check a raw config against the schema; return it typed, defaulted."""
+    cfg = _parse(Kinds("experiment", {
+        name: {**_COMMON, **keys} for name, (_, keys, _) in
+        _EXPERIMENTS.items()}), config, "")
+    for ok, message in _EXPERIMENTS[cfg["experiment"]][2]:
+        if not ok(cfg):
+            raise ValidationError(message)
+    return cfg
 
 
 def _cmd_run(args) -> int:
     config = read_json(args.config)
-    _check_keys(config, _TOP_KEYS, "config")
-    if "experiment" not in config or "output_dir" not in config:
-        raise ValidationError("config needs 'experiment' and 'output_dir'")
-    experiment = _as_str(config["experiment"], "experiment")
-    if experiment not in _EXPERIMENTS:
-        raise ValidationError(f"unknown experiment {experiment!r}")
-    outdir = _as_str(config["output_dir"], "output_dir")
-    seed = _as_int(config.get("seed", 0), "seed")
-    want_svg = bool(config.get("svg", False))
-    tols = _tolerances(config.get("tolerances", {}))
-    params = config.get("params", {})
-    if not isinstance(params, dict):
-        raise ValidationError("params must be a JSON object")
+    cfg = _validate(config)
+    experiment, outdir = cfg["experiment"], cfg["output_dir"]
 
     started = datetime.now(timezone.utc).isoformat()
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output_dir {outdir!r}: {exc}")
     chash = config_hash(config)
     outcome, error_text = "success", None
-    summary, checks, csvs, svg = {}, {}, {}, None
+    result = _Result({}, {})
     try:
-        summary, checks, csvs, svg = _EXPERIMENTS[experiment](
-            config, tols, params, seed)
+        result = _EXPERIMENTS[experiment][0](cfg)
     except ValidationError:
         raise
     except LabError as exc:
         outcome = "error"
         error_text = f"{type(exc).__name__}: {exc}"
-    if outcome == "success" and not all(checks.values()):
+    if outcome == "success" and not all(result.checks.values()):
         outcome = "check_failed"
 
     files = []
-    for name, (header, rows) in sorted(csvs.items()):
+    for name, (header, rows) in sorted(result.csvs.items()):
         write_csv(os.path.join(outdir, name), header, rows)
         files.append(name)
-    if want_svg and svg is not None:
-        svg_line_plot(os.path.join(outdir, "plot.svg"), svg["series"],
-                      title=svg.get("title", ""),
-                      xlabel=svg.get("xlabel", ""),
-                      ylabel=svg.get("ylabel", ""),
-                      markers=svg.get("markers"))
+    if cfg["svg"] and result.svg is not None:
+        svg_line_plot(os.path.join(outdir, "plot.svg"), **result.svg)
         files.append("plot.svg")
     summary_doc = {
         "experiment": experiment,
         "config_hash": chash,
-        "checks": checks,
+        "checks": result.checks,
         "outcome": outcome,
     }
     if error_text is not None:
         summary_doc["error"] = error_text
-    summary_doc.update(summary)
+    summary_doc.update(result.summary)
     write_json(os.path.join(outdir, "summary.json"), summary_doc)
     files.append("summary.json")
 
     manifest = {}
     for name in files:
-        path = os.path.join(outdir, name)
-        manifest[name] = {"bytes": os.path.getsize(path),
-                          "sha256": _sha256_file(path)}
+        with open(os.path.join(outdir, name), "rb") as fh:
+            data = fh.read()
+        manifest[name] = {"bytes": len(data),
+                          "sha256": hashlib.sha256(data).hexdigest()}
     record = {
         "config_hash": chash,
         "experiment": experiment,
-        "seed": seed,
+        "seed": cfg["seed"],
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
@@ -824,7 +825,7 @@ def _cmd_run(args) -> int:
     }
     write_json(os.path.join(outdir, "run_record.json"), record)
 
-    for name, ok in checks.items():
+    for name, ok in result.checks.items():
         print(f"[{'PASS' if ok else 'FAIL'}] {name}")
     if error_text is not None:
         print(f"error: {error_text}", file=sys.stderr)
@@ -861,21 +862,14 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_list_catalog(args) -> int:
-    print("epigraph profiles:")
-    for kind in EPIGRAPH_KINDS:
-        print(f"  {kind}")
-    print("open sets:")
-    for kind in OPEN_SET_KINDS:
-        print(f"  {kind}")
-    print("nonlinearities:")
-    for kind in NONLINEARITY_KINDS:
-        print(f"  {kind}")
-    print("closed-form profiles:")
-    for kind in CLOSED_FORM_PROFILES:
-        print(f"  {kind}")
-    print("experiments:")
-    for kind in sorted(_EXPERIMENTS):
-        print(f"  {kind}")
+    for title, kinds in (("epigraph profiles", EPIGRAPH_KINDS),
+                         ("open sets", OPEN_SET_KINDS),
+                         ("nonlinearities", NONLINEARITY_KINDS),
+                         ("closed-form profiles", CLOSED_FORM_PROFILES),
+                         ("experiments", sorted(_EXPERIMENTS))):
+        print(f"{title}:")
+        for kind in kinds:
+            print(f"  {kind}")
     return 0
 
 
@@ -899,9 +893,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except LabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import closed_forms
 from .discretization import (ARM_CUT, ARM_LATTICE, as_trace, assemble_laplacian,
@@ -25,8 +24,8 @@ from .errors import LabError, ValidationError
 from .nonlinearity import (Nonlinearity, epsilon_bounded, is_unbounded,
                            lipschitz_on)
 from .runtime import parallel_map
-from .solver import (SolutionField, SolvePolicy, principal_eigenpair,
-                     solve_semilinear)
+from .solver import (SolutionField, SolvePolicy, factorize,
+                     principal_eigenpair, solve_semilinear)
 
 __all__ = [
     "ComparisonReport",
@@ -94,8 +93,7 @@ def ordered_pair(grid, op, L: float, rng) -> tuple:
     (v - w, v) with v = 0. The pair satisfies the differential ordering with
     slack exactly s."""
     s = rng.uniform(0.0, 1.0, op.n)
-    shifted = (op.matrix - L * sp.eye(op.n)).tocsc()
-    w = spla.splu(shifted).solve(s)
+    w = factorize(op.matrix - L * sp.eye(op.n)).solve(s)
     u = SolutionField(grid=grid, values=-w, trace=0.0, method="constructed")
     v = SolutionField(grid=grid, values=np.zeros(op.n), trace=0.0,
                       method="constructed")

@@ -42,7 +42,6 @@ __all__ = [
     "build_grid",
     "assemble_laplacian",
     "boundary_rhs",
-    "apply",
     "stencil_residual",
     "as_trace",
 ]
@@ -281,24 +280,11 @@ class SparseOperator:
     bc_rows: np.ndarray
     bc_coeffs: np.ndarray
     bc_points: np.ndarray
-    bc_kinds: np.ndarray
     grid: DomainGrid = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self.matrix.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self.matrix.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.data
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -344,7 +330,6 @@ def assemble_laplacian(grid: DomainGrid) -> SparseOperator:
     bc_rows = []
     bc_coeffs = []
     bc_points = []
-    bc_kinds = []
 
     all_rows = np.arange(n, dtype=np.int64)
     diag = np.zeros(n)
@@ -367,7 +352,6 @@ def assemble_laplacian(grid: DomainGrid) -> SparseOperator:
                 bc_rows.append(all_rows[m])
                 bc_coeffs.append(coeff[m])
                 bc_points.append(point[m, k, side, :])
-                bc_kinds.append(ks[m])
 
     rows_list.append(all_rows)
     cols_list.append(all_rows)
@@ -386,17 +370,15 @@ def assemble_laplacian(grid: DomainGrid) -> SparseOperator:
         bc_rows = np.concatenate(bc_rows)
         bc_coeffs = np.concatenate(bc_coeffs)
         bc_points = np.concatenate(bc_points)
-        bc_kinds = np.concatenate(bc_kinds)
     else:
         bc_rows = np.zeros(0, dtype=np.int64)
         bc_coeffs = np.zeros(0)
         bc_points = np.zeros((0, ndim))
-        bc_kinds = np.zeros(0, dtype=np.int8)
     return SparseOperator(matrix=matrix, d_weights=d_weights,
                           symmetric=not has_cut and not has_mirror,
                           dscale_symmetric=not has_cut,
                           bc_rows=bc_rows, bc_coeffs=bc_coeffs,
-                          bc_points=bc_points, bc_kinds=bc_kinds, grid=grid)
+                          bc_points=bc_points, grid=grid)
 
 
 def as_trace(trace):
@@ -419,10 +401,6 @@ def boundary_rhs(op: SparseOperator, trace=0.0) -> np.ndarray:
         vals = as_trace(trace)(op.bc_points)
         np.add.at(b, op.bc_rows, op.bc_coeffs * vals)
     return b
-
-
-def apply(op: SparseOperator, u: np.ndarray) -> np.ndarray:
-    return op.apply(u)
 
 
 def stencil_residual(grid: DomainGrid, u: np.ndarray, trace=0.0) -> np.ndarray:

@@ -88,7 +88,6 @@ class Nonlinearity:
     params: dict = field(default_factory=dict)
     f0: float = 0.0
     monotone_nonincreasing: bool = False
-    positive_liminf_at_zero: bool = False
 
     def __post_init__(self):
         if self.kind not in NONLINEARITY_KINDS:
@@ -108,28 +107,24 @@ def make_nonlinearity(kind: str, **params) -> Nonlinearity:
     if kind == "constant":
         k = float(params.get("value", 1.0))
         return Nonlinearity(kind, {"value": k}, f0=k,
-                            monotone_nonincreasing=True,
-                            positive_liminf_at_zero=k > 0.0)
+                            monotone_nonincreasing=True)
     if kind == "linear":
         c = float(params.get("slope", 1.0))
         return Nonlinearity(kind, {"slope": c}, f0=0.0,
-                            monotone_nonincreasing=c <= 0.0,
-                            positive_liminf_at_zero=c > 0.0)
+                            monotone_nonincreasing=c <= 0.0)
     if kind == "allen_cahn":
         if params:
             raise ValidationError("allen_cahn takes no parameters")
-        return Nonlinearity(kind, {}, f0=0.0, positive_liminf_at_zero=True)
+        return Nonlinearity(kind, {}, f0=0.0)
     if kind == "power":
         q = float(params.get("exponent", 2.0))
         if q <= 0.0:
             raise ValidationError("power exponent must be positive")
-        return Nonlinearity(kind, {"exponent": q}, f0=0.0,
-                            positive_liminf_at_zero=q <= 1.0)
+        return Nonlinearity(kind, {"exponent": q}, f0=0.0)
     if kind == "sqrt_saturation":
         if params:
             raise ValidationError("sqrt_saturation takes no parameters")
-        return Nonlinearity(kind, {}, f0=12.0, monotone_nonincreasing=True,
-                            positive_liminf_at_zero=True)
+        return Nonlinearity(kind, {}, f0=12.0, monotone_nonincreasing=True)
     if kind == "double_front_source":
         if params:
             raise ValidationError("double_front_source takes no parameters")

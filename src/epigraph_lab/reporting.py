@@ -102,8 +102,11 @@ def write_json(path: str, payload: dict):
 def read_json(path: str) -> dict:
     if not os.path.isfile(path) or os.path.getsize(path) == 0:
         raise ValidationError(f"missing or empty file: {path}")
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {path} as JSON: {exc}") from exc
 
 
 def config_hash(config: dict) -> str:

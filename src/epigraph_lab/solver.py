@@ -6,8 +6,8 @@ symmetric) and BiCGSTAB otherwise, with plain Jacobi preconditioning.
 
 ``solve_semilinear`` is a damped Newton iteration on F(u) = A u - b - f(u)
 with the exact Jacobian A - diag(f'(u)); nonlinearities that are not locally
-Lipschitz on the working range are routed to a (optionally shifted, relaxed)
-Picard iteration automatically. Every returned field carries a residual that
+Lipschitz on the working range are routed to a (optionally relaxed) Picard
+iteration automatically. Every returned field carries a residual that
 was recomputed through the independent gather-based stencil walker, not the
 solver's own matrix.
 """
@@ -72,7 +72,6 @@ class SolvePolicy:
     tol: float = 1e-10
     max_iter: int = 80
     init: object = "torsion_lift"   # torsion_lift | front_lift | zero | array
-    picard_shift: float = 0.0
     picard_relax: float = 1.0
     krylov_tol: float = 1e-13
 
@@ -85,8 +84,18 @@ class SolvePolicy:
             raise ValidationError("max_iter must be >= 1")
         if not 0.0 < self.picard_relax <= 1.0:
             raise ValidationError("picard_relax must lie in (0, 1]")
-        if self.picard_shift < 0.0:
-            raise ValidationError("picard_shift must be nonnegative")
+
+
+def factorize(matrix: sp.spmatrix):
+    """SuperLU factors of ``matrix`` with SciPy's default options.
+
+    ``spla.splu`` is looked up at call time, so a wrapper installed on the
+    module sees every factorization. A singular matrix raises
+    JacobianSingularError, a NumericalError, with Newton's message."""
+    try:
+        return spla.splu(matrix.tocsc())
+    except RuntimeError as exc:
+        raise JacobianSingularError(f"jacobian singular: {exc}") from exc
 
 
 def _jacobi(matrix: sp.csr_matrix):
@@ -203,11 +212,7 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         res = float(np.abs(r).max())
         iters = 0
         while res > policy.tol and iters < policy.max_iter:
-            jac = (op.matrix - sp.diags(eval_f_prime(f, u))).tocsc()
-            try:
-                lu = spla.splu(jac)
-            except RuntimeError as exc:
-                raise JacobianSingularError(f"jacobian singular: {exc}") from exc
+            lu = factorize(op.matrix - sp.diags(eval_f_prime(f, u)))
             delta = lu.solve(-r)
             if not np.isfinite(delta).all():
                 raise JacobianSingularError("jacobian singular: non-finite step")
@@ -232,12 +237,9 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         u = u0
         iters = 0
         res = float(np.abs(residual_vec(u)).max())
-        shifted = (op.matrix + policy.picard_shift * sp.eye(op.n)).tocsc() \
-            if policy.picard_shift else op.matrix.tocsc()
-        lu = spla.splu(shifted)
+        lu = factorize(op.matrix)
         while res > policy.tol and iters < policy.max_iter:
-            rhs = b + eval_f(f, u) + policy.picard_shift * u
-            u_next = lu.solve(rhs)
+            u_next = lu.solve(b + eval_f(f, u))
             u = (1.0 - policy.picard_relax) * u + policy.picard_relax * u_next
             res = float(np.abs(residual_vec(u)).max())
             iters += 1
@@ -256,10 +258,7 @@ def principal_eigenpair(op: SparseOperator, tol: float = 1e-10,
     """Smallest eigenpair by inverse power iteration; phi1 max-normalized."""
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    try:
-        lu = spla.splu(op.matrix.tocsc())
-    except RuntimeError as exc:
-        raise NumericalError(f"operator factorization failed: {exc}") from exc
+    lu = factorize(op.matrix)
     # iterate in the max-normalized frame so the residual bound is checked on
     # the returned eigenfunction itself
     v = np.ones(op.n)

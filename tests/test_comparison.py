@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from epigraph_lab import (
+    NumericalError,
     SolutionField,
     SolvePolicy,
     ValidationError,
@@ -81,6 +82,14 @@ def test_ordered_pairs_hold_across_seeds():
         assert u.values.max() <= 1e-11   # inverse positivity of A - L I
         rep = comparison_test(u, v)
         assert rep.comparison_holds
+
+
+def test_ordered_pair_on_singular_shift_is_a_numerical_error():
+    # one node with diagonal 2 / h^2 = 8: A - 8 I is exactly singular
+    g = interval_grid(0.0, 1.0, 0.5)
+    op = assemble_laplacian(g)
+    with pytest.raises(NumericalError, match="singular"):
+        ordered_pair(g, op, 8.0, np.random.default_rng(0))
 
 
 class TestThresholdScan:
