@@ -23,7 +23,6 @@ from .discretization import (ARM_CUT, ARM_LATTICE, as_trace, assemble_laplacian,
 from .errors import LabError, ValidationError
 from .nonlinearity import (Nonlinearity, epsilon_bounded, is_unbounded,
                            lipschitz_on)
-from .runtime import parallel_map
 from .solver import (SolutionField, SolvePolicy, factorize,
                      principal_eigenpair, solve_semilinear)
 
@@ -116,7 +115,7 @@ def threshold_scan(L: float, widths, cells: int = 128,
     if not widths or any(w <= 0 for w in widths) or \
             any(b <= a for a, b in zip(widths, widths[1:])):
         raise ValidationError("widths must be positive and increasing")
-    lams = parallel_map(lambda S: _interval_eigen(S, cells, eig_tol), widths)
+    lams = [_interval_eigen(S, cells, eig_tol) for S in widths]
     table = [(S, lam) for S, lam in zip(widths, lams)]
     failure = next((S for S, lam in table if lam <= L), None)
     eps = epsilon_bounded(L)

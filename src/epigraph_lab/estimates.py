@@ -80,8 +80,11 @@ def brandt_check(u: SolutionField, f_values: np.ndarray, center,
     lat = np.argwhere(grid.interior)
     ci = lat[i]
     reach = int(math.floor(delta / grid.h + 1e-9))
+    # the centered difference below reads the +-1 neighbours even when the
+    # ball holds no other lattice node (delta < h)
+    span = max(reach, 1)
     for k in range(grid.dimension):
-        if ci[k] - reach < 0 or ci[k] + reach > grid.shape[k] - 1:
+        if ci[k] - span < 0 or ci[k] + span > grid.shape[k] - 1:
             raise ValidationError("ball exits domain")
     lattice_ball_count = 1
     for k in range(grid.dimension):

@@ -10,8 +10,9 @@ revolution-type tubes).
 
 The section of a set in a direction ``nu`` is the supremum over lines
 parallel to ``nu`` of the 1-D measure of the slice. ``section_measure``
-estimates it by probing membership along a lattice of lines, locating each
-boundary crossing by bisection.
+estimates it by sampling membership along a lattice of lines, one line at a
+time, then locating every boundary crossing of the scan by one batched
+bisection.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .runtime import parallel_map
 
 __all__ = [
     "EpigraphSpec",
@@ -92,13 +92,17 @@ def _weierstrass_term_count(b: int, alpha: float, tol: float) -> int:
 def _weierstrass_profile(t: np.ndarray, b: int, alpha: float, tol: float) -> np.ndarray:
     # Phases of high terms (b^n t large) are rounding-dominated in float64,
     # but each term is bounded by its amplitude, so the sum stays within the
-    # certified tail bound of the kept amplitudes.
+    # certified tail bound of the kept amplitudes. Terms are added one at a
+    # time, so a point's value does not depend on the batch it comes in.
     t = np.asarray(t, dtype=float)
     nterms = _weierstrass_term_count(b, alpha, tol)
     n = np.arange(1, nterms + 1, dtype=float)
     amps = float(b) ** (-alpha * n)
-    phases = np.pi * (float(b) ** n)[:, None] * t.reshape(1, -1)
-    return (amps[:, None] * np.cos(phases)).sum(axis=0).reshape(t.shape)
+    freqs = np.pi * float(b) ** n
+    out = np.zeros(t.shape)
+    for amp, freq in zip(amps, freqs):
+        out += amp * np.cos(freq * t)
+    return out
 
 
 def _coercive_quadratic(xp: np.ndarray) -> np.ndarray:
@@ -407,38 +411,27 @@ def _hyperplane_basis(nu: np.ndarray) -> np.ndarray:
     return h[:, : n - 1]
 
 
-def _refine_crossings(contains, base, nu, lo, hi, iters=48):
-    """Bisect membership flips bracketed by sample points lo < hi."""
-    lo = lo.copy()
-    hi = hi.copy()
-    state_lo = contains(base[None, :] + lo[:, None] * nu[None, :])
+def _bisect(contains, bases, nu, lo, hi, state_lo, iters=48):
+    """Bisect membership flips bracketed by lo < hi along each base + t nu,
+    all brackets in one batch; state_lo is the membership at lo."""
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        inside = contains(base[None, :] + mid[:, None] * nu[None, :])
-        same = inside == state_lo
+        same = contains(bases + mid[:, None] * nu[None, :]) == state_lo
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
 
 
-def _line_measure(contains, base, nu, window, res):
-    nsamp = int(math.ceil(2.0 * window / res)) + 1
-    t = np.linspace(-window, window, nsamp)
-    inside = contains(base[None, :] + t[:, None] * nu[None, :])
-    if not inside.any():
+def _line_measure(inside_first, inside_last, cross, window, res):
+    """Measure and window-touch flag of one line from its crossings."""
+    bounds = np.concatenate(([-window] if inside_first else [], cross,
+                             [window] if inside_last else []))
+    if bounds.size == 0:
         return 0.0, False
-    flips = np.flatnonzero(inside[1:] != inside[:-1])
-    cross = _refine_crossings(contains, base, nu, t[flips], t[flips + 1]) if flips.size else np.empty(0)
-    bounds = list(cross)
-    if inside[0]:
-        bounds.insert(0, -window)
-    if inside[-1]:
-        bounds.append(window)
-    bounds = np.asarray(bounds)
     entries = bounds[0::2]
     exits = bounds[1::2]
     measure = float(np.sum(exits - entries))
-    touched = bool(inside[0] or inside[-1]
+    touched = bool(inside_first or inside_last
                    or entries[0] <= -window + res or exits[-1] >= window - res)
     return measure, touched
 
@@ -476,14 +469,31 @@ def section_measure(domain, nu, probe_grid, line_resolution: float,
     basis = _hyperplane_basis(nu)
     contains = domain.contains if hasattr(domain, "contains") else domain
 
-    def one_line(xp):
+    # sample line by line (a fine scan of all lines at once would take
+    # hundreds of MB), then bisect the flips of every line in one batch,
+    # starting each bracket from its sampled state
+    nsamp = int(math.ceil(2.0 * window / line_resolution)) + 1
+    t = np.linspace(-window, window, nsamp)
+    bases, ends, flips, states = [], [], [], []
+    for xp in probes:
         base = basis @ xp
-        return _line_measure(contains, base, nu, window, line_resolution)
-
-    results = parallel_map(one_line, list(probes))
-    per_line = [(probes[i], results[i][0]) for i in range(len(results))]
+        inside = contains(base[None, :] + t[:, None] * nu[None, :])
+        f = np.flatnonzero(inside[1:] != inside[:-1])
+        bases.append(base)
+        ends.append((inside[0], inside[-1]))
+        flips.append(f)
+        states.append(inside[f])
+    counts = [f.size for f in flips]
+    flips = np.concatenate(flips)
+    cross = np.empty(0)
+    if flips.size:
+        cross = _bisect(contains, np.repeat(bases, counts, axis=0), nu,
+                        t[flips], t[flips + 1], np.concatenate(states))
+    results = [_line_measure(first, last, c, window, line_resolution)
+               for (first, last), c in zip(ends, np.split(cross, np.cumsum(counts)[:-1]))]
+    per_line = [(xp, m) for xp, (m, _) in zip(probes, results)]
     value = max(m for _, m in per_line)
-    suspected = any(t for _, t in results)
+    suspected = any(touched for _, touched in results)
     return SectionMeasure(value=value, per_line=per_line, direction=nu,
                           unbounded_suspected=suspected, window=window,
                           line_resolution=line_resolution)

@@ -246,22 +246,15 @@ def _sign_changes(grid, dn: np.ndarray, valid: np.ndarray, tol: float) -> list:
     last strictly-signed node before the flip."""
     dn_lat = np.full(grid.shape, np.nan)
     dn_lat[grid.interior] = np.where(valid, dn, np.nan)
-    cells = []
-    for lateral in np.ndindex(*grid.shape[:-1]):
-        line = dn_lat[lateral]
-        prev_sign = 0
-        prev_j = -1
-        for j, val in enumerate(line):
-            if not np.isfinite(val) or abs(val) <= tol:
-                continue
-            sign = 1 if val > 0 else -1
-            if prev_sign and sign != prev_sign:
-                coords = tuple(float(grid.axes[k][lateral[k]])
-                               for k in range(grid.dimension - 1))
-                cells.append(coords + (float(grid.axes[-1][prev_j]),))
-            prev_sign = sign
-            prev_j = j
-    return cells
+    # strictly-signed entries in C order: consecutive ones in the same
+    # column are neighbours along x_N once the skipped entries are dropped
+    flat = np.flatnonzero(np.isfinite(dn_lat) & (np.abs(dn_lat) > tol))
+    positive = dn_lat.ravel()[flat] > 0
+    column = flat // grid.shape[-1]
+    flip = (column[1:] == column[:-1]) & (positive[1:] != positive[:-1])
+    nodes = np.unravel_index(flat[:-1][flip], grid.shape)
+    coords = np.stack([grid.axes[k][nodes[k]] for k in range(grid.dimension)], axis=1)
+    return [tuple(c) for c in coords.tolist()]
 
 
 def hopf_slope_check(u: SolutionField, lam: float, buffer: int = 3) -> HopfReport:

@@ -1,31 +1,9 @@
-"""Worker-count control and an order-preserving parallel map.
+"""Thread count of the package: every computation runs in the calling thread.
 
-The environment variable EPIGRAPH_LAB_THREADS caps the worker count for the
-embarrassingly parallel probe loops (per-line sections, per-lambda caps).
-Results are always merged in input order, so the thread count never changes
-any output.
+``thread_budget`` reports that count, the constant 1, for run records.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-_ENV_VAR = "EPIGRAPH_LAB_THREADS"
 
 
 def thread_budget() -> int:
-    raw = os.environ.get(_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Map fn over items, in order, using at most thread_budget() workers."""
-    items = list(items)
-    n = thread_budget()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
+    """Number of worker threads the package uses: the constant 1."""
+    return 1

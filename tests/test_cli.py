@@ -283,6 +283,19 @@ class TestMoreExperiments:
         assert obs["max_norm"] == pytest.approx(0.5, abs=1e-9)
         assert (tmp_path / "out" / "brandt.csv").is_file()
 
+    @pytest.mark.parametrize("h,code", [(0.5, 0), (1.0, 2)])
+    def test_estimates_brandt_balls_smaller_than_a_cell(self, tmp_path, capsys,
+                                                         h, code):
+        # delta 0.25 < h: only centres whose +-1 neighbours are interior fit
+        cfg = brandt_config(tmp_path / "out")
+        cfg["grid"]["h"] = h
+        assert run_cli(tmp_path, cfg)[0] == code
+        if code == 2:
+            assert "could not place" in capsys.readouterr().err
+        else:
+            obs = read_json(tmp_path / "out" / "summary.json")["observations"]
+            assert obs["brandt_probes"] == 5
+
     def test_estimates_oscillation_fit(self, tmp_path):
         cfg = {"experiment": "estimates", "output_dir": str(tmp_path / "out"),
                "domain": {"kind": "epigraph", "profile": "half_space"},

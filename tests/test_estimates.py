@@ -83,6 +83,18 @@ class TestBrandtCheck:
         with pytest.raises(ValidationError):
             brandt_check(u, zeros, (g.axes[0][4], g.axes[1][3]), 0.125)
 
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (2.0, 0.0)])
+    def test_ball_smaller_than_a_cell_needs_both_neighbours(self, center):
+        # delta < h: the ball holds only its centre, but the centered
+        # difference still reads the +-1 neighbours, which leave the lattice
+        g = build_grid(strip_set(-1.0, 1.0), [[0.0, 2.0], [-1.0, 1.0]], 0.5)
+        u = field_from(g, lambda p: p[:, 0])
+        with pytest.raises(ValidationError, match="ball exits domain"):
+            brandt_check(u, np.zeros(g.n_interior), center, 0.25)
+        inner = brandt_check(u, np.zeros(g.n_interior), (1.0, 0.0), 0.25)
+        assert inner.lhs == [1.0, 0.0]
+        assert inner.meta["ball_nodes"] == 1
+
     def test_curved_boundary_detected_inside_bounding_cube(self):
         g = build_grid(unit_disk, [[-1.0, 1.0], [-1.0, 1.0]], 0.25,
                        face_policy=(("dirichlet", "dirichlet"),

@@ -227,3 +227,55 @@ def test_section_rejects_bad_probe_dimension():
     dom = orthant_set(dimension=3)
     with pytest.raises(ValidationError):
         section_measure(dom, [0.0, 0.0, 1.0], np.zeros((4, 1)), 1e-3)
+
+
+class _RecordingDomain:
+    """Delegates membership and records the size of every contains() batch."""
+
+    def __init__(self, domain):
+        self.domain = domain
+        self.sizes = []
+
+    def contains(self, points):
+        self.sizes.append(len(points))
+        return self.domain.contains(points)
+
+
+_LATERAL_3D = np.stack(np.meshgrid(np.linspace(-2, 2, 5), np.linspace(-2, 2, 5),
+                                   indexing="ij"), axis=-1).reshape(-1, 2)
+
+# (domain, direction, probes, window, {(crossings, touches window)} over the
+# lines); between them the scans cover lines with zero, one and several
+# crossings and lines reaching the window
+GROUPED_SCANS = {
+    "winged_strip": (winged_strip_set(), [0.0, 1.0], np.linspace(-3, 3, 13), 2.0,
+                     {(2, False), (4, True), (6, False)}),
+    "under_parabola": (under_parabola_set(), [0.0, 1.0], np.linspace(-3, 3, 13), 5.0,
+                       {(0, False), (1, True), (2, False)}),
+    "tilted_strip": (strip_set(0.0, 1.5), [1.0, 1.0], np.linspace(-2, 2, 9), 1.2,
+                     {(0, False), (1, True), (2, False)}),
+    "coercive_quadratic_3d": (make_epigraph("coercive_quadratic", dimension=3),
+                              [0.5, 0.0, 1.0], _LATERAL_3D, 6.0,
+                              {(0, False), (1, True), (2, False)}),
+    "weierstrass": (make_epigraph("weierstrass"), [0.0, 1.0], np.linspace(-1, 1, 5), 3.0,
+                    {(0, False), (1, True)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED_SCANS))
+def test_grouping_lines_does_not_change_section(name):
+    dom, nu, probes, window, expected = GROUPED_SCANS[name]
+    grouped_dom = _RecordingDomain(dom)
+    grouped = section_measure(grouped_dom, nu, probes, 1e-3, window=window)
+    alone, kinds = [], set()
+    for i in range(len(probes)):
+        rec = _RecordingDomain(dom)
+        rep = section_measure(rec, nu, probes[i:i + 1], 1e-3, window=window)
+        alone.append(rep)
+        # one sampling batch, then one bisection batch holding the crossings
+        kinds.add((rec.sizes[1] if len(rec.sizes) > 1 else 0, rep.unbounded_suspected))
+    assert kinds == expected
+    assert [m for _, m in grouped.per_line] == [r.per_line[0][1] for r in alone]
+    assert grouped.unbounded_suspected == any(r.unbounded_suspected for r in alone)
+    # one sampling call per line and one 48-step bisection for the whole scan
+    assert len(grouped_dom.sizes) == len(probes) + 48

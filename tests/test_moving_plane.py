@@ -153,6 +153,46 @@ class TestCapSweep:
             cap_sweep(u, None, lambda_grid=[1.0 / 32])   # empty cap
 
 
+def brute_force_sign_changes(u, tol=1e-8, buffer=3):
+    """Column-by-column reference for cap_sweep's sign-change cells."""
+    grid = u.grid
+    dn, mask = vertical_derivative(u, buffer)
+    lattice = np.full(grid.shape, np.nan)
+    lattice[grid.interior] = np.where(mask & np.isfinite(dn), dn, np.nan)
+    cells = []
+    for lateral in np.ndindex(*grid.shape[:-1]):
+        prev_sign, prev_j = 0, -1
+        for j, val in enumerate(lattice[lateral]):
+            if not np.isfinite(val) or abs(val) <= tol:
+                continue
+            sign = 1 if val > 0 else -1
+            if prev_sign and sign != prev_sign:
+                cells.append(tuple(float(grid.axes[k][lateral[k]])
+                                   for k in range(grid.dimension - 1))
+                             + (float(grid.axes[-1][prev_j]),))
+            prev_sign, prev_j = sign, j
+    return cells
+
+
+class TestSignChangeReference:
+    def test_double_front_profile(self):
+        for u in (field_1d(double_front_profile, 6.0, 1.0 / 32),
+                  field_2d(double_front_profile, 0.5, 6.0, 1.0 / 32)):
+            cells = cap_sweep(u, None).sign_change_cells
+            assert len(cells) >= 2
+            assert cells == brute_force_sign_changes(u)
+
+    def test_random_field_on_3d_epigraph_with_holes(self):
+        dom = make_epigraph("coercive_quadratic", dimension=3)
+        g = build_grid(dom, [[-1.5, 1.5], [-1.5, 1.5], [0.0, 4.0]], 0.125)
+        assert not g.interior.all()        # columns start above the graph
+        u = SolutionField(grid=g, values=np.random.default_rng(5).standard_normal(g.n_interior),
+                          trace=0.0, method="constructed")
+        cells = cap_sweep(u, dom, buffer=1).sign_change_cells
+        assert len(cells) > 1000
+        assert cells == brute_force_sign_changes(u, buffer=1)
+
+
 class TestHopfSlope:
     def test_affine_field_has_zero_defect(self):
         u = field_2d(lambda y: y, 1.0, 2.0, 0.25)
