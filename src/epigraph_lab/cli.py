@@ -360,6 +360,9 @@ def _run_moving_plane(cfg):
     if "lambda_max" in p:
         lo = sol.grid.box[-1][0]
         h = sol.grid.h
+        if not (p["lambda_max"] + h / 2 - lo - 2 * h) / h < np.iinfo(np.intp).max:
+            raise ValidationError("params.lambda_max asks for too many planes"
+                                  " at this grid step")
         lambda_grid = np.arange(lo + 2 * h, p["lambda_max"] + h / 2, h)
     tol = p.get("tol", cfg["tolerances"]["check"])
     rep = cap_sweep(sol, spec, lambda_grid=lambda_grid, tol=tol,

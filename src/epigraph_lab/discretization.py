@@ -6,7 +6,8 @@ interior node:
 
 * ``ARM_INTERNAL``  neighbor node is interior,
 * ``ARM_CUT``       the domain boundary crosses the arm; the fraction theta of
-  the arm inside the domain is found by bisection on the predicate,
+  the arm inside the domain is found by ``geometry``'s batched bisection
+  of the membership predicate,
 * ``ARM_LATTICE``   neighbor is a lattice node held at Dirichlet data (an
   artificial truncation face),
 * ``ARM_MIRROR``    the arm leaves the box through a Neumann truncation face;
@@ -31,6 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
+from .geometry import _bisect, _membership
 
 __all__ = [
     "ARM_INTERNAL",
@@ -53,14 +55,6 @@ ARM_MIRROR = 3
 
 _THETA_FLOOR = 1e-8
 _THETA_SNAP = 1.0 - 1e-9
-
-
-def _membership(domain):
-    if hasattr(domain, "contains"):
-        return domain.contains
-    if callable(domain):
-        return domain
-    raise ValidationError("domain must expose contains() or be callable")
 
 
 @dataclass
@@ -162,10 +156,12 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
     shape = []
     axes = []
     for k in range(n_axes):
-        lo, hi = box[k]
+        lo, hi = box[k].tolist()
         if hi <= lo:
             raise ValidationError("box must have hi > lo on every axis")
         cells = (hi - lo) / h
+        if not cells < np.iinfo(np.intp).max:
+            raise ValidationError("box holds too many nodes per axis for h")
         ncell = round(cells)
         if ncell < 1 or abs(cells - ncell) > 1e-8 * max(1.0, cells):
             raise ValidationError("box is not commensurate with h")
@@ -238,7 +234,13 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
 
             m = ~off_lattice & ~nb_inside
             if m.any():
-                frac = _bisect_fractions(contains, points[m], k, step, h)
+                nu = np.zeros(n_axes)
+                nu[k] = step * h
+                base = points[m]
+                frac = _bisect(contains, base, nu, np.zeros(len(base)),
+                               np.ones(len(base)), True, iters=40)
+                frac = np.maximum(np.where(frac > _THETA_SNAP, 1.0, frac),
+                                  _THETA_FLOOR)
                 theta[m, k, side] = frac
                 arm_kind[m, k, side] = ARM_CUT
                 pts = points[m].copy()
@@ -252,35 +254,15 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
                       face_artificial=face_artificial)
 
 
-def _bisect_fractions(contains, base_pts, axis: int, step: int, h: float) -> np.ndarray:
-    """Fraction of each arm inside the domain, to h * 1e-10."""
-    n = base_pts.shape[0]
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    probe = base_pts.copy()
-    for _ in range(40):  # 2^-40 < 1e-10 relative to the arm length
-        mid = 0.5 * (lo + hi)
-        probe[:, axis] = base_pts[:, axis] + step * h * mid
-        ins = np.asarray(contains(probe), dtype=bool)
-        lo = np.where(ins, mid, lo)
-        hi = np.where(ins, hi, mid)
-    frac = 0.5 * (lo + hi)
-    frac = np.where(frac > _THETA_SNAP, 1.0, frac)
-    return np.maximum(frac, _THETA_FLOOR)
-
-
 @dataclass
 class SparseOperator:
     """CSR-backed discrete -Laplacian with Dirichlet boundary bookkeeping."""
 
     matrix: sp.csr_matrix
-    d_weights: np.ndarray         # diagonal scaling restoring symmetry of mirrors
-    symmetric: bool               # no cut arms and no mirror arms
-    dscale_symmetric: bool        # no cut arms (D @ matrix symmetric)
     bc_rows: np.ndarray
     bc_coeffs: np.ndarray
     bc_points: np.ndarray
-    grid: DomainGrid = field(repr=False, default=None)
+    grid: DomainGrid = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -362,10 +344,6 @@ def assemble_laplacian(grid: DomainGrid) -> SparseOperator:
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     matrix.sum_duplicates()
 
-    mirror_axes = ((fold == 1) | (fold == 2)).sum(axis=1)
-    d_weights = 0.5 ** mirror_axes.astype(float)
-    has_cut = bool((grid.arm_kind == ARM_CUT).any())
-    has_mirror = bool((grid.arm_kind == ARM_MIRROR).any())
     if bc_rows:
         bc_rows = np.concatenate(bc_rows)
         bc_coeffs = np.concatenate(bc_coeffs)
@@ -374,10 +352,7 @@ def assemble_laplacian(grid: DomainGrid) -> SparseOperator:
         bc_rows = np.zeros(0, dtype=np.int64)
         bc_coeffs = np.zeros(0)
         bc_points = np.zeros((0, ndim))
-    return SparseOperator(matrix=matrix, d_weights=d_weights,
-                          symmetric=not has_cut and not has_mirror,
-                          dscale_symmetric=not has_cut,
-                          bc_rows=bc_rows, bc_coeffs=bc_coeffs,
+    return SparseOperator(matrix=matrix, bc_rows=bc_rows, bc_coeffs=bc_coeffs,
                           bc_points=bc_points, grid=grid)
 
 

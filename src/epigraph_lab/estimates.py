@@ -69,43 +69,41 @@ def brandt_check(u: SolutionField, f_values: np.ndarray, center,
     center = np.asarray(center, dtype=float)
     if center.shape != (grid.dimension,):
         raise ValidationError("center dimension mismatch")
-    d2 = ((grid.points - center) ** 2).sum(axis=1)
-    i = int(np.argmin(d2))
-    if d2[i] > (grid.h * 1e-6) ** 2:
+    # the nearest lattice node must be interior and within h * 1e-6
+    near = np.rint((center - grid.box[:, 0]) / grid.h)
+    if not ((near >= 0) & (near <= np.array(grid.shape) - 1)).all():
+        raise ValidationError("center is not an interior node")
+    ci = [int(c) for c in near]
+    i = int(grid.node_index[tuple(ci)])
+    node = np.array([grid.axes[k][c] for k, c in enumerate(ci)])
+    if i < 0 or ((node - center) ** 2).sum() > (grid.h * 1e-6) ** 2:
         raise ValidationError("center is not an interior node")
 
     # the closed ball must stay inside the domain: every lattice node of the
-    # bounding box of the ball has to be interior
-    ball = d2 <= delta * delta * (1.0 + 1e-12)
-    lat = np.argwhere(grid.interior)
-    ci = lat[i]
-    reach = int(math.floor(delta / grid.h + 1e-9))
+    # ball has to be interior; a ball wider than the lattice exits it anyway,
+    # so delta / h is capped before it is rounded
+    reach = math.floor(min(delta / grid.h, sum(grid.shape)) + 1e-9)
     # the centered difference below reads the +-1 neighbours even when the
     # ball holds no other lattice node (delta < h)
     span = max(reach, 1)
     for k in range(grid.dimension):
         if ci[k] - span < 0 or ci[k] + span > grid.shape[k] - 1:
             raise ValidationError("ball exits domain")
-    lattice_ball_count = 1
-    for k in range(grid.dimension):
-        lattice_ball_count *= 2 * reach + 1
-    # count lattice nodes of the bounding cube that fall in the ball but are
-    # not interior; any such node means the ball crosses the boundary
     offsets = np.stack(np.meshgrid(*[np.arange(-reach, reach + 1)] * grid.dimension,
                                    indexing="ij"), axis=-1).reshape(-1, grid.dimension)
-    nodes = ci[None, :] + offsets
+    nodes = np.array(ci)[None, :] + offsets
     coords = np.stack([grid.axes[k][nodes[:, k]] for k in range(grid.dimension)], axis=1)
     inball = ((coords - center) ** 2).sum(axis=1) <= delta * delta * (1.0 + 1e-12)
-    flat = np.ravel_multi_index(nodes[inball].T, grid.shape)
-    if not grid.interior.ravel()[flat].all():
+    ball = grid.node_index[tuple(nodes[inball].T)]
+    if (ball < 0).any():
         raise ValidationError("ball exits domain")
 
     lhs = []
     n = grid.dimension
     for k in range(n):
-        up = ci.copy()
+        up = list(ci)
         up[k] += 1
-        dn = ci.copy()
+        dn = list(ci)
         dn[k] -= 1
         iu = grid.node_index[tuple(up)]
         idn = grid.node_index[tuple(dn)]
@@ -117,7 +115,7 @@ def brandt_check(u: SolutionField, f_values: np.ndarray, center,
     slack = rhs + BRANDT_SCHEME_CONSTANT * grid.h**2 - max(lhs)
     return BrandtReport(center=tuple(center.tolist()), delta=float(delta),
                         lhs=lhs, rhs=rhs, slack=slack, holds=slack >= 0.0,
-                        meta={"node": i, "ball_nodes": int(ball.sum())})
+                        meta={"node": i, "ball_nodes": int(ball.size)})
 
 
 def oscillation_fit(u: SolutionField, x0, radii, buffer: int = 3,

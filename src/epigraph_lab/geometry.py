@@ -13,6 +13,10 @@ parallel to ``nu`` of the 1-D measure of the slice. ``section_measure``
 estimates it by sampling membership along a lattice of lines, one line at a
 time, then locating every boundary crossing of the scan by one batched
 bisection.
+
+This module owns membership: ``_membership`` adapts a domain or a bare
+predicate, and ``_bisect`` locates membership flips in one batch; the cut-arm
+fractions of ``discretization.build_grid`` come from both.
 """
 
 from __future__ import annotations
@@ -157,9 +161,6 @@ class EpigraphSpec:
             raise ValidationError("epigraph dimension must be >= 2")
         if self.kind not in EPIGRAPH_KINDS:
             raise ValidationError(f"unknown epigraph kind {self.kind!r}")
-
-    def g(self, x_prime):
-        return eval_g(self, x_prime)
 
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -411,12 +412,23 @@ def _hyperplane_basis(nu: np.ndarray) -> np.ndarray:
     return h[:, : n - 1]
 
 
+def _membership(domain):
+    """The membership predicate of a domain, or the domain if it is one."""
+    if hasattr(domain, "contains"):
+        return domain.contains
+    if callable(domain):
+        return domain
+    raise ValidationError("domain must expose contains() or be callable")
+
+
 def _bisect(contains, bases, nu, lo, hi, state_lo, iters=48):
     """Bisect membership flips bracketed by lo < hi along each base + t nu,
     all brackets in one batch; state_lo is the membership at lo."""
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        same = contains(bases + mid[:, None] * nu[None, :]) == state_lo
+        inside = np.asarray(contains(bases + mid[:, None] * nu[None, :]),
+                            dtype=bool)
+        same = inside == state_lo
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
@@ -467,12 +479,16 @@ def section_measure(domain, nu, probe_grid, line_resolution: float,
     if probes.shape[1] != dim - 1:
         raise ValidationError("probe points must have dimension N-1")
     basis = _hyperplane_basis(nu)
-    contains = domain.contains if hasattr(domain, "contains") else domain
+    contains = _membership(domain)
 
     # sample line by line (a fine scan of all lines at once would take
     # hundreds of MB), then bisect the flips of every line in one batch,
     # starting each bracket from its sampled state
-    nsamp = int(math.ceil(2.0 * window / line_resolution)) + 1
+    samples = 2.0 * window / line_resolution
+    if not samples < np.iinfo(np.intp).max:
+        raise ValidationError("window holds too many samples per line for"
+                              " line_resolution")
+    nsamp = int(math.ceil(samples)) + 1
     t = np.linspace(-window, window, nsamp)
     bases, ends, flips, states = [], [], [], []
     for xp in probes:

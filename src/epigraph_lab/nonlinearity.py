@@ -96,12 +96,6 @@ class Nonlinearity:
     def __call__(self, t):
         return eval_f(self, t)
 
-    def describe(self) -> dict:
-        out = {"kind": self.kind, "f0": self.f0,
-               "monotone_nonincreasing": self.monotone_nonincreasing}
-        out.update({k: v for k, v in self.params.items() if np.isscalar(v)})
-        return out
-
 
 def make_nonlinearity(kind: str, **params) -> Nonlinearity:
     if kind == "constant":

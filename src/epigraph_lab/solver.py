@@ -1,15 +1,15 @@
 """Linear, semilinear and eigenvalue solves on masked grids.
 
-``solve_linear`` runs conjugate gradients on the diagonally rescaled system
-when the operator has no cut arms (the rescaling makes folded Neumann mirrors
-symmetric) and BiCGSTAB otherwise, with plain Jacobi preconditioning.
+``solve_linear`` runs Jacobi-preconditioned BiCGSTAB to a relative residual
+of 1e-13; the cut-arm operator is not symmetric.
 
 ``solve_semilinear`` is a damped Newton iteration on F(u) = A u - b - f(u)
 with the exact Jacobian A - diag(f'(u)); nonlinearities that are not locally
-Lipschitz on the working range are routed to a (optionally relaxed) Picard
-iteration automatically. Every returned field carries a residual that
-was recomputed through the independent gather-based stencil walker, not the
-solver's own matrix.
+Lipschitz on the working range are routed to the Picard iteration
+u <- A^{-1} (b + f(u)) automatically. Both stop once the max-norm residual is
+at most ``tol``; a NaN residual counts as not converged. Every returned field
+carries a residual that was recomputed through the independent gather-based
+stencil walker, not the solver's own matrix.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ __all__ = [
 
 _NONSMOOTH_KINDS = ("sqrt_saturation", "double_front_source")
 _DAMPING_FLOOR = 2.0 ** -10
+_KRYLOV_TOL = 1e-13
+_EIGEN_MAXITER = 2000
 
 
 @dataclass
@@ -72,18 +74,14 @@ class SolvePolicy:
     tol: float = 1e-10
     max_iter: int = 80
     init: object = "torsion_lift"   # torsion_lift | front_lift | zero | array
-    picard_relax: float = 1.0
-    krylov_tol: float = 1e-13
 
     def validate(self):
         if self.method not in ("auto", "newton", "picard"):
             raise ValidationError("policy method must be auto, newton or picard")
-        if self.tol <= 0 or self.krylov_tol <= 0:
+        if self.tol <= 0:
             raise ValidationError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
-        if not 0.0 < self.picard_relax <= 1.0:
-            raise ValidationError("picard_relax must lie in (0, 1]")
 
 
 def factorize(matrix: sp.spmatrix):
@@ -105,16 +103,11 @@ def _jacobi(matrix: sp.csr_matrix):
     return sp.diags(1.0 / d)
 
 
-def solve_linear(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-12,
-                 maxiter: int = None) -> SolutionField:
-    """Solve op u = rhs by CG (rescaled symmetric case) or BiCGSTAB."""
+def solve_linear(op: SparseOperator, rhs: np.ndarray) -> SolutionField:
+    """Solve op u = rhs by Jacobi-preconditioned BiCGSTAB."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (op.n,):
         raise ValidationError("rhs length does not match operator dimension")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    if maxiter is None:
-        maxiter = min(40 * op.n + 100, 200000)
     if not rhs.any():
         u = np.zeros(op.n)
         return SolutionField(grid=op.grid, values=u, residual_norm=0.0,
@@ -126,31 +119,21 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-12,
     def cb(_):
         count["it"] += 1
 
-    if op.dscale_symmetric:
-        a = sp.diags(op.d_weights) @ op.matrix
-        b = op.d_weights * rhs
-        a = sp.csr_matrix(a)
-        u, info = spla.cg(a, b, rtol=tol, atol=0.0, maxiter=maxiter,
-                          M=_jacobi(a), callback=cb)
-        scheme = "cg"
-    else:
-        u, info = spla.bicgstab(op.matrix, rhs, rtol=tol, atol=0.0,
-                                maxiter=maxiter, M=_jacobi(op.matrix),
-                                callback=cb)
-        scheme = "bicgstab"
+    u, info = spla.bicgstab(op.matrix, rhs, rtol=_KRYLOV_TOL, atol=0.0,
+                            maxiter=min(40 * op.n + 100, 200000),
+                            M=_jacobi(op.matrix), callback=cb)
     resid = float(np.abs(op.matrix @ u - rhs).max())
     if info != 0:
-        raise ConvergenceError(f"no convergence: {scheme} after {count['it']} iterations",
+        raise ConvergenceError(f"no convergence: bicgstab after {count['it']} iterations",
                                iterations=count["it"], residual=resid)
-    indep = float(np.abs(stencil_residual(op.grid, u, trace=0.0) - rhs).max()) \
-        if op.grid is not None else resid
+    indep = float(np.abs(stencil_residual(op.grid, u, trace=0.0) - rhs).max())
     return SolutionField(grid=op.grid, values=u, residual_norm=indep,
                          iterations=count["it"], method="linear",
-                         meta={"krylov": scheme, "residual_internal": resid})
+                         meta={"krylov": "bicgstab", "residual_internal": resid})
 
 
 def _initial_guess(op: SparseOperator, f: Nonlinearity, b: np.ndarray,
-                   init, policy: SolvePolicy, trace_vals: np.ndarray) -> tuple:
+                   init, trace_vals: np.ndarray) -> tuple:
     if isinstance(init, (np.ndarray, list, tuple)):
         u0 = np.asarray(init, dtype=float)
         if u0.shape != (op.n,):
@@ -160,7 +143,7 @@ def _initial_guess(op: SparseOperator, f: Nonlinearity, b: np.ndarray,
         return np.zeros(op.n), "zero"
     if init == "torsion_lift":
         rhs = b + f.f0 * np.ones(op.n) if not math.isnan(f.f0) else b.copy()
-        return solve_linear(op, rhs, tol=policy.krylov_tol).values, "torsion_lift"
+        return solve_linear(op, rhs).values, "torsion_lift"
     if init == "front_lift":
         # 1-D front heuristic: ramp along the last axis with the energy slope
         # sqrt(2 * integral of f over the unit range), capped at the trace top
@@ -200,7 +183,7 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         elif method == "auto":
             method = "newton"
 
-    u0, init_tag = _initial_guess(op, f, b, policy.init, policy, trace_vals)
+    u0, init_tag = _initial_guess(op, f, b, policy.init, trace_vals)
     meta["init"] = init_tag
 
     def residual_vec(u):
@@ -211,7 +194,10 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         r = residual_vec(u)
         res = float(np.abs(r).max())
         iters = 0
-        while res > policy.tol and iters < policy.max_iter:
+        while not res <= policy.tol and iters < policy.max_iter:
+            if not math.isfinite(res):
+                raise ConvergenceError("no convergence: non-finite residual",
+                                       iterations=iters, residual=res)
             lu = factorize(op.matrix - sp.diags(eval_f_prime(f, u)))
             delta = lu.solve(-r)
             if not np.isfinite(delta).all():
@@ -230,7 +216,7 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                     iterations=iters, residual=res)
             u, r, res = u_try, r_try, res_try
             iters += 1
-        if res > policy.tol:
+        if not res <= policy.tol:
             raise ConvergenceError("no convergence: newton iteration cap",
                                    iterations=iters, residual=res)
     else:
@@ -238,12 +224,11 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         iters = 0
         res = float(np.abs(residual_vec(u)).max())
         lu = factorize(op.matrix)
-        while res > policy.tol and iters < policy.max_iter:
-            u_next = lu.solve(b + eval_f(f, u))
-            u = (1.0 - policy.picard_relax) * u + policy.picard_relax * u_next
+        while not res <= policy.tol and iters < policy.max_iter:
+            u = lu.solve(b + eval_f(f, u))
             res = float(np.abs(residual_vec(u)).max())
             iters += 1
-        if res > policy.tol:
+        if not res <= policy.tol:
             raise ConvergenceError("no convergence: picard iteration cap",
                                    iterations=iters, residual=res)
 
@@ -253,8 +238,7 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                          iterations=iters, method=method, meta=meta)
 
 
-def principal_eigenpair(op: SparseOperator, tol: float = 1e-10,
-                        maxiter: int = 2000) -> EigenPair:
+def principal_eigenpair(op: SparseOperator, tol: float = 1e-10) -> EigenPair:
     """Smallest eigenpair by inverse power iteration; phi1 max-normalized."""
     if tol <= 0:
         raise ValidationError("tol must be positive")
@@ -265,7 +249,7 @@ def principal_eigenpair(op: SparseOperator, tol: float = 1e-10,
     lam_prev = math.inf
     lam = math.nan
     resid = math.inf
-    for it in range(1, maxiter + 1):
+    for it in range(1, _EIGEN_MAXITER + 1):
         w = lu.solve(v)
         peak = w[np.argmax(np.abs(w))]
         if not np.isfinite(peak) or peak == 0.0:
@@ -279,7 +263,7 @@ def principal_eigenpair(op: SparseOperator, tol: float = 1e-10,
         lam_prev = lam
     else:
         raise ConvergenceError("no convergence: inverse power iteration",
-                               iterations=maxiter, residual=resid)
+                               iterations=_EIGEN_MAXITER, residual=resid)
     if (v <= 0).any():
         raise NumericalError("principal eigenfunction is not positive")
     return EigenPair(lambda1=lam, phi1=v, residual=resid, iterations=it)

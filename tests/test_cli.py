@@ -195,6 +195,22 @@ class TestReportAndCatalog:
         assert "[PASS] converged" in out
         assert "solution.csv" in out
 
+    def test_solver_failure_is_recorded_and_reported(self, tmp_path, capsys):
+        # one Newton step from zero cannot reach the front: exit 3, and the
+        # summary and the report carry the error
+        cfg = torsion_config(tmp_path / "out")
+        cfg["domain"]["b"] = 4.0
+        cfg["grid"]["box"] = [[0.0, 4.0]]
+        cfg["nonlinearity"] = {"kind": "allen_cahn"}
+        cfg["params"] = {"init": "zero", "trace": 1.0, "max_iter": 1}
+        assert run_cli(tmp_path, cfg)[0] == 3
+        summary = read_json(tmp_path / "out" / "summary.json")
+        assert summary["outcome"] == "error"
+        assert summary["error"].startswith("ConvergenceError: ")
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "out")]) == 0
+        assert f"error: {summary['error']}" in capsys.readouterr().out
+
     def test_report_missing_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "void")]) == 2
 
@@ -262,6 +278,26 @@ class TestMoreExperiments:
         assert obs["reflection_defect"] <= 1e-12
         assert obs["periodicity_defect"] <= 1e-12
         assert obs["periodicity_overlap_nodes"] > 0
+
+    def test_revolution_domain_constant_and_sampled_profiles(self, tmp_path):
+        # |x2| < 1 given as a constant profile and as CSV samples: the same
+        # strip, so the same torsion solution (1 - x2^2) / 2
+        prof = tmp_path / "phi.csv"
+        write_csv(prof, ["x", "phi"], [[-10.0, 1.0], [10.0, 1.0]])
+        solutions = []
+        for name, domain in [
+                ("constant", {"kind": "revolution", "profile": "constant",
+                              "params": {"value": 1.0}}),
+                ("samples", {"kind": "revolution", "profile": "samples",
+                             "csv": str(prof)})]:
+            cfg = torsion_config(tmp_path / name)
+            cfg["domain"] = domain
+            cfg["grid"] = {"box": [[0.0, 1.0], [-1.0, 1.0]], "h": 0.125}
+            assert run_cli(tmp_path, cfg)[0] == 0
+            obs = read_json(tmp_path / name / "summary.json")["observations"]
+            assert obs["max_norm"] == pytest.approx(0.5, abs=1e-12)
+            solutions.append((tmp_path / name / "solution.csv").read_bytes())
+        assert solutions[0] == solutions[1]
 
     def test_section_flags_unbounded_lines(self, tmp_path):
         cfg = section_config(tmp_path / "out", {"kind": "under_parabola"},
@@ -381,6 +417,14 @@ def _profile_mp(out):
             "params": {"profile": "tanh_front"}}
 
 
+def _solved_mp(out):
+    return {"experiment": "moving_plane", "output_dir": str(out),
+            "domain": {"kind": "epigraph", "profile": "half_space"},
+            "nonlinearity": {"kind": "constant", "value": 1.0},
+            "grid": {"box": [[0.0, 1.0], [0.0, 2.0]], "h": 0.0625},
+            "params": {"lambda_max": 1.0}}
+
+
 def _scan(out):
     return {"experiment": "threshold_scan", "output_dir": str(out),
             "params": {"L": 1.0, "cells": 16}}
@@ -424,6 +468,17 @@ CRASHING_CONFIGS = {
         torsion_config(tmp_path / "out")).replace("0.125", "NaN"),
     "negative_seed": lambda tmp_path: dict(
         uniqueness_config(tmp_path / "out"), seed=-1),
+    # finite numbers asking for more lattice nodes, lambda values, line
+    # samples or ball reach than an index can count
+    "grid_box_oversize": _with(torsion_config, grid__box=[[0.0, 1e300]]),
+    "ymax_oversize": _with(_profile_mp, params__ymax=1e300),
+    "length_oversize": lambda tmp_path: {
+        "experiment": "symmetry", "output_dir": str(tmp_path / "out"),
+        "params": {"case": "torsion_strip", "length": 1e300}},
+    "lambda_max_oversize": _with(_solved_mp, params__lambda_max=1e300),
+    "window_oversize": _with(_section, params__window=1e300),
+    "brandt_delta_oversize": _with(brandt_config,
+                                   params__brandt__delta=1e300),
 }
 
 # strings where booleans belong, and keys the chosen kind does not use:

@@ -111,6 +111,45 @@ def test_disk_cut_fraction_matches_circle(disk_grid):
     assert (g.theta > 0).all() and (g.theta <= 1).all()
 
 
+def arm_fraction_reference(contains, base, axis, step, h):
+    """Inside fraction of one cut arm: 40 bisection steps from [0, 1], then
+    snapped to 1 above 1 - 1e-9 and floored at 1e-8."""
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        probe = base.copy()
+        probe[axis] = base[axis] + step * h * mid
+        if contains(probe[None, :])[0]:
+            lo = mid
+        else:
+            hi = mid
+    frac = 0.5 * (lo + hi)
+    return max(1.0 if frac > 1.0 - 1e-9 else frac, 1e-8)
+
+
+@pytest.mark.parametrize("domain,box,h", [
+    (make_epigraph("arc_bump"), [[-5.0, 3.0], [0.0, 3.0]], 1.0 / 16),
+    (make_epigraph("weierstrass"), [[-0.25, 0.25], [0.0, 2.0]], 1.0 / 32),
+    (make_epigraph("coercive_quadratic", dimension=3),
+     [[-1.0, 1.0], [-1.0, 1.0], [0.0, 2.0]], 1.0 / 8),
+    (unit_disk, [[-1.0, 1.0], [-1.0, 1.0]], 1.0 / 8),
+    # a bare predicate may answer with a list
+    (lambda p: unit_disk(p).tolist(), [[-1.0, 1.0], [-1.0, 1.0]], 1.0 / 8),
+])
+def test_cut_fractions_match_one_arm_at_a_time(domain, box, h):
+    g = build_grid(domain, box, h)
+    contains = getattr(domain, "contains", domain)
+    node, axis, side = np.nonzero(g.arm_kind == ARM_CUT)
+    assert node.size > 20
+    for i, k, sd in list(zip(node, axis, side))[::5]:
+        step = 2 * sd - 1
+        frac = arm_fraction_reference(contains, g.points[i], k, step, h)
+        assert g.theta[i, k, sd] == frac
+        end = g.points[i].copy()
+        end[k] += step * h * frac
+        assert (g.arm_point[i, k, sd] == end).all()
+
+
 def quad(pts):
     return (pts ** 2).sum(axis=1)
 
@@ -168,15 +207,8 @@ def test_pure_lattice_operator_is_symmetric():
     g = build_grid(strip_set(-0.5, 1.5), [[0.0, 1.0], [0.0, 1.0]], 0.25,
                    face_policy=policy)
     op = assemble_laplacian(g)
-    assert op.symmetric
     gap = op.matrix - op.matrix.T
     assert abs(gap).max() == 0.0
-
-
-def test_cut_operator_flags(disk_grid):
-    op = assemble_laplacian(disk_grid)
-    assert not op.symmetric
-    assert not op.dscale_symmetric
 
 
 def test_inverse_positivity(disk_grid):

@@ -117,6 +117,68 @@ class TestBrandtCheck:
             brandt_check(u, zeros, (2.01, 2.0), 1.0)   # off-node center
 
 
+def brandt_reference(u, f_values, lattice, center, delta):
+    """The Brandt ball by a distance scan over the whole lattice (its node
+    coordinates in C order): (node, ball nodes, rhs), or None when the ball
+    or the +-1 stencil leaves the interior."""
+    g = u.grid
+    d2 = ((g.points - center) ** 2).sum(axis=1)
+    i = int(np.argmin(d2))
+    ci = np.argwhere(g.interior)[i]
+    span = max(math.floor(delta / g.h + 1e-9), 1)
+    if (ci - span < 0).any() or (ci + span > np.array(g.shape) - 1).any():
+        return None
+    in_ball = ((lattice - center) ** 2).sum(axis=1) \
+        <= delta * delta * (1.0 + 1e-12)
+    stencil = [tuple(ci + s * e) for e in np.eye(g.dimension, dtype=int)
+               for s in (-1, 1)]
+    if not g.interior.ravel()[in_ball].all() or \
+            not all(g.interior[idx] for idx in stencil):
+        return None
+    ball = g.node_index.ravel()[in_ball]
+    n = g.dimension
+    rhs = (2.0 * n / delta) * float(np.abs(u.values[ball]).max()) \
+        + (delta / 4.0) * float(np.abs(f_values[ball]).max())
+    return i, ball.size, rhs
+
+
+@pytest.mark.parametrize("domain,box,h", [
+    (unit_disk, [[-1.0, 1.0], [-1.0, 1.0]], 1.0 / 8),
+    (make_epigraph("arc_bump"), [[-5.0, 3.0], [0.0, 3.0]], 1.0 / 4),
+    (make_epigraph("coercive_quadratic", dimension=3),
+     [[-1.0, 1.0], [-1.0, 1.0], [0.0, 2.0]], 1.0 / 4),
+])
+def test_brandt_ball_matches_a_lattice_scan(domain, box, h):
+    g = build_grid(domain, box, h)
+    u = field_from(g, lambda p: np.sin(p.sum(axis=1)))
+    f_vals = np.cos(g.points[:, 0])
+    lattice = np.stack([m.ravel() for m in np.meshgrid(*g.axes, indexing="ij")],
+                       axis=1)
+    held = 0
+    for center in g.points[::5]:
+        for delta in (0.5 * h, 1.5 * h, 2.0 * h, 3.2 * h):
+            ref = brandt_reference(u, f_vals, lattice, center, delta)
+            if ref is None:
+                with pytest.raises(ValidationError, match="ball exits domain"):
+                    brandt_check(u, f_vals, center, delta)
+                continue
+            rep = brandt_check(u, f_vals, center, delta)
+            assert (rep.meta["node"], rep.meta["ball_nodes"], rep.rhs) == ref
+            held += 1
+    assert held >= 10
+    for off in (g.box[:, 0] - h, g.points[0] + 0.3 * h, [np.nan] * g.dimension):
+        with pytest.raises(ValidationError, match="not an interior node"):
+            brandt_check(u, f_vals, off, h)
+
+
+def test_brandt_huge_ball_exits_domain():
+    g = build_grid(strip_set(0.0, 4.0), [[0.0, 4.0], [0.0, 4.0]], 0.25)
+    u = field_from(g, lambda p: p[:, -1])
+    for delta in (1e300, 1.7e308):
+        with pytest.raises(ValidationError, match="ball exits domain"):
+            brandt_check(u, np.zeros(g.n_interior), (2.0, 2.0), delta)
+
+
 class TestOscillationFit:
     def make_flat(self, h=1.0 / 8):
         g = build_grid(make_epigraph("half_space", dimension=2),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from epigraph_lab import (
+    ConvergenceError,
     LabError,
     SolvePolicy,
     ValidationError,
@@ -57,8 +58,6 @@ def test_linear_solve_argument_validation():
     op = assemble_laplacian(g)
     with pytest.raises(ValidationError):
         solve_linear(op, np.ones(op.n + 1))
-    with pytest.raises(ValidationError):
-        solve_linear(op, np.ones(op.n), tol=0.0)
 
 
 def test_interval_torsion_solution():
@@ -158,9 +157,32 @@ def test_policy_validation():
     with pytest.raises(ValidationError):
         SolvePolicy(tol=-1.0).validate()
     with pytest.raises(ValidationError):
-        SolvePolicy(picard_relax=0.0).validate()
-    with pytest.raises(ValidationError):
         SolvePolicy(max_iter=0).validate()
+
+
+@pytest.mark.parametrize("method", ["newton", "picard"])
+def test_nan_residual_is_not_converged(method):
+    # NaN > tol is false, so a NaN residual must never read as converged
+    g = interval_grid(0.0, 1.0, 1.0 / 8)
+    init = np.zeros(g.n_interior)
+    init[3] = np.nan
+    with pytest.raises(ConvergenceError) as err:
+        solve_semilinear(g, make_nonlinearity("allen_cahn"),
+                         policy=SolvePolicy(method=method, init=init))
+    assert math.isnan(err.value.residual)
+
+
+def test_newton_on_power_source_uses_its_derivative():
+    # nonzero data: the torsion lift is not the solution, so Newton steps
+    g = interval_grid(0.0, 1.0, 1.0 / 32)
+    f = make_nonlinearity("power", exponent=2)
+    newton = solve_semilinear(g, f, trace=0.5)
+    assert newton.method == "newton"
+    assert newton.iterations == 3
+    assert newton.residual_norm <= 1e-10
+    picard = solve_semilinear(g, f, trace=0.5,
+                              policy=SolvePolicy(method="picard"))
+    assert np.max(np.abs(newton.values - picard.values)) <= 1e-10
 
 
 def test_resonant_linear_source_fails_loudly():
