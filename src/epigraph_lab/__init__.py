@@ -25,7 +25,6 @@ from .geometry import (
     strip_set,
     winged_strip_set,
     under_parabola_set,
-    epigraph_set,
     orthant_set,
     revolution_set,
     section_measure,

@@ -435,9 +435,7 @@ def _run_threshold_scan(cfg):
         checks["crossing_near_prediction"] = \
             abs(rep.failure_width - target) <= max(0.02 * target, step)
     rows = [[S, lam] for S, lam in rep.table]
-    markers = []
-    if not is_unbounded(eps):
-        markers.append(("sufficient width", float(eps)))
+    markers = [("sufficient width", eps)]
     if rep.failure_width is not None:
         markers.append(("failure width", rep.failure_width))
     svg = {"series": [("lambda1", np.array([r[0] for r in rows]),

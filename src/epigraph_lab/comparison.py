@@ -21,8 +21,7 @@ from . import closed_forms
 from .discretization import (ARM_CUT, ARM_LATTICE, as_trace, assemble_laplacian,
                              build_grid, stencil_residual)
 from .errors import LabError, ValidationError
-from .nonlinearity import (Nonlinearity, epsilon_bounded, is_unbounded,
-                           lipschitz_on)
+from .nonlinearity import Nonlinearity, epsilon_bounded, lipschitz_on
 from .solver import (SolutionField, SolvePolicy, factorize,
                      principal_eigenpair, solve_semilinear)
 
@@ -39,10 +38,8 @@ __all__ = [
 
 @dataclass
 class ComparisonReport:
-    domain: object = None
-    S: float = math.nan
-    L: object = math.nan
-    epsilon_sufficient: object = math.nan
+    L: float = math.nan
+    epsilon_sufficient: float = math.nan
     lambda1: float = math.nan
     comparison_holds: bool = True
     failure_width: object = None
@@ -56,8 +53,8 @@ def _boundary_points(grid):
     return grid.arm_point[sel]
 
 
-def comparison_test(u: SolutionField, v: SolutionField, tol: float = 1e-10,
-                    domain=None) -> ComparisonReport:
+def comparison_test(u: SolutionField, v: SolutionField,
+                    tol: float = 1e-10) -> ComparisonReport:
     """Check the ordering conclusion u <= v + tol at interior nodes.
 
     The boundary ordering precondition is verified on every Dirichlet arm
@@ -79,8 +76,7 @@ def comparison_test(u: SolutionField, v: SolutionField, tol: float = 1e-10,
     if gap[i] < -tol:
         witness = {"index": i, "point": u.grid.points[i].tolist(),
                    "gap": float(gap[i])}
-    return ComparisonReport(domain=domain, comparison_holds=witness is None,
-                            witness=witness,
+    return ComparisonReport(comparison_holds=witness is None, witness=witness,
                             meta={"min_gap": float(gap[i]), "tol": tol})
 
 
@@ -120,7 +116,7 @@ def threshold_scan(L: float, widths, cells: int = 128,
     failure = next((S for S, lam in table if lam <= L), None)
     eps = epsilon_bounded(L)
     meta = {"cells": cells}
-    if failure is not None and not is_unbounded(eps):
+    if failure is not None:
         meta["sufficiency_gap_ok"] = bool(eps < failure)
     return ComparisonReport(L=L, epsilon_sufficient=eps, failure_width=failure,
                             table=table, meta=meta)
@@ -142,7 +138,7 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
     op = assemble_laplacian(grid)
     lam1 = principal_eigenpair(op).lambda1
     L = lipschitz_on(f, (-amplitude, amplitude))
-    hypothesis_ok = (not is_unbounded(L)) and lam1 > L
+    hypothesis_ok = lam1 > L
     rng = np.random.default_rng(seed)
     restarts = []
     worst = None
@@ -190,20 +186,11 @@ def symmetry_test(grid, f: Nonlinearity, isometry, tol: float = 1e-10,
     images = np.atleast_2d(np.asarray(isometry(pts), dtype=float))
     if images.shape != pts.shape:
         raise ValidationError("isometry must map points to points")
-    idx = np.zeros(images.shape, dtype=np.int64)
-    for k in range(grid.dimension):
-        s = (images[:, k] - grid.box[k, 0]) / grid.h
-        sr = np.round(s)
-        if (np.abs(s - sr) > 1e-6).any():
-            raise ValidationError("isometry not grid-aligned")
-        idx[:, k] = sr
-    in_lattice = np.ones(len(pts), dtype=bool)
-    for k in range(grid.dimension):
-        in_lattice &= (idx[:, k] >= 0) & (idx[:, k] <= grid.shape[k] - 1)
-    mapped = np.full(len(pts), -1, dtype=np.int64)
-    flat = np.ravel_multi_index(idx[in_lattice].T, grid.shape)
-    mapped[in_lattice] = grid.node_index.ravel()[flat]
-    ok = in_lattice & (mapped >= 0) & grid.buffer_mask(buffer)
+    idx, offset = grid.snap(images)
+    if (offset > 1e-6).any():
+        raise ValidationError("isometry not grid-aligned")
+    mapped = grid.node(idx)
+    ok = (mapped >= 0) & grid.buffer_mask(buffer)
     if not ok.any():
         raise ValidationError("isometry image misses the interior window")
     defect = float(np.abs(u.values[ok] - u.values[mapped[ok]]).max())

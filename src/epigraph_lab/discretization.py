@@ -96,17 +96,42 @@ class DomainGrid:
             full[dir_face] = as_trace(trace)(pts)
         return full
 
-    def buffer_mask(self, depth: int) -> np.ndarray:
-        """Interior-node mask keeping nodes >= depth cells from every
-        artificial box face."""
-        keep = np.ones(self.n_interior, dtype=bool)
-        lattice_idx = np.argwhere(self.interior)
-        for k in range(self.dimension):
+    def snap(self, points):
+        """Nearest lattice multi-index of each point and its distance to that
+        node in cells. A non-finite coordinate snaps off the lattice at
+        distance inf; indices beyond the lattice are clipped to one past it."""
+        s = (np.atleast_2d(np.asarray(points, dtype=float)) - self.box[:, 0]) / self.h
+        near = np.rint(s)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            offset = np.sqrt(((s - near) ** 2).sum(axis=1))
+        offset[np.isnan(offset)] = np.inf
+        # fmax sends NaN to -1
+        return np.fmin(np.fmax(near, -1), self.shape).astype(np.int64), offset
+
+    def node(self, idx) -> np.ndarray:
+        """Interior index of each row of an (m, N) array of lattice
+        multi-indices; -1 off the lattice or off the interior."""
+        idx = np.asarray(idx, dtype=np.int64)
+        out = self.node_index.ravel()[np.ravel_multi_index(idx.T, self.shape, mode="clip")]
+        out[((idx < 0) | (idx >= self.shape)).any(axis=1)] = -1
+        return out
+
+    def buffer_lattice(self, depth: int, axes: int = None) -> np.ndarray:
+        """Mask over the lattice of the first ``axes`` axes (all by default)
+        keeping nodes >= depth cells from every artificial face on them."""
+        n = self.dimension if axes is None else axes
+        keep = np.ones(self.shape[:n], dtype=bool)
+        for k in range(n):
+            i = np.arange(self.shape[k]).reshape((-1,) + (1,) * (n - 1 - k))
             if self.face_artificial[k, 0]:
-                keep &= lattice_idx[:, k] >= depth
+                keep &= i >= depth
             if self.face_artificial[k, 1]:
-                keep &= lattice_idx[:, k] <= self.shape[k] - 1 - depth
+                keep &= i <= self.shape[k] - 1 - depth
         return keep
+
+    def buffer_mask(self, depth: int) -> np.ndarray:
+        """``buffer_lattice(depth)`` over the interior nodes."""
+        return self.buffer_lattice(depth)[self.interior]
 
     def dump_rows(self):
         """Debug table: one row per lattice node with mask and cut fractions."""

@@ -70,46 +70,34 @@ def brandt_check(u: SolutionField, f_values: np.ndarray, center,
     if center.shape != (grid.dimension,):
         raise ValidationError("center dimension mismatch")
     # the nearest lattice node must be interior and within h * 1e-6
-    near = np.rint((center - grid.box[:, 0]) / grid.h)
-    if not ((near >= 0) & (near <= np.array(grid.shape) - 1)).all():
+    idx, offset = grid.snap(center)
+    i = int(grid.node(idx)[0])
+    if i < 0 or offset[0] > 1e-6:
         raise ValidationError("center is not an interior node")
-    ci = [int(c) for c in near]
-    i = int(grid.node_index[tuple(ci)])
-    node = np.array([grid.axes[k][c] for k, c in enumerate(ci)])
-    if i < 0 or ((node - center) ** 2).sum() > (grid.h * 1e-6) ** 2:
-        raise ValidationError("center is not an interior node")
+    ci = idx[0]
 
     # the closed ball must stay inside the domain: every lattice node of the
     # ball has to be interior; a ball wider than the lattice exits it anyway,
-    # so delta / h is capped before it is rounded
+    # so delta / h is capped before it is rounded, and the cube around the
+    # ball must fit on the lattice
     reach = math.floor(min(delta / grid.h, sum(grid.shape)) + 1e-9)
+    if (ci < reach).any() or (ci + reach >= grid.shape).any():
+        raise ValidationError("ball exits domain")
+    n = grid.dimension
+    offsets = np.stack(np.meshgrid(*[np.arange(-reach, reach + 1)] * n,
+                                   indexing="ij"), axis=-1).reshape(-1, n)
+    nodes = ci + offsets
+    coords = np.stack([grid.axes[k][nodes[:, k]] for k in range(n)], axis=1)
+    inball = ((coords - center) ** 2).sum(axis=1) <= delta * delta * (1.0 + 1e-12)
     # the centered difference below reads the +-1 neighbours even when the
     # ball holds no other lattice node (delta < h)
-    span = max(reach, 1)
-    for k in range(grid.dimension):
-        if ci[k] - span < 0 or ci[k] + span > grid.shape[k] - 1:
-            raise ValidationError("ball exits domain")
-    offsets = np.stack(np.meshgrid(*[np.arange(-reach, reach + 1)] * grid.dimension,
-                                   indexing="ij"), axis=-1).reshape(-1, grid.dimension)
-    nodes = np.array(ci)[None, :] + offsets
-    coords = np.stack([grid.axes[k][nodes[:, k]] for k in range(grid.dimension)], axis=1)
-    inball = ((coords - center) ** 2).sum(axis=1) <= delta * delta * (1.0 + 1e-12)
-    ball = grid.node_index[tuple(nodes[inball].T)]
-    if (ball < 0).any():
+    step = np.eye(n, dtype=np.int64)
+    ids = grid.node(np.concatenate([ci + step, ci - step, nodes[inball]]))
+    if (ids < 0).any():
         raise ValidationError("ball exits domain")
+    up, down, ball = ids[:n], ids[n:2 * n], ids[2 * n:]
 
-    lhs = []
-    n = grid.dimension
-    for k in range(n):
-        up = list(ci)
-        up[k] += 1
-        dn = list(ci)
-        dn[k] -= 1
-        iu = grid.node_index[tuple(up)]
-        idn = grid.node_index[tuple(dn)]
-        if iu < 0 or idn < 0:
-            raise ValidationError("ball exits domain")
-        lhs.append(abs(float(u.values[iu] - u.values[idn])) / (2.0 * grid.h))
+    lhs = (np.abs(u.values[up] - u.values[down]) / (2.0 * grid.h)).tolist()
     rhs = (2.0 * n / delta) * float(np.abs(u.values[ball]).max()) \
         + (delta / 4.0) * float(np.abs(f_values[ball]).max())
     slack = rhs + BRANDT_SCHEME_CONSTANT * grid.h**2 - max(lhs)

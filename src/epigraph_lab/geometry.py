@@ -42,7 +42,6 @@ __all__ = [
     "strip_set",
     "winged_strip_set",
     "under_parabola_set",
-    "epigraph_set",
     "orthant_set",
     "revolution_set",
 ]
@@ -57,6 +56,8 @@ EPIGRAPH_KINDS = (
     "custom_sampled",
 )
 
+# the domain kinds besides the profile catalog, as listed by the CLI; an
+# "epigraph" domain is an EpigraphSpec, every other kind a GeneralOpenSet
 OPEN_SET_KINDS = ("strip", "winged_strip", "under_parabola", "epigraph", "orthant", "revolution")
 
 
@@ -291,12 +292,11 @@ class GeneralOpenSet:
     dimension: int = 2
     a: float = 0.0
     b: float = 1.0
-    epigraph: EpigraphSpec | None = None
     profile_kind: str = "constant"
     profile_params: tuple = (1.0,)
 
     def __post_init__(self):
-        if self.kind not in OPEN_SET_KINDS:
+        if self.kind not in OPEN_SET_KINDS or self.kind == "epigraph":
             raise ValidationError(f"unknown open set kind {self.kind!r}")
 
     def _phi(self, t: np.ndarray) -> np.ndarray:
@@ -324,22 +324,10 @@ class GeneralOpenSet:
         if k == "under_parabola":
             x, y = pts[:, 0], pts[:, 1]
             return (0.0 < y) & (y < x**2)
-        if k == "epigraph":
-            return self.epigraph.contains(pts)
         if k == "orthant":
             return np.all(pts > 0.0, axis=1)
         r = np.linalg.norm(pts[:, 1:], axis=1)
         return r < self._phi(pts[:, 0])
-
-    def describe(self) -> dict:
-        out = {"kind": self.kind, "dimension": self.dimension}
-        if self.kind == "strip":
-            out.update(a=self.a, b=self.b)
-        elif self.kind == "epigraph":
-            out["epigraph"] = self.epigraph.describe()
-        elif self.kind == "revolution":
-            out["profile"] = self.profile_kind
-        return out
 
 
 def strip_set(a: float, b: float, dimension: int = 2) -> GeneralOpenSet:
@@ -354,10 +342,6 @@ def winged_strip_set() -> GeneralOpenSet:
 
 def under_parabola_set() -> GeneralOpenSet:
     return GeneralOpenSet(kind="under_parabola", dimension=2)
-
-
-def epigraph_set(spec: EpigraphSpec) -> GeneralOpenSet:
-    return GeneralOpenSet(kind="epigraph", dimension=spec.dimension, epigraph=spec)
 
 
 def orthant_set(dimension: int = 2) -> GeneralOpenSet:

@@ -75,8 +75,15 @@ def _fourth_difference_bound(full: np.ndarray) -> float:
     return float(np.abs(d4[good]).max())
 
 
-def _reflected_values(full: np.ndarray, grid, lam: float, lattice_idx: np.ndarray):
-    """u(x', 2 lam - x_N) for the given lattice multi-indices.
+def _columns(grid):
+    """Column number and x_N index of every interior node: interior node i
+    sits at ``full.reshape(-1, nj)[col[i], j[i]]`` of a lattice array."""
+    return np.divmod(np.flatnonzero(grid.interior), grid.shape[-1])
+
+
+def _reflected_values(full: np.ndarray, grid, lam: float, col: np.ndarray,
+                      j: np.ndarray):
+    """u(x', 2 lam - x_N) for the nodes at columns col, heights j.
 
     Returns (values, interp_bound). NaN lookups mean the reflection left the
     window of known values.
@@ -85,15 +92,12 @@ def _reflected_values(full: np.ndarray, grid, lam: float, lattice_idx: np.ndarra
     lo = grid.box[-1, 0]
     k2 = _reflection_index(grid, lam)
     nj = grid.shape[-1]
-    j = lattice_idx[:, -1]
+    columns = full.reshape(-1, nj)
     if k2 is not None:
         jr = k2 - j
         if (jr < 0).any() or (jr > nj - 1).any():
             raise NumericalError("reflection leaves window")
-        idx = lattice_idx.copy()
-        idx[:, -1] = jr
-        vals = full[tuple(idx.T)]
-        return vals, 0.0
+        return columns[col, jr], 0.0
     yr = 2.0 * lam - (lo + j * h)
     s = (yr - lo) / h
     j0 = np.floor(s).astype(int)
@@ -103,9 +107,7 @@ def _reflected_values(full: np.ndarray, grid, lam: float, lattice_idx: np.ndarra
     weights = _cubic_weights_vec(t)
     vals = np.zeros(len(j))
     for off in range(4):
-        idx = lattice_idx.copy()
-        idx[:, -1] = j0 + off - 1
-        vals += weights[:, off] * full[tuple(idx.T)]
+        vals += weights[:, off] * columns[col, j0 + off - 1]
     bound = _fourth_difference_bound(full)
     bound = 0.0 if math.isnan(bound) else bound / 16.0
     return vals, bound
@@ -123,9 +125,7 @@ def _cubic_weights_vec(t: np.ndarray) -> np.ndarray:
 def reflect_field(u: SolutionField, lam: float) -> SolutionField:
     """Field of reflected values u_lambda at every interior node."""
     grid = u.grid
-    full = _lattice(u)
-    lattice_idx = np.argwhere(grid.interior)
-    vals, bound = _reflected_values(full, grid, lam, lattice_idx)
+    vals, bound = _reflected_values(_lattice(u), grid, lam, *_columns(grid))
     if not np.isfinite(vals).all():
         raise NumericalError("reflection leaves window")
     meta = dict(u.meta)
@@ -141,21 +141,16 @@ def vertical_derivative(u: SolutionField, buffer: int = 3):
 
     Returns (dn array over interior nodes, mask of buffer-interior nodes)."""
     grid = u.grid
-    full = _lattice(u)
     h = grid.h
     nj = grid.shape[-1]
-    lattice_idx = np.argwhere(grid.interior)
-    j = lattice_idx[:, -1]
+    columns = _lattice(u).reshape(-1, nj)
+    col, j = _columns(grid)
     here = u.values
 
     def peek(offset):
         jj = j + offset
         ok = (jj >= 0) & (jj <= nj - 1)
-        out = np.full(len(j), np.nan)
-        idx = lattice_idx[ok].copy()
-        idx[:, -1] = jj[ok]
-        out[ok] = full[tuple(idx.T)]
-        return out
+        return np.where(ok, columns[col, np.clip(jj, 0, nj - 1)], np.nan)
 
     up = peek(+1)
     down = peek(-1)
@@ -187,7 +182,7 @@ def cap_sweep(u: SolutionField, spec, lambda_grid=None, tol: float = 1e-8,
         raise ValidationError("lambda_grid must be nonempty and increasing")
 
     full = _lattice(u)
-    lattice_idx = np.argwhere(grid.interior)
+    col, j = _columns(grid)
     y = grid.points[:, -1]
     buf = grid.buffer_mask(buffer)
 
@@ -202,7 +197,7 @@ def cap_sweep(u: SolutionField, spec, lambda_grid=None, tol: float = 1e-8,
         if not cap.any():
             skipped.append(float(lam))
             continue
-        vals, bound = _reflected_values(full, grid, lam, lattice_idx[cap])
+        vals, bound = _reflected_values(full, grid, lam, col[cap], j[cap])
         if not np.isfinite(vals).all():
             raise NumericalError("reflection leaves window")
         kept_lams.append(float(lam))
@@ -274,19 +269,10 @@ def hopf_slope_check(u: SolutionField, lam: float, buffer: int = 3) -> HopfRepor
     if j - 2 < 0 or j + 2 > nj - 1:
         raise ValidationError("plane too close to the window edge")
     full = _lattice(u)
-    sl = [slice(None)] * grid.dimension
-    planes = {}
-    for off in (-2, -1, 1, 2):
-        sl[-1] = j + off
-        planes[off] = full[tuple(sl)]
-    sl[-1] = j
-    on_plane = full[tuple(sl)]
-
-    good = np.isfinite(on_plane)
-    for off in planes:
-        good &= np.isfinite(planes[off])
-    buf = _plane_buffer(grid, buffer)
-    good &= buf
+    planes = {off: full[..., j + off] for off in (-2, -1, 0, 1, 2)}
+    good = grid.buffer_lattice(buffer, grid.dimension - 1)
+    for plane in planes.values():
+        good &= np.isfinite(plane)
     if not good.any():
         raise ValidationError("no usable columns on the plane")
 
@@ -299,19 +285,3 @@ def hopf_slope_check(u: SolutionField, lam: float, buffer: int = 3) -> HopfRepor
     return HopfReport(lam=float(lam), defect=defect, dn_min=float(dn.min()),
                       dn_max=float(dn.max()), n_columns=int(good.sum()))
 
-
-def _plane_buffer(grid, depth: int) -> np.ndarray:
-    """Buffer mask over the lateral (all-but-last-axis) lattice shape."""
-    shape = grid.shape[:-1]
-    keep = np.ones(shape, dtype=bool)
-    for k in range(grid.dimension - 1):
-        idx = np.arange(grid.shape[k])
-        sl = [None] * len(shape)
-        sl[k] = slice(None)
-        line = np.ones(grid.shape[k], dtype=bool)
-        if grid.face_artificial[k, 0]:
-            line &= idx >= depth
-        if grid.face_artificial[k, 1]:
-            line &= idx <= grid.shape[k] - 1 - depth
-        keep &= line[tuple(sl)]
-    return keep

@@ -2,7 +2,7 @@
 
 Every catalog entry carries an exact evaluation rule and an analytic
 description of its derivative, so ``lipschitz_on`` can return the true
-sup of |f'| on a compact range, or the ``UNBOUNDED`` sentinel where the
+sup of |f'| on a compact range, or ``UNBOUNDED`` (+inf) where the
 function is not locally Lipschitz. Threshold formulas (``epsilon_bounded``,
 ``epsilon_growth``, ``gamma_max``, ``growth_lower_bound``) are pure
 closed-form evaluations.
@@ -43,41 +43,13 @@ NONLINEARITY_KINDS = (
 )
 
 
-class _Unbounded:
-    """Sentinel meaning 'no finite bound'; sorts above every real."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "UNBOUNDED"
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is UNBOUNDED
-
-    def __gt__(self, other):
-        return other is not UNBOUNDED
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is UNBOUNDED
-
-    def __ne__(self, other):
-        return other is not UNBOUNDED
-
-    def __hash__(self):
-        return hash("unbounded-sentinel")
-
-
-UNBOUNDED = _Unbounded()
+# "no finite bound": a Lipschitz constant where f is not locally Lipschitz,
+# a width threshold where no smallness is needed
+UNBOUNDED = math.inf
 
 
 def is_unbounded(x) -> bool:
-    return x is UNBOUNDED
+    return x == UNBOUNDED
 
 
 @dataclass(frozen=True)
@@ -314,8 +286,6 @@ def lipschitz_on(f: Nonlinearity, interval):
 
 def epsilon_bounded(L: float):
     """Width threshold pi/sqrt(2 L); UNBOUNDED at L = 0 (no smallness needed)."""
-    if is_unbounded(L):
-        return 0.0
     L = float(L)
     if L < 0.0:
         raise ValidationError("Lipschitz constant must be nonnegative")
@@ -326,8 +296,6 @@ def epsilon_bounded(L: float):
 
 def epsilon_growth(L: float, gamma: float):
     """Width threshold pi/sqrt(16(e-1) gamma^2 + 2 L); UNBOUNDED at L = gamma = 0."""
-    if is_unbounded(L):
-        return 0.0
     L = float(L)
     gamma = float(gamma)
     if L < 0.0 or gamma < 0.0:

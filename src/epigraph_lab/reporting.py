@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -54,6 +55,10 @@ def atomic_write_text(path: str, text: str):
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        # mkstemp creates 0600; give the file what open() would: 0666 & ~umask
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -84,19 +89,19 @@ def _jsonable(obj):
         return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
-        return repr(obj)
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        return obj if math.isfinite(obj) else repr(obj)
     return obj
 
 
 def write_json(path: str, payload: dict):
     body = dict(_jsonable(payload))
     body.setdefault("schema", SCHEMA_VERSION)
-    atomic_write_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(body, indent=2, sort_keys=True,
+                                       allow_nan=False) + "\n")
 
 
 def read_json(path: str) -> dict:

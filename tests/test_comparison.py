@@ -219,6 +219,19 @@ class TestSymmetry:
         with pytest.raises(ValidationError):
             symmetry_test(g, f, lambda p: p + np.array([200.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_is_not_grid_aligned(self, bad):
+        # a mirror with one non-finite image must be rejected, not matched
+        g = build_grid(strip_set(-1.0, 1.0), [[0.0, 2.0], [-1.0, 1.0]], 0.25)
+        f = make_nonlinearity("constant", value=1.0)
+
+        def mirror(p):
+            q = np.column_stack([p[:, 0], -p[:, 1]])
+            q[0, 0] = bad
+            return q
+        with pytest.raises(ValidationError, match="isometry not grid-aligned"):
+            symmetry_test(g, f, mirror)
+
 
 class TestGrowthCounterexample:
     @pytest.mark.parametrize("m", [1, 2])

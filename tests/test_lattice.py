@@ -1,0 +1,117 @@
+"""Property tests for the lattice lookups of ``DomainGrid``: ``snap``,
+``node``, ``buffer_lattice`` and ``buffer_mask``, on random 1-, 2- and 3-D
+grids, ball domains and face policies."""
+
+import itertools
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from epigraph_lab import ValidationError, build_grid
+
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def grids(draw):
+    n = draw(st.integers(1, 3))
+    h = draw(st.sampled_from([0.125, 0.25, 0.5, 1.0]))
+    lo = np.array([draw(st.integers(-4, 4)) * h for _ in range(n)])
+    cells = np.array([draw(st.integers(1, 7)) for _ in range(n)])
+    box = np.stack([lo, lo + cells * h], axis=1)
+    center = lo + np.array([draw(st.floats(0.0, 1.0)) for _ in range(n)]) * cells * h
+    radius = draw(st.floats(0.3, 2.0)) * cells.max() * h
+    policy = [tuple(draw(st.sampled_from(["dirichlet", "neumann"])) for _ in range(2))
+              for _ in range(n)]
+    try:
+        return build_grid(lambda p: ((p - center) ** 2).sum(axis=1) < radius ** 2,
+                          box, h, face_policy=policy)
+    except ValidationError:  # empty interior
+        assume(False)
+
+
+def lattice_nodes(grid):
+    return np.array(list(itertools.product(*[range(s) for s in grid.shape])))
+
+
+def plane_buffer_reference(grid, depth):
+    """Buffer mask over the lateral (all-but-last-axis) lattice shape."""
+    shape = grid.shape[:-1]
+    keep = np.ones(shape, dtype=bool)
+    for k in range(grid.dimension - 1):
+        idx = np.arange(grid.shape[k])
+        sl = [None] * len(shape)
+        sl[k] = slice(None)
+        line = np.ones(grid.shape[k], dtype=bool)
+        if grid.face_artificial[k, 0]:
+            line &= idx >= depth
+        if grid.face_artificial[k, 1]:
+            line &= idx <= grid.shape[k] - 1 - depth
+        keep &= line[tuple(sl)]
+    return keep
+
+
+@SETTINGS
+@given(grids())
+def test_lattice_points_snap_to_their_node(grid):
+    idx = lattice_nodes(grid)
+    pts = np.stack([grid.axes[k][idx[:, k]] for k in range(grid.dimension)], axis=1)
+    got, offset = grid.snap(pts)
+    assert (got == idx).all()
+    assert (offset <= 1e-9).all()
+    expect = [grid.node_index[tuple(i)] for i in idx]
+    assert grid.node(got).tolist() == expect
+
+
+@SETTINGS
+@given(grids(), st.floats(0.01, 0.49), st.integers(1, 3), st.data())
+def test_shifted_off_box_and_nan_points_are_rejected(grid, frac, beyond, data):
+    n = grid.dimension
+    idx = lattice_nodes(grid)
+    pts = grid.box[:, 0] + grid.h * idx
+    k = data.draw(st.integers(0, n - 1))
+    shifted = pts.copy()
+    shifted[:, k] += frac * grid.h
+    assert (grid.snap(shifted)[1] > 1e-6).all()
+
+    outside = pts.copy()
+    outside[:, k] = grid.box[k, 0] - beyond * grid.h
+    far = pts.copy()
+    far[:, k] = grid.box[k, 1] + beyond * grid.h
+    huge = pts.copy()
+    huge[:, k] = 1e300
+    for off_box in (outside, far, huge):
+        assert (grid.node(grid.snap(off_box)[0]) == -1).all()
+
+    bad = pts.copy()
+    bad[:, k] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    got, offset = grid.snap(bad)
+    assert np.isinf(offset).all()
+    assert (grid.node(got) == -1).all()
+
+
+@SETTINGS
+@given(grids(), st.integers(0, 4))
+def test_buffer_lattice_matches_a_per_node_loop(grid, depth):
+    expect = []
+    for i in np.argwhere(grid.interior):
+        keep = True
+        for k in range(grid.dimension):
+            if grid.face_artificial[k, 0] and i[k] < depth:
+                keep = False
+            if grid.face_artificial[k, 1] and i[k] > grid.shape[k] - 1 - depth:
+                keep = False
+        expect.append(keep)
+    assert grid.buffer_lattice(depth)[grid.interior].tolist() == expect
+    assert grid.buffer_mask(depth).tolist() == expect
+
+
+@SETTINGS
+@given(grids(), st.integers(0, 4))
+def test_plane_buffer_is_the_lateral_buffer_lattice(grid, depth):
+    got = grid.buffer_lattice(depth, grid.dimension - 1)
+    ref = plane_buffer_reference(grid, depth)
+    assert got.shape == ref.shape
+    assert (got == ref).all()

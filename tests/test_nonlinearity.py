@@ -184,6 +184,15 @@ def test_unbounded_sentinel_dominates_floats():
     assert max(3.0, UNBOUNDED) is UNBOUNDED
 
 
+def test_unbounded_is_plus_infinity():
+    assert UNBOUNDED == math.inf
+    assert is_unbounded(float("inf")) and is_unbounded(np.float64("inf"))
+    assert not is_unbounded(-math.inf) and not is_unbounded(1e308)
+    # pi / sqrt(inf): a non-Lipschitz f leaves no admissible width
+    assert epsilon_bounded(UNBOUNDED) == 0.0
+    assert epsilon_growth(UNBOUNDED, 1.0) == 0.0
+
+
 def test_finite_lipschitz_matches_fd_sup_slope():
     f = make_nonlinearity("allen_cahn")
     ts = np.linspace(0.0, 1.0, 20001)

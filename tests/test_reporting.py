@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from epigraph_lab import ValidationError
+from epigraph_lab import ValidationError, reporting
 from epigraph_lab.reporting import (
     SCHEMA_VERSION,
     atomic_write_text,
@@ -81,13 +81,25 @@ class TestJson:
                           "n": np.int64(4),
                           "x": np.float64(0.25),
                           "bad": float("nan"),
-                          "worse": float("inf")})
+                          "worse": float("inf"),
+                          "np_bad": np.float64("nan"),
+                          "np_worse": np.float32("-inf")})
+        assert "NaN" not in path.read_text()
+        assert "Infinity" not in path.read_text()
         loaded = read_json(path)
         assert loaded["arr"] == [1.0, 2.0]
         assert loaded["n"] == 4
         assert loaded["x"] == 0.25
         assert loaded["bad"] == "nan"
         assert loaded["worse"] == "inf"
+        assert (loaded["np_bad"], loaded["np_worse"]) == ("nan", "-inf")
+
+    def test_a_leaked_nonfinite_value_raises(self, tmp_path, monkeypatch):
+        # a value the converter misses must fail loudly, not write bare NaN
+        monkeypatch.setattr(reporting, "_jsonable", lambda obj: obj)
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "r.json", {"x": float("nan")})
+        assert not (tmp_path / "r.json").exists()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         path = tmp_path / "r.json"
@@ -148,3 +160,15 @@ def test_atomic_write_replaces_content(tmp_path):
     atomic_write_text(path, "first")
     atomic_write_text(path, "second")
     assert path.read_text() == "second"
+
+
+def test_artifacts_get_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_csv(tmp_path / "t.csv", ["a"], [[1.0]])
+        write_json(tmp_path / "r.json", {"a": 1})
+        svg_line_plot(tmp_path / "p.svg", [("s", [0.0, 1.0], [0.0, 1.0])])
+    finally:
+        os.umask(old)
+    for name in ("t.csv", "r.json", "p.svg"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
