@@ -133,21 +133,6 @@ class DomainGrid:
         """``buffer_lattice(depth)`` over the interior nodes."""
         return self.buffer_lattice(depth)[self.interior]
 
-    def dump_rows(self):
-        """Debug table: one row per lattice node with mask and cut fractions."""
-        header = [f"x{k + 1}" for k in range(self.dimension)]
-        header += ["inside", "interior", "min_theta"]
-        rows = []
-        min_theta = np.ones(self.shape)
-        cut = self.theta.min(axis=(1, 2))
-        min_theta[self.interior] = cut
-        it = np.ndindex(*self.shape)
-        for idx in it:
-            coords = [self.axes[k][idx[k]] for k in range(self.dimension)]
-            rows.append(coords + [int(self.inside[idx]), int(self.interior[idx]),
-                                  float(min_theta[idx]) if self.interior[idx] else 1.0])
-        return header, rows
-
 
 def _normalize_policy(face_policy, n: int) -> tuple:
     if face_policy is None:
@@ -281,13 +266,18 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
 
 @dataclass
 class SparseOperator:
-    """CSR-backed discrete -Laplacian with Dirichlet boundary bookkeeping."""
+    """CSR-backed discrete -Laplacian with Dirichlet boundary bookkeeping.
+
+    Immutable once ``assemble_laplacian`` returns it: nothing writes to
+    ``matrix`` afterwards, so ``solver`` keeps the matrix's LU factors on the
+    operator (``_lu``) and every solve with this operator reuses them."""
 
     matrix: sp.csr_matrix
     bc_rows: np.ndarray
     bc_coeffs: np.ndarray
     bc_points: np.ndarray
     grid: DomainGrid = field(repr=False)
+    _lu: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

@@ -250,7 +250,18 @@ def lipschitz_on(f: Nonlinearity, interval):
     if k == "power":
         q = f.params["exponent"]
         if q >= 1.0:
-            return q * max(M, 0.0) ** (q - 1.0) if M > 0.0 else 0.0
+            if M <= 0.0:
+                return 0.0
+            try:
+                bound = q * M ** (q - 1.0)
+            except OverflowError:
+                bound = math.inf
+            if math.isinf(bound):
+                # f is locally Lipschitz: an infinite bound is float overflow
+                raise ValidationError(
+                    f"Lipschitz bound of power exponent {q:g} overflows on "
+                    f"[{m:g}, {M:g}]")
+            return bound
         if M <= 0.0:
             return 0.0
         if m <= 0.0:

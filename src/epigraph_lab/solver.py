@@ -1,7 +1,15 @@
 """Linear, semilinear and eigenvalue solves on masked grids.
 
+Each operator is factorized at most once. ``factorize`` orders SuperLU's
+columns on the pattern of A^T + A (the cut-cell pattern is symmetric, only
+the values are not), and the LU of an operator's matrix is kept on the
+``SparseOperator`` and shared by every solve with that matrix: the linear
+solve in one and two dimensions, Picard, each Newton step whose Jacobian is
+A itself (f' identically zero) and the shift-invert eigensolve. The
+LU-or-Krylov rule is by dimension: one and two dimensions factorize, where
+fill stays near-linear; from three dimensions on the fill explodes and
 ``solve_linear`` runs Jacobi-preconditioned BiCGSTAB to a relative residual
-of 1e-13; the cut-arm operator is not symmetric.
+of 1e-13 instead (the cut-arm operator is not symmetric).
 
 ``solve_semilinear`` is a damped Newton iteration on F(u) = A u - b - f(u)
 with the exact Jacobian A - diag(f'(u)); nonlinearities that are not locally
@@ -10,6 +18,9 @@ u <- A^{-1} (b + f(u)) automatically. Both stop once the max-norm residual is
 at most ``tol``; a NaN residual counts as not converged. Every returned field
 carries a residual that was recomputed through the independent gather-based
 stencil walker, not the solver's own matrix.
+
+``principal_eigenpair`` runs ARPACK in shift-invert mode about 0 with the
+shared factors and a fixed start vector, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -40,7 +52,7 @@ __all__ = [
 _NONSMOOTH_KINDS = ("sqrt_saturation", "double_front_source")
 _DAMPING_FLOOR = 2.0 ** -10
 _KRYLOV_TOL = 1e-13
-_EIGEN_MAXITER = 2000
+_LU_MAX_DIMENSION = 2
 
 
 @dataclass
@@ -62,6 +74,9 @@ class SolutionField:
 
 @dataclass
 class EigenPair:
+    """lambda1 with its max-normalized eigenfunction; ``iterations`` counts
+    the shift-invert solves ARPACK asked for (0 for the dense n <= 2 case)."""
+
     lambda1: float
     phi1: np.ndarray
     residual: float
@@ -85,15 +100,23 @@ class SolvePolicy:
 
 
 def factorize(matrix: sp.spmatrix):
-    """SuperLU factors of ``matrix`` with SciPy's default options.
+    """SuperLU factors of ``matrix``, columns ordered by minimum degree on
+    the pattern of A^T + A (``permc_spec="MMD_AT_PLUS_A"``).
 
     ``spla.splu`` is looked up at call time, so a wrapper installed on the
     module sees every factorization. A singular matrix raises
     JacobianSingularError, a NumericalError, with Newton's message."""
     try:
-        return spla.splu(matrix.tocsc())
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise JacobianSingularError(f"jacobian singular: {exc}") from exc
+
+
+def _factors(op: SparseOperator):
+    """The LU of ``op.matrix``, computed on first use and kept on ``op``."""
+    if op._lu is None:
+        op._lu = factorize(op.matrix)
+    return op._lu
 
 
 def _jacobi(matrix: sp.csr_matrix):
@@ -104,7 +127,11 @@ def _jacobi(matrix: sp.csr_matrix):
 
 
 def solve_linear(op: SparseOperator, rhs: np.ndarray) -> SolutionField:
-    """Solve op u = rhs by Jacobi-preconditioned BiCGSTAB."""
+    """Solve op u = rhs: by the operator's shared LU in one and two
+    dimensions, by Jacobi-preconditioned BiCGSTAB in three or more.
+
+    ``meta["path"]`` says which ran: "lu", "bicgstab", or "trivial" for a
+    zero right-hand side."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (op.n,):
         raise ValidationError("rhs length does not match operator dimension")
@@ -112,38 +139,49 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> SolutionField:
         u = np.zeros(op.n)
         return SolutionField(grid=op.grid, values=u, residual_norm=0.0,
                              iterations=0, method="linear",
-                             meta={"krylov": "trivial"})
+                             meta={"path": "trivial"})
 
-    count = {"it": 0}
+    if op.grid.dimension <= _LU_MAX_DIMENSION:
+        path, iters, info = "lu", 0, 0
+        u = _factors(op).solve(rhs)
+    else:
+        path, count = "bicgstab", {"it": 0}
 
-    def cb(_):
-        count["it"] += 1
+        def cb(_):
+            count["it"] += 1
 
-    u, info = spla.bicgstab(op.matrix, rhs, rtol=_KRYLOV_TOL, atol=0.0,
-                            maxiter=min(40 * op.n + 100, 200000),
-                            M=_jacobi(op.matrix), callback=cb)
+        u, info = spla.bicgstab(op.matrix, rhs, rtol=_KRYLOV_TOL, atol=0.0,
+                                maxiter=min(40 * op.n + 100, 200000),
+                                M=_jacobi(op.matrix), callback=cb)
+        iters = count["it"]
     resid = float(np.abs(op.matrix @ u - rhs).max())
     if info != 0:
-        raise ConvergenceError(f"no convergence: bicgstab after {count['it']} iterations",
-                               iterations=count["it"], residual=resid)
+        raise ConvergenceError(f"no convergence: bicgstab after {iters} iterations",
+                               iterations=iters, residual=resid)
     indep = float(np.abs(stencil_residual(op.grid, u, trace=0.0) - rhs).max())
     return SolutionField(grid=op.grid, values=u, residual_norm=indep,
-                         iterations=count["it"], method="linear",
-                         meta={"krylov": "bicgstab", "residual_internal": resid})
+                         iterations=iters, method="linear",
+                         meta={"path": path, "residual_internal": resid})
 
 
 def _initial_guess(op: SparseOperator, f: Nonlinearity, b: np.ndarray,
-                   init, trace_vals: np.ndarray) -> tuple:
+                   init, trace_vals: np.ndarray, meta: dict) -> np.ndarray:
+    """The starting field; records ``meta["init"]``, and ``meta["lift"]``
+    (``solve_linear``'s path) for the torsion lift."""
     if isinstance(init, (np.ndarray, list, tuple)):
         u0 = np.asarray(init, dtype=float)
         if u0.shape != (op.n,):
             raise ValidationError("init array length does not match grid")
-        return u0.copy(), "array"
+        meta["init"] = "array"
+        return u0.copy()
     if init == "zero":
-        return np.zeros(op.n), "zero"
+        meta["init"] = "zero"
+        return np.zeros(op.n)
     if init == "torsion_lift":
         rhs = b + f.f0 * np.ones(op.n) if not math.isnan(f.f0) else b.copy()
-        return solve_linear(op, rhs).values, "torsion_lift"
+        lift = solve_linear(op, rhs)
+        meta["init"], meta["lift"] = "torsion_lift", lift.meta["path"]
+        return lift.values
     if init == "front_lift":
         # 1-D front heuristic: ramp along the last axis with the energy slope
         # sqrt(2 * integral of f over the unit range), capped at the trace top
@@ -155,7 +193,8 @@ def _initial_guess(op: SparseOperator, f: Nonlinearity, b: np.ndarray,
         if top <= 0:
             top = 1.0
         d = grid.points[:, -1] - grid.box[-1, 0]
-        return np.minimum(d * slope, 1.0) * top, "front_lift"
+        meta["init"] = "front_lift"
+        return np.minimum(d * slope, 1.0) * top
     raise ValidationError(f"unknown init policy {init!r}")
 
 
@@ -183,8 +222,7 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         elif method == "auto":
             method = "newton"
 
-    u0, init_tag = _initial_guess(op, f, b, policy.init, trace_vals)
-    meta["init"] = init_tag
+    u0 = _initial_guess(op, f, b, policy.init, trace_vals, meta)
 
     def residual_vec(u):
         return op.matrix @ u - b - eval_f(f, u)
@@ -198,7 +236,9 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
             if not math.isfinite(res):
                 raise ConvergenceError("no convergence: non-finite residual",
                                        iterations=iters, residual=res)
-            lu = factorize(op.matrix - sp.diags(eval_f_prime(f, u)))
+            fp = eval_f_prime(f, u)
+            # with f' identically zero the Jacobian is A: reuse its factors
+            lu = factorize(op.matrix - sp.diags(fp)) if fp.any() else _factors(op)
             delta = lu.solve(-r)
             if not np.isfinite(delta).all():
                 raise JacobianSingularError("jacobian singular: non-finite step")
@@ -223,7 +263,7 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         u = u0
         iters = 0
         res = float(np.abs(residual_vec(u)).max())
-        lu = factorize(op.matrix)
+        lu = _factors(op)
         while not res <= policy.tol and iters < policy.max_iter:
             u = lu.solve(b + eval_f(f, u))
             res = float(np.abs(residual_vec(u)).max())
@@ -239,31 +279,49 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
 
 
 def principal_eigenpair(op: SparseOperator, tol: float = 1e-10) -> EigenPair:
-    """Smallest eigenpair by inverse power iteration; phi1 max-normalized."""
+    """Eigenpair of op with the eigenvalue nearest 0; phi1 max-normalized.
+
+    ARPACK in shift-invert mode about 0, applying the operator's shared LU,
+    started from the ones vector and run to machine precision, which meets
+    any positive ``tol``; operators with n <= 2 (ARPACK needs n > 2) take a
+    dense eigendecomposition. lambda1 is the Rayleigh quotient of the
+    max-normalized eigenfunction and ``residual`` its max-norm residual; one
+    above 1e-8 lambda1 raises ConvergenceError, and an eigenfunction that is
+    not positive raises NumericalError."""
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    lu = factorize(op.matrix)
-    # iterate in the max-normalized frame so the residual bound is checked on
-    # the returned eigenfunction itself
-    v = np.ones(op.n)
-    lam_prev = math.inf
-    lam = math.nan
-    resid = math.inf
-    for it in range(1, _EIGEN_MAXITER + 1):
-        w = lu.solve(v)
-        peak = w[np.argmax(np.abs(w))]
-        if not np.isfinite(peak) or peak == 0.0:
-            raise NumericalError("inverse iteration produced a degenerate vector")
-        v = w / peak
-        av = op.matrix @ v
-        lam = float(v @ av) / float(v @ v)
-        resid = float(np.abs(av - lam * v).max())
-        if abs(lam - lam_prev) < tol * max(abs(lam), 1.0) and resid <= 1e-8 * abs(lam):
-            break
-        lam_prev = lam
+    if op.n <= 2:
+        w, vecs = la.eig(op.matrix.toarray())
+        solves = 0
     else:
-        raise ConvergenceError("no convergence: inverse power iteration",
-                               iterations=_EIGEN_MAXITER, residual=resid)
+        lu = _factors(op)
+        count = {"solves": 0}
+
+        def opinv(x):
+            count["solves"] += 1
+            return lu.solve(x)
+
+        inverse = spla.LinearOperator((op.n, op.n), matvec=opinv, dtype=float)
+        try:
+            w, vecs = spla.eigs(op.matrix, k=1, sigma=0.0, OPinv=inverse,
+                                v0=np.ones(op.n), tol=0)
+        except spla.ArpackNoConvergence as exc:
+            raise ConvergenceError("no convergence: shift-invert arnoldi",
+                                   iterations=count["solves"]) from exc
+        except spla.ArpackError as exc:
+            raise NumericalError(f"shift-invert arnoldi failed: {exc}") from exc
+        solves = count["solves"]
+    vec = vecs[:, np.argmin(np.abs(w))].real
+    peak = vec[np.argmax(np.abs(vec))]
+    if not np.isfinite(peak) or peak == 0.0:
+        raise NumericalError("eigensolver produced a degenerate vector")
+    v = vec / peak
+    av = op.matrix @ v
+    lam = float(v @ av) / float(v @ v)
+    resid = float(np.abs(av - lam * v).max())
+    if not resid <= 1e-8 * abs(lam):
+        raise ConvergenceError("no convergence: eigen residual above 1e-8 lambda1",
+                               iterations=solves, residual=resid)
     if (v <= 0).any():
         raise NumericalError("principal eigenfunction is not positive")
-    return EigenPair(lambda1=lam, phi1=v, residual=resid, iterations=it)
+    return EigenPair(lambda1=lam, phi1=v, residual=resid, iterations=solves)

@@ -479,6 +479,10 @@ CRASHING_CONFIGS = {
     "window_oversize": _with(_section, params__window=1e300),
     "brandt_delta_oversize": _with(brandt_config,
                                    params__brandt__delta=1e300),
+    # a working range whose Lipschitz bound overflows a float
+    "power_lipschitz_overflow": _with(
+        uniqueness_config, nonlinearity={"kind": "power", "exponent": 3.0},
+        params__amplitude=1e200),
 }
 
 # strings where booleans belong, and keys the chosen kind does not use:

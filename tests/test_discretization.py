@@ -243,10 +243,3 @@ def test_lattice_values_embedding(half_space_grid):
     assert np.all(full[:, 4] == 7.0)         # Dirichlet truncation row
     assert np.all(full[:, 1:4] == 1.0)
 
-
-def test_dump_rows_covers_lattice(half_space_grid):
-    header, rows = half_space_grid.dump_rows()
-    assert header == ["x1", "x2", "inside", "interior", "min_theta"]
-    assert len(rows) == 25
-    on = [r for r in rows if r[2] == 1]
-    assert len(on) == 20

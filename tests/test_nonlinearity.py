@@ -163,6 +163,16 @@ def test_lipschitz_unbounded_where_slope_blows_up(kind, params, interval):
     assert lipschitz_on(f, interval) is UNBOUNDED
 
 
+@pytest.mark.parametrize("exponent,interval", [
+    (3.0, (-1e200, 1e200)),    # M ** (q - 1) raises OverflowError
+    (2.0, (0.0, 1.7e308)),     # q * M ** (q - 1) rounds to inf
+])
+def test_power_lipschitz_overflow_is_validation_error(exponent, interval):
+    f = make_nonlinearity("power", exponent=exponent)
+    with pytest.raises(ValidationError, match="overflows"):
+        lipschitz_on(f, interval)
+
+
 def test_double_front_source_flat_outside_unit_range():
     f = make_nonlinearity("double_front_source")
     assert lipschitz_on(f, (1.5, 2.0)) == 0.0

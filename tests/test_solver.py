@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+import scipy.sparse.linalg as spla
 
 from epigraph_lab import (
     ConvergenceError,
@@ -226,6 +228,48 @@ class TestPrincipalEigenpair:
         assert np.abs(pair.phi1).max() == 1.0
         assert pair.residual <= 1e-8 * pair.lambda1
 
+    def test_matches_dense_reference_on_cut_cell_grid(self):
+        policy = [["dirichlet", "dirichlet"], ["dirichlet", "dirichlet"]]
+        g = build_grid(unit_disk, [[-1.0, 1.0], [-1.0, 1.0]], 0.125,
+                       face_policy=policy)
+        op = assemble_laplacian(g)
+        dense = op.matrix.toarray()
+        assert np.abs(dense - dense.T).max() > 1.0      # cut arms: unsymmetric
+        w, vecs = la.eig(dense)
+        i = np.argmin(np.abs(w))
+        ref = vecs[:, i].real / vecs[np.argmax(np.abs(vecs[:, i])), i].real
+        pair = principal_eigenpair(op)
+        assert abs(pair.lambda1 - w[i].real) <= 1e-10 * w[i].real
+        assert np.abs(pair.phi1 - ref).max() <= 1e-10
+        assert pair.iterations > 0
+
+    @pytest.mark.parametrize("h,lam", [(0.5, 8.0), (1.0 / 3.0, 9.0)])
+    def test_one_and_two_node_operators(self, h, lam):
+        # (1/h^2) [2] and (1/h^2) tridiag(-1, 2, -1) on two nodes
+        op = assemble_laplacian(interval_grid(0.0, 1.0, h))
+        assert op.n == round(1.0 / h) - 1
+        pair = principal_eigenpair(op)
+        assert abs(pair.lambda1 - lam) <= 1e-12 * lam
+        assert np.all(pair.phi1 == 1.0)
+        assert pair.iterations == 0
+
+    def test_reruns_are_bit_identical(self):
+        g = build_grid(make_epigraph("arc_bump"), [[-2.0, 2.0], [0.0, 3.0]],
+                       1.0 / 8)
+        first = principal_eigenpair(assemble_laplacian(g))
+        second = principal_eigenpair(assemble_laplacian(g))
+        assert first.lambda1 == second.lambda1
+        assert first.phi1.tobytes() == second.phi1.tobytes()
+
+    def test_arpack_failures_are_lab_errors(self, monkeypatch):
+        op = assemble_laplacian(interval_grid(0.0, 1.0, 1.0 / 8))
+
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((0, 0)))
+        monkeypatch.setattr(spla, "eigs", no_convergence)
+        with pytest.raises(ConvergenceError):
+            principal_eigenpair(op)
+
     def test_rejects_bad_tolerance(self):
         op = assemble_laplacian(interval_grid(0.0, 1.0, 0.25))
         with pytest.raises(ValidationError):
@@ -243,3 +287,64 @@ def test_sparse_matches_dense_on_small_instance():
     dense = np.linalg.solve(op.matrix.toarray(),
                             boundary_rhs(op, 0.0) + np.ones(op.n))
     assert np.max(np.abs(sol.values - dense)) <= 1e-10
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count calls of SciPy's splu and bicgstab, which the solver looks up
+    at call time."""
+    counts = {"splu": 0, "bicgstab": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(spla, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(spla, name, counted)
+    return counts
+
+
+def arc_bump_operator():
+    g = build_grid(make_epigraph("arc_bump"), [[-2.0, 2.0], [0.0, 3.0]], 1.0 / 8)
+    return g, assemble_laplacian(g)
+
+
+class TestSharedFactors:
+    torsion = make_nonlinearity("constant", value=1.0)
+
+    def test_torsion_then_eigenpair_factorize_once(self, call_counts):
+        g, op = arc_bump_operator()
+        sol = solve_semilinear(g, self.torsion, op=op)
+        assert sol.meta["lift"] == "lu"
+        assert sol.iterations == 0        # the LU lift solves A u = b + 1
+        principal_eigenpair(op)
+        assert call_counts == {"splu": 1, "bicgstab": 0}
+
+    def test_picard_factorizes_once(self, call_counts):
+        g, op = arc_bump_operator()
+        sol = solve_semilinear(g, make_nonlinearity("power", exponent=0.5),
+                               trace=0.5, op=op)
+        assert sol.method == "picard"
+        assert sol.iterations > 1
+        assert call_counts == {"splu": 1, "bicgstab": 0}
+
+    def test_newton_with_zero_derivative_reuses_factors(self, call_counts):
+        g, op = arc_bump_operator()
+        sol = solve_semilinear(g, self.torsion, op=op,
+                               policy=SolvePolicy(init="zero"))
+        assert sol.iterations >= 1
+        principal_eigenpair(op)
+        assert call_counts["splu"] == 1
+
+    def test_newton_with_nonzero_derivative_factorizes_jacobians(self, call_counts):
+        g, op = arc_bump_operator()
+        sol = solve_semilinear(g, make_nonlinearity("allen_cahn"),
+                               trace=tanh_trace, op=op,
+                               policy=SolvePolicy(init="front_lift"))
+        assert call_counts["splu"] == sol.iterations > 0
+
+    def test_three_dimensional_lift_runs_bicgstab(self, call_counts):
+        dom = make_epigraph("half_space", dimension=3)
+        g = build_grid(dom, [[0.0, 1.0], [0.0, 1.0], [0.5, 1.5]], 1.0 / 8)
+        sol = solve_semilinear(g, self.torsion)
+        assert sol.meta["lift"] == "bicgstab"
+        assert sol.iterations == 0
+        assert call_counts == {"splu": 0, "bicgstab": 1}
