@@ -57,6 +57,17 @@ _THETA_FLOOR = 1e-8
 _THETA_SNAP = 1.0 - 1e-9
 
 
+def _flat_index(idx, shape):
+    """Flat lattice offset of each row of an (m, N) array of multi-indices,
+    clipped onto the lattice, and the mask of rows that lie off it."""
+    idx = np.asarray(idx, dtype=np.int64)
+    off_lattice = np.zeros(len(idx), dtype=bool)
+    for k, n in enumerate(shape):
+        # one axis at a time: any(axis=1) over a C-ordered (m, N) array is slow
+        off_lattice |= (idx[:, k] < 0) | (idx[:, k] >= n)
+    return np.ravel_multi_index(idx.T, shape, mode="clip"), off_lattice
+
+
 @dataclass
 class DomainGrid:
     """Uniform lattice restricted to a domain, with stencil arm metadata."""
@@ -111,9 +122,9 @@ class DomainGrid:
     def node(self, idx) -> np.ndarray:
         """Interior index of each row of an (m, N) array of lattice
         multi-indices; -1 off the lattice or off the interior."""
-        idx = np.asarray(idx, dtype=np.int64)
-        out = self.node_index.ravel()[np.ravel_multi_index(idx.T, self.shape, mode="clip")]
-        out[((idx < 0) | (idx >= self.shape)).any(axis=1)] = -1
+        flat, off_lattice = _flat_index(idx, self.shape)
+        out = self.node_index.ravel()[flat]
+        out[off_lattice] = -1
         return out
 
     def buffer_lattice(self, depth: int, axes: int = None) -> np.ndarray:
@@ -219,10 +230,7 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
         for side, step in ((0, -1), (1, +1)):
             nb_idx = lattice_idx.copy()
             nb_idx[:, k] += step
-            off_lattice = (nb_idx[:, k] < 0) | (nb_idx[:, k] > shape[k] - 1)
-            nb_clamped = nb_idx.copy()
-            nb_clamped[:, k] = np.clip(nb_clamped[:, k], 0, shape[k] - 1)
-            flat = np.ravel_multi_index(nb_clamped.T, shape)
+            flat, off_lattice = _flat_index(nb_idx, shape)
             nb_interior = interior.ravel()[flat] & ~off_lattice
             nb_inside = inside.ravel()[flat] & ~off_lattice
 

@@ -246,6 +246,10 @@ def lipschitz_on(f: Nonlinearity, interval):
         cands = [abs(1.0 - 3.0 * m * m), abs(1.0 - 3.0 * M * M)]
         if m <= 0.0 <= M:
             cands.append(1.0)
+        if math.isinf(max(cands)):
+            # f is locally Lipschitz: an infinite bound is float overflow
+            raise ValidationError(
+                f"Lipschitz bound of allen_cahn overflows on [{m:g}, {M:g}]")
         return max(cands)
     if k == "power":
         q = f.params["exponent"]

@@ -12,12 +12,18 @@ fill stays near-linear; from three dimensions on the fill explodes and
 of 1e-13 instead (the cut-arm operator is not symmetric).
 
 ``solve_semilinear`` is a damped Newton iteration on F(u) = A u - b - f(u)
-with the exact Jacobian A - diag(f'(u)); nonlinearities that are not locally
-Lipschitz on the working range are routed to the Picard iteration
-u <- A^{-1} (b + f(u)) automatically. Both stop once the max-norm residual is
-at most ``tol``; a NaN residual counts as not converged. Every returned field
-carries a residual that was recomputed through the independent gather-based
-stencil walker, not the solver's own matrix.
+with the exact Jacobian J(u) = A - diag(f'(u)). The first step with a nonzero
+f' factorizes its Jacobian; each later step solves J(u_k) delta = -F(u_k) by
+BiCGSTAB preconditioned with that LU, to a relative residual of 1e-10 within
+10 iterations. A step refactorizes J(u_k) and is solved exactly when
+BiCGSTAB fails (nonzero info or a non-finite step) or when its step reaches
+the damping floor; the new LU preconditions the steps after it.
+Nonlinearities that are not locally Lipschitz on the working range are
+routed to the Picard iteration u <- A^{-1} (b + f(u)) automatically. Both
+stop once the max-norm residual is at most ``tol``; a NaN residual counts as
+not converged. Every returned field carries a residual that was recomputed
+through the independent gather-based stencil walker, not the solver's own
+matrix.
 
 ``principal_eigenpair`` runs ARPACK in shift-invert mode about 0 with the
 shared factors and a fixed start vector, so reruns are bit-identical.
@@ -52,6 +58,8 @@ __all__ = [
 _NONSMOOTH_KINDS = ("sqrt_saturation", "double_front_source")
 _DAMPING_FLOOR = 2.0 ** -10
 _KRYLOV_TOL = 1e-13
+_NEWTON_KRYLOV_TOL = 1e-10
+_NEWTON_KRYLOV_MAXITER = 10
 _LU_MAX_DIMENSION = 2
 
 
@@ -126,6 +134,20 @@ def _jacobi(matrix: sp.csr_matrix):
     return sp.diags(1.0 / d)
 
 
+def _bicgstab(matrix, rhs: np.ndarray, M, rtol: float, maxiter: int):
+    """BiCGSTAB for matrix x = rhs from x = 0 to the relative residual
+    ``rtol``, preconditioned by ``M`` (an approximate inverse, or None).
+    Returns the solution, SciPy's info code and the iteration count."""
+    count = {"it": 0}
+
+    def cb(_):
+        count["it"] += 1
+
+    x, info = spla.bicgstab(matrix, rhs, rtol=rtol, atol=0.0, maxiter=maxiter,
+                            M=M, callback=cb)
+    return x, info, count["it"]
+
+
 def solve_linear(op: SparseOperator, rhs: np.ndarray) -> SolutionField:
     """Solve op u = rhs: by the operator's shared LU in one and two
     dimensions, by Jacobi-preconditioned BiCGSTAB in three or more.
@@ -145,15 +167,9 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> SolutionField:
         path, iters, info = "lu", 0, 0
         u = _factors(op).solve(rhs)
     else:
-        path, count = "bicgstab", {"it": 0}
-
-        def cb(_):
-            count["it"] += 1
-
-        u, info = spla.bicgstab(op.matrix, rhs, rtol=_KRYLOV_TOL, atol=0.0,
-                                maxiter=min(40 * op.n + 100, 200000),
-                                M=_jacobi(op.matrix), callback=cb)
-        iters = count["it"]
+        path = "bicgstab"
+        u, info, iters = _bicgstab(op.matrix, rhs, _jacobi(op.matrix),
+                                   _KRYLOV_TOL, min(40 * op.n + 100, 200000))
     resid = float(np.abs(op.matrix @ u - rhs).max())
     if info != 0:
         raise ConvergenceError(f"no convergence: bicgstab after {iters} iterations",
@@ -201,7 +217,14 @@ def _initial_guess(op: SparseOperator, f: Nonlinearity, b: np.ndarray,
 def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                      policy: SolvePolicy = None,
                      op: SparseOperator = None) -> SolutionField:
-    """Solve A u = b + f(u) on the grid with Dirichlet trace data."""
+    """Solve A u = b + f(u) on the grid with Dirichlet trace data.
+
+    Newton keeps one Jacobian LU per solve: the first step with f' not
+    identically zero factorizes A - diag(f'(u)), later steps run BiCGSTAB
+    preconditioned by it and refactorize only when BiCGSTAB fails or its
+    step fails the line search (then the exact step is retried once before
+    ConvergenceError). Steps with f' identically zero and Picard use the
+    operator's shared LU of A."""
     policy = policy or SolvePolicy()
     policy.validate()
     if op is None:
@@ -227,34 +250,61 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
     def residual_vec(u):
         return op.matrix @ u - b - eval_f(f, u)
 
+    def line_search(u, r, res, delta):
+        """The first of u + delta, u + delta/2, ... down to the damping floor
+        whose residual is below ``res``, or None."""
+        alpha = 1.0
+        while alpha >= _DAMPING_FLOOR:
+            u_try = u + alpha * delta
+            r_try = residual_vec(u_try)
+            res_try = float(np.abs(r_try).max())
+            if res_try < res:
+                return u_try, r_try, res_try
+            alpha *= 0.5
+        return None
+
     if method == "newton":
         u = u0
         r = residual_vec(u)
         res = float(np.abs(r).max())
         iters = 0
+        lu = None   # the latest Jacobian LU of this solve
         while not res <= policy.tol and iters < policy.max_iter:
             if not math.isfinite(res):
                 raise ConvergenceError("no convergence: non-finite residual",
                                        iterations=iters, residual=res)
             fp = eval_f_prime(f, u)
-            # with f' identically zero the Jacobian is A: reuse its factors
-            lu = factorize(op.matrix - sp.diags(fp)) if fp.any() else _factors(op)
-            delta = lu.solve(-r)
-            if not np.isfinite(delta).all():
-                raise JacobianSingularError("jacobian singular: non-finite step")
-            alpha = 1.0
-            while alpha >= _DAMPING_FLOOR:
-                u_try = u + alpha * delta
-                r_try = residual_vec(u_try)
-                res_try = float(np.abs(r_try).max())
-                if res_try < res:
-                    break
-                alpha *= 0.5
-            else:
+            nonzero = bool(fp.any())
+            jac = op.matrix - sp.diags(fp) if nonzero else op.matrix
+            # once this solve has a Jacobian LU, step by BiCGSTAB preconditioned
+            # with it; a failed Krylov solve or line search refactors at u
+            krylov = nonzero and lu is not None
+            while True:
+                if krylov:
+                    pre = spla.LinearOperator(jac.shape, matvec=lu.solve, dtype=float)
+                    delta, info, _ = _bicgstab(jac, -r, pre, _NEWTON_KRYLOV_TOL,
+                                               _NEWTON_KRYLOV_MAXITER)
+                    if info != 0 or not np.isfinite(delta).all():
+                        krylov = False
+                        continue
+                elif nonzero:
+                    lu = factorize(jac)
+                    delta = lu.solve(-r)
+                else:
+                    # with f' identically zero the Jacobian is A: reuse its factors
+                    delta = _factors(op).solve(-r)
+                if not np.isfinite(delta).all():
+                    raise JacobianSingularError("jacobian singular: non-finite step")
+                step = line_search(u, r, res, delta)
+                if step is None and krylov:
+                    krylov = False
+                    continue
+                break
+            if step is None:
                 raise ConvergenceError(
                     "no convergence: newton damping floor reached",
                     iterations=iters, residual=res)
-            u, r, res = u_try, r_try, res_try
+            u, r, res = step
             iters += 1
         if not res <= policy.tol:
             raise ConvergenceError("no convergence: newton iteration cap",

@@ -483,6 +483,8 @@ CRASHING_CONFIGS = {
     "power_lipschitz_overflow": _with(
         uniqueness_config, nonlinearity={"kind": "power", "exponent": 3.0},
         params__amplitude=1e200),
+    "allen_cahn_lipschitz_overflow": _with(uniqueness_config,
+                                           params__amplitude=1e200),
 }
 
 # strings where booleans belong, and keys the chosen kind does not use:

@@ -173,6 +173,15 @@ def test_power_lipschitz_overflow_is_validation_error(exponent, interval):
         lipschitz_on(f, interval)
 
 
+@pytest.mark.parametrize("interval", [
+    (-1e200, 1e200),           # 3 M^2 rounds to inf at both ends
+    (0.0, 1.7e308),
+])
+def test_allen_cahn_lipschitz_overflow_is_validation_error(interval):
+    with pytest.raises(ValidationError, match="overflows"):
+        lipschitz_on(make_nonlinearity("allen_cahn"), interval)
+
+
 def test_double_front_source_flat_outside_unit_range():
     f = make_nonlinearity("double_front_source")
     assert lipschitz_on(f, (1.5, 2.0)) == 0.0

@@ -307,6 +307,18 @@ def arc_bump_operator():
     return g, assemble_laplacian(g)
 
 
+def allen_cahn_front():
+    g, op = arc_bump_operator()
+    return solve_semilinear(g, make_nonlinearity("allen_cahn"),
+                            trace=tanh_trace, op=op,
+                            policy=SolvePolicy(init="front_lift"))
+
+
+def zero_krylov(info):
+    """A stand-in for SciPy's bicgstab: a zero step with the given info."""
+    return lambda matrix, rhs, **kwargs: (np.zeros_like(rhs), info)
+
+
 class TestSharedFactors:
     torsion = make_nonlinearity("constant", value=1.0)
 
@@ -334,12 +346,52 @@ class TestSharedFactors:
         principal_eigenpair(op)
         assert call_counts["splu"] == 1
 
-    def test_newton_with_nonzero_derivative_factorizes_jacobians(self, call_counts):
-        g, op = arc_bump_operator()
-        sol = solve_semilinear(g, make_nonlinearity("allen_cahn"),
-                               trace=tanh_trace, op=op,
-                               policy=SolvePolicy(init="front_lift"))
-        assert call_counts["splu"] == sol.iterations > 0
+    def test_newton_factorizes_first_jacobian_then_runs_bicgstab(
+            self, call_counts, monkeypatch):
+        sol = allen_cahn_front()
+        assert sol.iterations > 1
+        assert call_counts == {"splu": 1, "bicgstab": sol.iterations - 1}
+        # reference: every BiCGSTAB call reports non-convergence, so each
+        # step factorizes its own Jacobian and is an exact Newton step
+        monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=1))
+        ref = allen_cahn_front()
+        assert ref.iterations == sol.iterations
+        assert np.abs(sol.values - ref.values).max() <= 1e-12
+
+    def test_krylov_step_failing_line_search_refactors(self, call_counts,
+                                                       monkeypatch):
+        # a zero Krylov step never lowers the residual: each step after the
+        # first refactors and retries with the exact step, which succeeds
+        monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=0))
+        sol = allen_cahn_front()
+        assert call_counts["splu"] == sol.iterations > 1
+        monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=1))
+        assert np.array_equal(sol.values, allen_cahn_front().values)
+
+    def test_krylov_step_refactors_before_raising(self, monkeypatch):
+        # the second factorization yields a zero step too: the solve raises
+        # only after the Krylov step and the refactored step both fail
+        calls = []
+        splu, krylov = spla.splu, zero_krylov(info=0)
+
+        class ZeroStep:
+            def solve(self, rhs):
+                return np.zeros_like(rhs)
+
+        def logged_splu(*args, **kwargs):
+            calls.append("splu")
+            return splu(*args, **kwargs) if calls == ["splu"] else ZeroStep()
+
+        def logged_bicgstab(*args, **kwargs):
+            calls.append("bicgstab")
+            return krylov(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", logged_splu)
+        monkeypatch.setattr(spla, "bicgstab", logged_bicgstab)
+        with pytest.raises(ConvergenceError, match="damping floor") as exc:
+            allen_cahn_front()
+        assert calls == ["splu", "bicgstab", "splu"]
+        assert exc.value.iterations == 1
 
     def test_three_dimensional_lift_runs_bicgstab(self, call_counts):
         dom = make_epigraph("half_space", dimension=3)
@@ -348,3 +400,14 @@ class TestSharedFactors:
         assert sol.meta["lift"] == "bicgstab"
         assert sol.iterations == 0
         assert call_counts == {"splu": 0, "bicgstab": 1}
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="the absolute max-norm residual stalls at 4.4e-10 "
+                          "next to the cusp, whose diagonal grows like 32/h^4")
+def test_cusp_front_converges_at_fine_h():
+    g = build_grid(make_epigraph("arc_bump"), [[-1.0, 1.0], [0.0, 4.0]], 1.0 / 64)
+    assert g.n_interior == 22799
+    sol = solve_semilinear(g, make_nonlinearity("allen_cahn"), trace=tanh_trace,
+                           policy=SolvePolicy(init="front_lift", tol=1e-10))
+    assert sol.residual_norm <= 1e-9
