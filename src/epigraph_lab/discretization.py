@@ -192,7 +192,8 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
     policy = _normalize_policy(face_policy, n_axes)
 
     mesh = np.meshgrid(*axes, indexing="ij")
-    lattice_pts = np.stack([m.ravel() for m in mesh], axis=1)
+    # (N, m) stacked, then transposed: a column-contiguous (m, N) batch
+    lattice_pts = np.stack([m.ravel() for m in mesh]).T
     inside = np.asarray(contains(lattice_pts), dtype=bool).reshape(shape)
 
     interior = inside.copy()

@@ -16,7 +16,10 @@ bisection.
 
 This module owns membership: ``_membership`` adapts a domain or a bare
 predicate, and ``_bisect`` locates membership flips in one batch; the cut-arm
-fractions of ``discretization.build_grid`` come from both.
+fractions of ``discretization.build_grid`` come from both. A predicate
+receives column-contiguous (Fortran-ordered) (m, N) batches of points, from
+the scans and bisections here and from ``build_grid``'s lattice mask, so a
+user predicate must not assume C order.
 """
 
 from __future__ import annotations
@@ -98,16 +101,19 @@ def _weierstrass_profile(t: np.ndarray, b: int, alpha: float, tol: float) -> np.
     # Phases of high terms (b^n t large) are rounding-dominated in float64,
     # but each term is bounded by its amplitude, so the sum stays within the
     # certified tail bound of the kept amplitudes. Terms are added one at a
-    # time, so a point's value does not depend on the batch it comes in.
+    # time, so a point's value does not depend on the batch it comes in; the
+    # series is therefore summed once per distinct abscissa and gathered back
+    # (a lattice holds few distinct x', a vertical probe line one).
     t = np.asarray(t, dtype=float)
+    distinct, back = np.unique(t, return_inverse=True)
     nterms = _weierstrass_term_count(b, alpha, tol)
     n = np.arange(1, nterms + 1, dtype=float)
     amps = float(b) ** (-alpha * n)
     freqs = np.pi * float(b) ** n
-    out = np.zeros(t.shape)
+    out = np.zeros(distinct.shape)
     for amp, freq in zip(amps, freqs):
-        out += amp * np.cos(freq * t)
-    return out
+        out += amp * np.cos(freq * distinct)
+    return out[back].reshape(t.shape)
 
 
 def _coercive_quadratic(xp: np.ndarray) -> np.ndarray:
@@ -405,13 +411,28 @@ def _membership(domain):
     raise ValidationError("domain must expose contains() or be callable")
 
 
+def _points_on_lines(base, t, nu):
+    """The (m, N) batch of points base + t nu, Fortran-ordered; base is one
+    point or one point per row.
+
+    Each coordinate column is built in place (t nu_k, then + base_k): the
+    same IEEE operations in the same order as the broadcast
+    base[None, :] + t[:, None] * nu[None, :], so the points are identical,
+    but without a length-N inner loop, and predicates read contiguous
+    columns."""
+    pts = np.empty((t.size, nu.size), order="F")
+    for k in range(nu.size):
+        np.multiply(t, nu[k], out=pts[:, k])
+        pts[:, k] += base[..., k]
+    return pts
+
+
 def _bisect(contains, bases, nu, lo, hi, state_lo, iters=48):
     """Bisect membership flips bracketed by lo < hi along each base + t nu,
     all brackets in one batch; state_lo is the membership at lo."""
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        inside = np.asarray(contains(bases + mid[:, None] * nu[None, :]),
-                            dtype=bool)
+        inside = np.asarray(contains(_points_on_lines(bases, mid, nu)), dtype=bool)
         same = inside == state_lo
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
@@ -441,9 +462,16 @@ def section_measure(domain, nu, probe_grid, line_resolution: float,
     component detection (features thinner than the resolution can be missed),
     not by the sampling step. Lines whose occupied part reaches the probe
     window are flagged ``unbounded_suspected``.
+
+    ``domain`` is a domain or a bare predicate; it receives column-contiguous
+    (m, N) batches of points (one per line, then one per bisection step), so
+    it must not assume C order. ``window`` must be finite and >= 0 and
+    ``line_resolution`` finite and positive (``ValidationError`` otherwise).
     """
-    if line_resolution <= 0:
-        raise ValidationError("line_resolution must be positive")
+    if not (math.isfinite(line_resolution) and line_resolution > 0):
+        raise ValidationError("line_resolution must be finite and positive")
+    if not (math.isfinite(window) and window >= 0):
+        raise ValidationError("window must be finite and >= 0")
     nu = np.asarray(nu, dtype=float)
     norm = float(np.linalg.norm(nu))
     if not np.isfinite(norm) or norm == 0.0:
@@ -477,7 +505,7 @@ def section_measure(domain, nu, probe_grid, line_resolution: float,
     bases, ends, flips, states = [], [], [], []
     for xp in probes:
         base = basis @ xp
-        inside = contains(base[None, :] + t[:, None] * nu[None, :])
+        inside = contains(_points_on_lines(base, t, nu))
         f = np.flatnonzero(inside[1:] != inside[:-1])
         bases.append(base)
         ends.append((inside[0], inside[-1]))

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epigraph_lab import (
+    ARM_CUT,
     ValidationError,
+    build_grid,
     make_epigraph,
     eval_g,
     reflect,
@@ -18,6 +22,7 @@ from epigraph_lab import (
     revolution_set,
     section_measure,
 )
+from epigraph_lab.geometry import _points_on_lines, _weierstrass_profile
 
 # geometric series limit: sum_{n>=1} 2^(-n/2) = 1/(sqrt(2)-1)
 WEIERSTRASS_AT_ZERO = 2.4142135623730950488
@@ -223,6 +228,22 @@ def test_section_rejects_zero_direction():
         section_measure(dom, [0.0, 0.0], np.linspace(-1, 1, 5), 1e-3)
 
 
+@pytest.mark.parametrize("window,line_resolution,message", [
+    (-1.0, 1e-1, "window must be finite and >= 0"),
+    (math.nan, 1e-1, "window must be finite and >= 0"),
+    (math.inf, 1e-1, "window must be finite and >= 0"),
+    (2.0, math.nan, "line_resolution must be finite and positive"),
+    (2.0, math.inf, "line_resolution must be finite and positive"),
+    (2.0, 0.0, "line_resolution must be finite and positive"),
+    (2.0, -1e-3, "line_resolution must be finite and positive"),
+])
+def test_section_rejects_bad_window_and_resolution(window, line_resolution, message):
+    dom = strip_set(0.0, 1.0, dimension=2)
+    with pytest.raises(ValidationError, match=message):
+        section_measure(dom, [0.0, 1.0], np.linspace(-1, 1, 5), line_resolution,
+                        window=window)
+
+
 def test_section_rejects_bad_probe_dimension():
     dom = orthant_set(dimension=3)
     with pytest.raises(ValidationError):
@@ -279,3 +300,65 @@ def test_grouping_lines_does_not_change_section(name):
     assert grouped.unbounded_suspected == any(r.unbounded_suspected for r in alone)
     # one sampling call per line and one 48-step bisection for the whole scan
     assert len(grouped_dom.sizes) == len(probes) + 48
+
+
+_COORD = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.booleans(), st.integers(1, 40), st.data())
+def test_points_on_lines_match_broadcast_bit_for_bit(n, per_row, m, data):
+    t = np.array(data.draw(st.lists(_COORD, min_size=m, max_size=m)))
+    nu = np.array(data.draw(st.lists(_COORD, min_size=n, max_size=n)))
+    rows = m if per_row else 1
+    base = np.array(data.draw(st.lists(_COORD, min_size=rows * n, max_size=rows * n)))
+    base = base.reshape(m, n) if per_row else base
+    pts = _points_on_lines(base, t, nu)
+    expected = (base if per_row else base[None, :]) + t[:, None] * nu[None, :]
+    assert pts.flags.f_contiguous
+    assert pts.shape == expected.shape
+    assert np.array_equal(pts.view(np.uint64), expected.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=20),
+       st.integers(0, 2**32 - 1))
+def test_weierstrass_value_does_not_depend_on_batch(xs, seed):
+    # the profile sums the series once per distinct abscissa: a shuffled
+    # batch with repeats gives each point the bits of a one-point batch
+    batch = np.random.default_rng(seed).permutation(np.array(xs + xs))
+    values = _weierstrass_profile(batch, 2, 0.5, 1e-12)
+    alone = np.array([_weierstrass_profile(np.array([x]), 2, 0.5, 1e-12)[0]
+                      for x in batch])
+    assert values.shape == batch.shape
+    assert np.array_equal(values.view(np.uint64), alone.view(np.uint64))
+
+
+def _layout_recorder(domain, layouts):
+    def contains(points):
+        layouts.append(points.flags.f_contiguous)
+        return domain.contains(points)
+    return contains
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED_SCANS))
+def test_section_predicate_receives_column_contiguous_batches(name):
+    dom, nu, probes, window, _ = GROUPED_SCANS[name]
+    layouts = []
+    section_measure(_layout_recorder(dom, layouts), nu, probes, 1e-3, window=window)
+    assert len(layouts) == len(probes) + 48
+    assert all(layouts)
+
+
+@pytest.mark.parametrize("domain,box,h", [
+    (make_epigraph("arc_bump"), [[-3.0, 3.0], [0.0, 3.0]], 0.25),
+    (make_epigraph("weierstrass"), [[-1.0, 1.0], [0.0, 2.0]], 0.125),
+    (revolution_set("cosine", dimension=3), [[-1.0, 1.0], [-1.5, 1.5], [-1.5, 1.5]], 0.25),
+])
+def test_build_grid_predicate_receives_column_contiguous_batches(domain, box, h):
+    layouts = []
+    grid = build_grid(_layout_recorder(domain, layouts), box, h)
+    # the lattice mask, then 40 bisection steps per axis side with cut arms
+    assert (grid.arm_kind == ARM_CUT).any()
+    assert len(layouts) > 1 and (len(layouts) - 1) % 40 == 0
+    assert all(layouts)
