@@ -207,7 +207,7 @@ _SWEEP_KEYS = {
 def _load_two_columns(path: str, where: str):
     """Read a two-column CSV (header row skipped) into float arrays."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             rows = list(_csv.reader(fh))
     except (OSError, ValueError) as exc:
         raise ValidationError(f"{where}: cannot read {path}: {exc}")
@@ -284,7 +284,7 @@ class _Result:
 
 def _solution_rows(sol: SolutionField):
     header = [f"x{i + 1}" for i in range(sol.grid.points.shape[1])] + ["u"]
-    rows = [list(p) + [v] for p, v in zip(sol.grid.points, sol.values)]
+    rows = np.column_stack((sol.grid.points, sol.values)).tolist()
     return header, rows
 
 
@@ -774,7 +774,7 @@ def _cmd_run(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
     try:
         os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:    # ValueError: path not encodable
         raise ValidationError(f"cannot create output_dir {outdir!r}: {exc}")
     chash = config_hash(config)
     outcome, error_text = "success", None

@@ -3,17 +3,22 @@
 CSV files follow RFC 4180 (CRLF line ends, '.' decimal separator) with floats
 printed at 17 significant digits, carry no timestamps, and are written
 atomically (temp file in the target directory, then rename), so a seeded
-rerun reproduces them byte for byte. JSON summaries carry a "schema": 1
-field; timestamps live only in the run record.
+rerun reproduces them byte for byte. A table is formatted in one pass: each
+run of rows sharing one tuple of cell types goes through a single
+%-format built once for that tuple, and the bytes equal those of csv.writer
+(QUOTE_MINIMAL) over ``format_float`` cells. Every file is read and written
+as UTF-8 whatever the locale. JSON summaries carry a "schema": 1 field;
+timestamps live only in the run record.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
+import itertools
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -42,18 +47,12 @@ def format_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def _format_cell(x) -> str:
-    if isinstance(x, str):
-        return x
-    return format_float(x)
-
-
 def atomic_write_text(path: str, text: str):
     """Write-then-rename so readers never observe a partial file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         # mkstemp creates 0600; give the file what open() would: 0666 & ~umask
         umask = os.umask(0)
@@ -66,18 +65,64 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
+# rows per % call: bounds the cells held alive while a long run is formatted
+_ROWS_PER_FORMAT = 4096
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quote(cell) -> str:
+    """csv.writer's QUOTE_MINIMAL for one text field."""
+    text = str(cell)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _row_format(types):
+    """The %-format of a row with these cell types (what ``format_float``
+    prints for numbers) and the positions of its text cells."""
+    specs, text = [], []
+    for i, t in enumerate(types):
+        if issubclass(t, str):
+            specs.append("%s")
+            text.append(i)
+        elif issubclass(t, (bool, np.bool_, int, np.integer)):
+            specs.append("%d")
+        else:
+            specs.append("%.17g")
+    return ",".join(specs) + "\r\n", text
+
+
 def write_csv(path: str, header, rows):
-    lines = []
+    """Write ``header`` (cells as ``str``) and ``rows`` as one CSV table.
 
-    class _Sink:
-        def write(self, s):
-            lines.append(s)
-
-    writer = csv.writer(_Sink(), lineterminator="\r\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([_format_cell(c) for c in row])
-    atomic_write_text(path, "".join(lines))
+    Consecutive rows with the same cell types are formatted by one % call on
+    their row format repeated; the text goes to ``atomic_write_text`` once."""
+    formats = {}                       # cell types -> (row format, text cells)
+    chunks, cells = [], []
+    types, n = None, 0                 # the header row always starts a run
+    for row in itertools.chain([[str(c) for c in header]], rows):
+        row = tuple(row)
+        row_types = tuple(map(type, row))
+        if row_types != types or n == _ROWS_PER_FORMAT:
+            if n:
+                chunks.append((fmt * n) % tuple(cells))
+                cells.clear()
+                n = 0
+            types = row_types
+            if types not in formats:
+                formats[types] = _row_format(types)
+            fmt, text = formats[types]
+        if text:
+            row = list(row)
+            for i in text:
+                row[i] = _quote(row[i])
+            if row == [""]:            # csv.writer's mark of a lone empty field
+                row = ['""']
+        cells.extend(row)
+        n += 1
+    chunks.append((fmt * n) % tuple(cells))
+    atomic_write_text(path, "".join(chunks))
 
 
 def _jsonable(obj):
@@ -108,7 +153,7 @@ def read_json(path: str) -> dict:
     if not os.path.isfile(path) or os.path.getsize(path) == 0:
         raise ValidationError(f"missing or empty file: {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read {path} as JSON: {exc}") from exc

@@ -1,12 +1,19 @@
 """Byte-level persistence contracts: CSV, JSON, hashes and SVG plots."""
 
+import csv
+import io
 import json
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from epigraph_lab import ValidationError, reporting
 from epigraph_lab.reporting import (
@@ -63,6 +70,124 @@ class TestCsv:
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
         assert leftovers == []
         assert sorted(os.listdir(tmp_path)) == ["t.csv"]
+
+
+def reference_csv(header, rows) -> bytes:
+    """The per-cell writer ``write_csv`` replaced: csv.writer over
+    ``format_float``, kept as the byte reference."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\r\n")
+    writer.writerow(list(header))
+    for row in rows:
+        writer.writerow([c if isinstance(c, str) else format_float(c)
+                         for c in row])
+    return out.getvalue().encode("utf-8")
+
+
+# no NUL: csv.writer raised on it before Python 3.11 and writes it since
+_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\t;\'') + ["é", "λ"]),
+                max_size=6) | \
+    st.text(st.characters(exclude_characters="\x00"), max_size=4)
+_CELLS = st.one_of(
+    st.floats(),                       # NaN, +-inf, -0.0 and subnormals
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                     2.2250738585072009e-308, 0.1, 1e16, -1e-300]),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-2**70, 2**70),        # beyond int64 in both directions
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    _TEXT,
+)
+_PROPERTY = settings(max_examples=100, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestCsvMatchesReference:
+    @_PROPERTY
+    @given(st.lists(_TEXT, max_size=4),
+           st.lists(st.lists(_CELLS, max_size=5), max_size=12))
+    @example([""], [[""], ["", 1.0], [], ["a", ""], [""]])
+    @example(["a,b", 'q"'], [])
+    @example(["x"], [["\r"], ["\n"], ['"'], [","], [" "], [-0.0]])
+    def test_mixed_ragged_tables(self, tmp_path, header, rows):
+        path = tmp_path / "t.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == reference_csv(header, rows)
+
+    @_PROPERTY
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                    min_side=0, max_side=6)))
+    def test_2d_array_as_rows(self, tmp_path, table):
+        path = tmp_path / "t.csv"
+        header = [f"c{i}" for i in range(table.shape[1])]
+        write_csv(path, header, table)
+        assert path.read_bytes() == reference_csv(header, table)
+
+    def test_long_runs_and_type_switches(self, tmp_path):
+        # longer than one % call's chunk, with type changes inside the runs
+        rng = np.random.default_rng(7)
+        pts = rng.standard_normal((9000, 2))
+        rows = [[*p, float(k)] for k, p in enumerate(pts)]
+        rows[4100:4100] = [["gap", 1, True]]
+        rows += [[k, np.int64(-k), k % 3 == 0] for k in range(5000)]
+        rows += [["", 0.5], [""], ["tail"]]
+        path = tmp_path / "t.csv"
+        write_csv(path, ["x1", "x2", "u"], rows)
+        assert path.read_bytes() == reference_csv(["x1", "x2", "u"], rows)
+
+    def test_one_shot_row_iterators(self, tmp_path):
+        rows = [[0.25, 1], ["a", 2]]
+        path = tmp_path / "t.csv"
+        write_csv(path, iter(["p", "q"]), (iter(r) for r in rows))
+        assert path.read_bytes() == reference_csv(["p", "q"], rows)
+
+
+def test_text_io_is_utf8_under_the_c_locale(tmp_path):
+    """With an ASCII locale encoding, CSVs and configs are still UTF-8."""
+    table = tmp_path / "table.csv"
+    code = (
+        "import sys\n"
+        "from epigraph_lab.cli import main\n"
+        "from epigraph_lab.reporting import write_csv\n"
+        "table, good, bad = sys.argv[1:4]\n"
+        "write_csv(table, ['\\u03bb', 'f(\\u03bb)'],"
+        " [[-1.0, 1.0], [0.0, 1.0], [1.0, 1.0]])\n"
+        "print('exit codes', main(['run', good]), main(['run', bad]),"
+        " sys.getfilesystemencoding())\n"
+    )
+    cfg = {
+        "experiment": "solve",
+        "domain": {"kind": "strip", "a": 0.0, "b": 1.0, "dimension": 1},
+        "nonlinearity": {"kind": "custom_table", "csv": str(table)},
+        "grid": {"box": [[0.0, 1.0]], "h": 0.125},
+    }
+    cfg_path, bad_path = tmp_path / "config.json", tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({**cfg, "output_dir": str(tmp_path / "out")}))
+    # valid UTF-8; where the file system encoding is ASCII (Linux) it cannot
+    # name the directory, and the run must stop there with exit 2, not at
+    # the JSON
+    bad_path.write_bytes(json.dumps(
+        {**cfg, "output_dir": str(tmp_path / "outé")},
+        ensure_ascii=False).encode("utf-8"))
+    src = os.path.dirname(os.path.dirname(reporting.__file__))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(table), str(cfg_path), str(bad_path)],
+        env=env, capture_output=True, text=True, encoding="utf-8",
+        timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if proc.stdout.rstrip().endswith(" ascii"):
+        assert "exit codes 0 2 ascii" in proc.stdout
+        assert "cannot create output_dir" in proc.stderr
+    else:
+        assert "exit codes 0 0 " in proc.stdout
+    assert table.read_bytes().startswith("λ,f(λ)\r\n".encode())
+    assert (tmp_path / "out" / "solution.csv").is_file()
 
 
 class TestJson:
