@@ -33,7 +33,6 @@ from .nonlinearity import (
     NONLINEARITY_KINDS,
     UNBOUNDED,
     Nonlinearity,
-    is_unbounded,
     make_nonlinearity,
     eval_f,
     eval_f_prime,

@@ -31,22 +31,22 @@ from .estimates import brandt_check, oscillation_fit
 from .geometry import EPIGRAPH_KINDS, OPEN_SET_KINDS, make_epigraph, \
     strip_set, winged_strip_set, under_parabola_set, orthant_set, \
     revolution_set, section_measure
-from .nonlinearity import NONLINEARITY_KINDS, make_nonlinearity, eval_f, \
-    is_unbounded
+from .nonlinearity import NONLINEARITY_KINDS, UNBOUNDED, make_nonlinearity, \
+    eval_f
 from .reporting import write_csv, write_json, read_json, config_hash, \
     svg_line_plot, format_float
 from .solver import SolvePolicy, SolutionField, solve_semilinear
 from .moving_plane import cap_sweep, hopf_slope_check
 
-# closed-form profile -> default window height; the windows reach past the
-# fronts so half-window sweeps see the flat region
-_PROFILE_YMAX = {"saturating_front": 3.0, "double_front": 6.0,
-                 "tanh_front": 12.0}
+# closed-form profile -> (its function, the default window height, the
+# frozen h^2 residual/error constant of the closed-form suite); the windows
+# reach past the fronts so half-window sweeps see the flat region
+_PROFILES = {
+    "saturating_front": (closed_forms.saturating_front, 3.0, 2.5),
+    "double_front": (closed_forms.double_front_profile, 6.0, 600.0),
+    "tanh_front": (closed_forms.tanh_front, 12.0, 0.1)}
 _PROFILE_H = 1.0 / 32.0
-CLOSED_FORM_PROFILES = tuple(_PROFILE_YMAX)
-
-# frozen h^2 residual/error constants for the closed-form suite
-_ORDER_C = {"saturating_front": 2.5, "double_front": 600.0, "tanh_front": 0.1}
+CLOSED_FORM_PROFILES = tuple(_PROFILES)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +184,7 @@ _COMMON = {
     "output_dir": ("string", REQUIRED), "seed": ("integer >= 0", 0),
     "svg": ("boolean", False),
     "tolerances": ({"solve": ("number > 0", 1e-10),
-                    "check": ("number > 0", 1e-8),
-                    "eig": ("number > 0", 1e-10)}, {}),
+                    "check": ("number > 0", 1e-8)}, {}),
 }
 _SOLVE_KEYS = {
     "trace": ("number", 0.0), "method": ("auto|newton|picard", "auto"),
@@ -194,7 +193,7 @@ _SOLVE_KEYS = {
     "max_iter": ("integer >= 1", 80),
 }
 _SWEEP_KEYS = {
-    "lambda_max": "number", "tol": "number > 0",  # tol: tolerances.check
+    "lambda_max": "number",
     "hopf_lambdas": (_NUMBERS, []), "buffer": ("integer >= 0", 3),
     "expect": ("monotone|sign_change", "monotone"),
 }
@@ -265,7 +264,7 @@ def _solve(cfg: dict):
 
 
 def _finite_or_unbounded(x):
-    return "UNBOUNDED" if is_unbounded(x) else float(x)
+    return "UNBOUNDED" if x == UNBOUNDED else float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +333,7 @@ def _run_solve(cfg):
 
 def _profile_field(profile: str, ymax: float, h: float):
     """Closed-form front on a narrow vertical window, constant laterally."""
-    fn = {"saturating_front": closed_forms.saturating_front,
-          "double_front": closed_forms.double_front_profile,
-          "tanh_front": closed_forms.tanh_front}[profile]
+    fn = _PROFILES[profile][0]
     spec = make_epigraph("half_space", dimension=2)
     grid = build_grid(spec, [[0.0, 8 * h], [0.0, ymax]], h)
     values = fn(grid.points[:, 1])
@@ -364,7 +361,7 @@ def _run_moving_plane(cfg):
             raise ValidationError("params.lambda_max asks for too many planes"
                                   " at this grid step")
         lambda_grid = np.arange(lo + 2 * h, p["lambda_max"] + h / 2, h)
-    tol = p.get("tol", cfg["tolerances"]["check"])
+    tol = cfg["tolerances"]["check"]
     rep = cap_sweep(sol, spec, lambda_grid=lambda_grid, tol=tol,
                     buffer=p["buffer"])
     hopf = []
@@ -372,9 +369,8 @@ def _run_moving_plane(cfg):
         hrep = hopf_slope_check(sol, float(lam), buffer=p["buffer"])
         hopf.append({"lambda": hrep.lam, "defect": hrep.defect,
                      "dn_min": hrep.dn_min, "dn_max": hrep.dn_max})
-    bounds = rep.meta.get("interp_bounds", np.zeros_like(rep.lambda_grid))
     rows = [[lam, diff, b] for lam, diff, b in
-            zip(rep.lambda_grid, rep.cap_min_diff, bounds)]
+            zip(rep.lambda_grid, rep.cap_min_diff, rep.meta["interp_bounds"])]
     summary = {
         "observations": {
             "monotone_up_to": rep.monotone_up_to,
@@ -413,8 +409,7 @@ def _run_threshold_scan(cfg):
     if isinstance(widths, dict):
         widths = list(np.linspace(widths["start"], widths["stop"],
                                   widths["count"]))
-    rep = threshold_scan(L, widths, cells=p["cells"],
-                         eig_tol=cfg["tolerances"]["eig"])
+    rep = threshold_scan(L, widths, cells=p["cells"])
     eps = rep.epsilon_sufficient
     target = math.pi / math.sqrt(L)
     step = max(b - a for a, b in zip(widths, widths[1:]))
@@ -603,10 +598,10 @@ def _run_estimates(cfg):
 
 
 def _order_rows(example: str, hs, observe):
-    """Observed error per h against _ORDER_C h^2, and the least order."""
+    """Observed error per h against C h^2 (C from _PROFILES), least order."""
     errs = [(h, observe(h)) for h in hs]
     orders = [math.log(a / b, 2) for (_, a), (_, b) in zip(errs, errs[1:])]
-    c = _ORDER_C[example]
+    c = _PROFILES[example][2]
     ok = all(e <= c * h * h for h, e in errs) and min(orders) >= 1.8
     return [[example, h, e, c * h * h] for h, e in errs], min(orders), ok
 
@@ -658,8 +653,8 @@ def _run_verify_examples(cfg):
         rows.extend(erows)
 
     tol = cfg["tolerances"]["check"]
-    rep = cap_sweep(*_profile_field("saturating_front", _PROFILE_YMAX[
-        "saturating_front"], _PROFILE_H), tol=tol)
+    rep = cap_sweep(*_profile_field("saturating_front", _PROFILES[
+        "saturating_front"][1], _PROFILE_H), tol=tol)
     finite = rep.cap_min_diff[~np.isnan(rep.cap_min_diff)]
     checks["saturating_front_cap_ordering"] = bool((finite >= -1e-10).all())
     checks["saturating_front_flat_detected"] = \
@@ -667,8 +662,8 @@ def _run_verify_examples(cfg):
     checks["saturating_front_no_sign_changes"] = \
         len(rep.sign_change_cells) == 0
 
-    rep2 = cap_sweep(*_profile_field("double_front", _PROFILE_YMAX[
-        "double_front"], _PROFILE_H), tol=tol)
+    rep2 = cap_sweep(*_profile_field("double_front", _PROFILES[
+        "double_front"][1], _PROFILE_H), tol=tol)
     checks["double_front_sign_changes_found"] = \
         len(rep2.sign_change_cells) > 0
 
@@ -702,7 +697,7 @@ _EXPERIMENTS = {
             None: {**_SWEEP_KEYS, **_SOLVE_KEYS},
             **{name: {**_SWEEP_KEYS, "ymax": ("number > 0", ymax),
                       "h": ("number > 0", _PROFILE_H)}
-               for name, ymax in _PROFILE_YMAX.items()}}), {})},
+               for name, (_, ymax, _) in _PROFILES.items()}}), {})},
         ((lambda c: all(("profile" in c["params"]) != (s in c)
                         for s in _SECTIONS),
           "moving_plane needs domain, nonlinearity and grid, unless"

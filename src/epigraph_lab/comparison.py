@@ -53,17 +53,15 @@ def _boundary_points(grid):
     return grid.arm_point[sel]
 
 
-def comparison_test(u: SolutionField, v: SolutionField,
-                    tol: float = 1e-10) -> ComparisonReport:
-    """Check the ordering conclusion u <= v + tol at interior nodes.
+def comparison_test(u: SolutionField, v: SolutionField) -> ComparisonReport:
+    """Check the ordering conclusion u <= v + 1e-10 at interior nodes.
 
     The boundary ordering precondition is verified on every Dirichlet arm
     endpoint first; violating it is a usage error, not a comparison failure.
     """
     if u.grid is not v.grid and u.grid.shape != v.grid.shape:
         raise ValidationError("fields must share a grid")
-    if tol < 0:
-        raise ValidationError("tol must be nonnegative")
+    tol = 1e-10
     pts = _boundary_points(u.grid)
     if pts.size:
         tu = as_trace(u.trace)(pts)
@@ -95,15 +93,14 @@ def ordered_pair(grid, op, L: float, rng) -> tuple:
     return u, v
 
 
-def _interval_eigen(S: float, cells: int, tol: float) -> float:
+def _interval_eigen(S: float, cells: int) -> float:
     grid = build_grid(lambda p: (p[:, 0] > 0) & (p[:, 0] < S),
                       [[0.0, S]], S / cells)
     op = assemble_laplacian(grid)
-    return principal_eigenpair(op, tol=tol).lambda1
+    return principal_eigenpair(op).lambda1
 
 
-def threshold_scan(L: float, widths, cells: int = 128,
-                   eig_tol: float = 1e-10) -> ComparisonReport:
+def threshold_scan(L: float, widths, cells: int = 128) -> ComparisonReport:
     """Discrete lambda_1 per width; failure width = first crossing below L."""
     if L <= 0:
         raise ValidationError("L must be positive")
@@ -111,7 +108,7 @@ def threshold_scan(L: float, widths, cells: int = 128,
     if not widths or any(w <= 0 for w in widths) or \
             any(b <= a for a, b in zip(widths, widths[1:])):
         raise ValidationError("widths must be positive and increasing")
-    lams = [_interval_eigen(S, cells, eig_tol) for S in widths]
+    lams = [_interval_eigen(S, cells) for S in widths]
     table = [(S, lam) for S, lam in zip(widths, lams)]
     failure = next((S for S, lam in table if lam <= L), None)
     eps = epsilon_bounded(L)
@@ -173,15 +170,13 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
 
 
 def symmetry_test(grid, f: Nonlinearity, isometry, tol: float = 1e-10,
-                  trace=0.0, policy: SolvePolicy = None, buffer: int = 3,
                   solution: SolutionField = None) -> ComparisonReport:
     """Solve, then measure max |u - u o rho| over grid-aligned image nodes.
 
     The isometry must map lattice nodes to lattice nodes; images that leave
     the window (period translations) are simply not compared, so the defect
-    is measured on the overlap, restricted to the truncation buffer."""
-    u = solution if solution is not None else \
-        solve_semilinear(grid, f, trace=trace, policy=policy)
+    is measured on the overlap, restricted to the 3-node truncation buffer."""
+    u = solution if solution is not None else solve_semilinear(grid, f)
     pts = grid.points
     images = np.atleast_2d(np.asarray(isometry(pts), dtype=float))
     if images.shape != pts.shape:
@@ -190,7 +185,7 @@ def symmetry_test(grid, f: Nonlinearity, isometry, tol: float = 1e-10,
     if (offset > 1e-6).any():
         raise ValidationError("isometry not grid-aligned")
     mapped = grid.node(idx)
-    ok = (mapped >= 0) & grid.buffer_mask(buffer)
+    ok = (mapped >= 0) & grid.buffer_mask(3)
     if not ok.any():
         raise ValidationError("isometry image misses the interior window")
     defect = float(np.abs(u.values[ok] - u.values[mapped[ok]]).max())
@@ -200,21 +195,19 @@ def symmetry_test(grid, f: Nonlinearity, isometry, tol: float = 1e-10,
                                   "tol": tol, "solution_method": u.method})
 
 
-def growth_counterexample(m: int, cells_y: int = 64,
-                          x_max: float = 4.0) -> ComparisonReport:
+def growth_counterexample(m: int) -> ComparisonReport:
     """Evaluate the harmonic mode cosh(m x) sin(m y) on the width-pi strip.
 
     Checks: exactly-zero trace on y in {0, pi}, nonzero interior values,
     discrete-harmonic residual <= (m^4 / 3) h^2 cosh(m x_eff), and a
     log-amplitude growth slope within 5 percent of m over the outer half of
-    the window. A nonzero zero-data solution with exponential growth shows
-    the comparison principle fails without a growth restriction."""
+    the window |x| <= x_eff (4 rounded up to the step h = pi/64). A nonzero
+    zero-data solution with exponential growth shows the comparison principle
+    fails without a growth restriction."""
     if m < 1 or int(m) != m:
         raise ValidationError("m must be a positive integer")
-    if cells_y < 8:
-        raise ValidationError("cells_y too coarse")
-    h = math.pi / cells_y
-    nx = max(int(math.ceil(x_max / h)), 4)
+    h = math.pi / 64
+    nx = int(math.ceil(4.0 / h))
     x_eff = nx * h
     box = [[-x_eff, x_eff], [0.0, math.pi]]
     policy = (("dirichlet", "dirichlet"), ("dirichlet", "dirichlet"))

@@ -106,14 +106,13 @@ def brandt_check(u: SolutionField, f_values: np.ndarray, center,
                         meta={"node": i, "ball_nodes": int(ball.size)})
 
 
-def oscillation_fit(u: SolutionField, x0, radii, buffer: int = 3,
-                    min_nodes: int = 3) -> OscillationFit:
+def oscillation_fit(u: SolutionField, x0, radii) -> OscillationFit:
     """Fit log osc(r) vs log r over domain-intersected balls at x0.
 
     x0 should lie on the domain boundary; its trace value joins the
     oscillation set (the closed intersection contains the boundary point).
-    The largest radius is dropped when its ball touches the truncation
-    buffer of an artificial face."""
+    The largest radius is dropped when its ball comes within 3h of an
+    artificial face (the truncation buffer); each ball needs 3 nodes."""
     grid = u.grid
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (grid.dimension,):
@@ -125,15 +124,15 @@ def oscillation_fit(u: SolutionField, x0, radii, buffer: int = 3,
     trace_val = float(as_trace(u.trace)(x0.reshape(1, -1))[0])
     d = np.sqrt(((grid.points - x0) ** 2).sum(axis=1))
 
-    # drop the largest radius if it reaches within buffer*h of an artificial face
+    # drop the largest radius if it reaches within 3h of an artificial face
     usable = []
     for r in radii:
         touches = False
         for k in range(grid.dimension):
             lo, hi = grid.box[k]
-            if grid.face_artificial[k, 0] and x0[k] - r < lo + buffer * grid.h:
+            if grid.face_artificial[k, 0] and x0[k] - r < lo + 3 * grid.h:
                 touches = True
-            if grid.face_artificial[k, 1] and x0[k] + r > hi - buffer * grid.h:
+            if grid.face_artificial[k, 1] and x0[k] + r > hi - 3 * grid.h:
                 touches = True
         if touches and r == radii[0]:
             continue
@@ -144,7 +143,7 @@ def oscillation_fit(u: SolutionField, x0, radii, buffer: int = 3,
     osc = []
     for r in usable:
         sel = d <= r
-        if int(sel.sum()) < min_nodes:
+        if int(sel.sum()) < 3:
             raise ValidationError("too few nodes in smallest ball")
         vals = np.concatenate([u.values[sel], [trace_val]])
         osc.append(float(vals.max() - vals.min()))
@@ -155,4 +154,4 @@ def oscillation_fit(u: SolutionField, x0, radii, buffer: int = 3,
     return OscillationFit(center=tuple(x0.tolist()), radii=usable,
                           osc_values=osc, alpha_fit=float(alpha),
                           C_fit=float(math.exp(intercept)),
-                          meta={"trace_val": trace_val, "buffer": buffer})
+                          meta={"trace_val": trace_val, "buffer": 3})

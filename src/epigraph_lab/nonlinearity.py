@@ -19,7 +19,6 @@ from .errors import ValidationError
 
 __all__ = [
     "UNBOUNDED",
-    "is_unbounded",
     "Nonlinearity",
     "NONLINEARITY_KINDS",
     "make_nonlinearity",
@@ -46,10 +45,6 @@ NONLINEARITY_KINDS = (
 # "no finite bound": a Lipschitz constant where f is not locally Lipschitz,
 # a width threshold where no smallness is needed
 UNBOUNDED = math.inf
-
-
-def is_unbounded(x) -> bool:
-    return x == UNBOUNDED
 
 
 @dataclass(frozen=True)

@@ -164,14 +164,19 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _escape(text) -> str:
+    # xml.sax.saxutils.escape, without the urllib/http/ssl imports it pulls in
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(
+        ">", "&gt;")
+
+
 def svg_line_plot(path: str, series, title: str = "", xlabel: str = "",
-                  ylabel: str = "", markers=None, width: int = 640,
-                  height: int = 420):
-    """Self-contained polyline plot.
+                  ylabel: str = "", markers=None):
+    """Self-contained 640x420 polyline plot; its text is XML-escaped.
 
     series: list of (name, xs, ys); markers: optional list of (label, x)
     vertical reference lines."""
-    pad = 56.0
+    width, height, pad = 640, 420, 56.0
     xs_all = np.concatenate([np.asarray(xs, float) for _, xs, _ in series])
     ys_all = np.concatenate([np.asarray(ys, float) for _, _, ys in series])
     if markers:
@@ -205,13 +210,14 @@ def svg_line_plot(path: str, series, title: str = "", xlabel: str = "",
         parts.append(f'<polyline fill="none" stroke="{col}" stroke-width="1.5" '
                      f'points="{pts}"/>')
         parts.append(f'<text x="{width - pad + 4:.0f}" y="{pad + 14 * (i + 1)}" '
-                     f'font-size="11" fill="{col}" text-anchor="end">{name}</text>')
+                     f'font-size="11" fill="{col}" text-anchor="end">'
+                     f'{_escape(name)}</text>')
     for label, x in markers or []:
         parts.append(f'<line x1="{sx(float(x)):.2f}" y1="{pad}" '
                      f'x2="{sx(float(x)):.2f}" y2="{height - pad}" '
                      f'stroke="#888" stroke-dasharray="4 3"/>')
         parts.append(f'<text x="{sx(float(x)) + 3:.2f}" y="{pad + 12}" '
-                     f'font-size="11" fill="#555">{label}</text>')
+                     f'font-size="11" fill="#555">{_escape(label)}</text>')
     for val, x, y, anchor in [
         (x0, sx(x0), height - pad + 16, "middle"),
         (x1, sx(x1), height - pad + 16, "middle"),
@@ -222,13 +228,13 @@ def svg_line_plot(path: str, series, title: str = "", xlabel: str = "",
                      f'text-anchor="{anchor}">{val:.6g}</text>')
     if title:
         parts.append(f'<text x="{width / 2:.0f}" y="20" font-size="13" '
-                     f'text-anchor="middle">{title}</text>')
+                     f'text-anchor="middle">{_escape(title)}</text>')
     if xlabel:
         parts.append(f'<text x="{width / 2:.0f}" y="{height - 12}" font-size="11" '
-                     f'text-anchor="middle">{xlabel}</text>')
+                     f'text-anchor="middle">{_escape(xlabel)}</text>')
     if ylabel:
         parts.append(f'<text x="16" y="{height / 2:.0f}" font-size="11" '
                      f'text-anchor="middle" transform="rotate(-90 16 {height / 2:.0f})">'
-                     f'{ylabel}</text>')
+                     f'{_escape(ylabel)}</text>')
     parts.append("</svg>")
     atomic_write_text(path, "\n".join(parts) + "\n")

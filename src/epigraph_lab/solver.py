@@ -18,8 +18,9 @@ BiCGSTAB preconditioned with that LU, to a relative residual of 1e-10 within
 10 iterations. A step refactorizes J(u_k) and is solved exactly when
 BiCGSTAB fails (nonzero info or a non-finite step) or when its step reaches
 the damping floor; the new LU preconditions the steps after it.
-Nonlinearities that are not locally Lipschitz on the working range are
-routed to the Picard iteration u <- A^{-1} (b + f(u)) automatically. Both
+The nonlinearities whose derivative blows up somewhere (``sqrt_saturation``,
+``double_front_source`` and ``power`` with exponent below 1) are routed to
+the Picard iteration u <- A^{-1} (b + f(u)) whatever the working range. Both
 stop once the max-norm residual is at most ``tol``; a NaN residual counts as
 not converged. Every returned field carries a residual that was recomputed
 through the independent gather-based stencil walker, not the solver's own
@@ -328,18 +329,16 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                          iterations=iters, method=method, meta=meta)
 
 
-def principal_eigenpair(op: SparseOperator, tol: float = 1e-10) -> EigenPair:
+def principal_eigenpair(op: SparseOperator) -> EigenPair:
     """Eigenpair of op with the eigenvalue nearest 0; phi1 max-normalized.
 
     ARPACK in shift-invert mode about 0, applying the operator's shared LU,
-    started from the ones vector and run to machine precision, which meets
-    any positive ``tol``; operators with n <= 2 (ARPACK needs n > 2) take a
-    dense eigendecomposition. lambda1 is the Rayleigh quotient of the
-    max-normalized eigenfunction and ``residual`` its max-norm residual; one
-    above 1e-8 lambda1 raises ConvergenceError, and an eigenfunction that is
-    not positive raises NumericalError."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    started from the ones vector and run to machine precision; operators
+    with n <= 2 (ARPACK needs n > 2) take a dense eigendecomposition.
+    lambda1 is the Rayleigh quotient of the max-normalized eigenfunction and
+    ``residual`` its max-norm residual; one above 1e-8 lambda1 raises
+    ConvergenceError, and an eigenfunction that is not positive raises
+    NumericalError."""
     if op.n <= 2:
         w, vecs = la.eig(op.matrix.toarray())
         solves = 0

@@ -502,6 +502,9 @@ MISAPPLIED_CONFIGS = {
     "unknown_weierstrass_param": _with(_section, domain={
         "kind": "epigraph", "profile": "weierstrass",
         "params": {"b": 2, "gamma": 1.0}}),
+    # removed keys: eig had no effect, the sweep's tol repeated tolerances.check
+    "tolerances_eig": _with(_scan, tolerances__eig=1e-10),
+    "moving_plane_tol": _with(_profile_mp, params__tol=1e-8),
 }
 
 
@@ -514,3 +517,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, make):
     path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     assert main(["run", str(path)]) == 2
     assert "validation error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, message", [
+    ("tolerances_eig", "unknown key 'eig' in tolerances"),
+    ("moving_plane_tol", "unknown key 'tol' in params")])
+def test_removed_keys_are_named(tmp_path, capsys, name, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(MISAPPLIED_CONFIGS[name](tmp_path)))
+    assert main(["run", str(path)]) == 2
+    assert message in capsys.readouterr().err

@@ -14,7 +14,6 @@ import pytest
 from epigraph_lab import (
     UNBOUNDED,
     ValidationError,
-    is_unbounded,
     make_nonlinearity,
     eval_f,
     eval_f_prime,
@@ -41,7 +40,7 @@ def test_epsilon_bounded_values(L, expected):
 
 def test_epsilon_bounded_zero_slope_needs_no_smallness():
     assert epsilon_bounded(0.0) is UNBOUNDED
-    assert is_unbounded(epsilon_growth(0.0, 0.0))
+    assert epsilon_growth(0.0, 0.0) == UNBOUNDED
 
 
 def test_epsilon_growth_reduces_to_bounded_case():
@@ -191,7 +190,7 @@ def test_double_front_source_flat_outside_unit_range():
 def test_double_front_source_interior_lipschitz_is_finite():
     f = make_nonlinearity("double_front_source")
     L = lipschitz_on(f, (0.1, 0.9))
-    assert not is_unbounded(L)
+    assert L != UNBOUNDED
     ts = np.linspace(0.1, 0.9, 5001)
     assert np.abs(eval_f_prime(f, ts)).max() <= L + 1e-9
 
@@ -205,8 +204,6 @@ def test_unbounded_sentinel_dominates_floats():
 
 def test_unbounded_is_plus_infinity():
     assert UNBOUNDED == math.inf
-    assert is_unbounded(float("inf")) and is_unbounded(np.float64("inf"))
-    assert not is_unbounded(-math.inf) and not is_unbounded(1e308)
     # pi / sqrt(inf): a non-Lipschitz f leaves no admissible width
     assert epsilon_bounded(UNBOUNDED) == 0.0
     assert epsilon_growth(UNBOUNDED, 1.0) == 0.0

@@ -271,6 +271,16 @@ class TestSvg:
         assert "demo" in texts
         assert "cut" in texts
 
+    def test_markup_in_text_is_escaped(self, tmp_path):
+        path = tmp_path / "p.svg"
+        labels = ["u<v & w", "a>b", "A&B", "x<1", "y & z", "<t>"]
+        svg_line_plot(path, [(labels[0], [0.0, 1.0], [0.0, 1.0])],
+                      title=labels[2], xlabel=labels[3], ylabel=labels[4],
+                      markers=[(labels[1], 0.5), (labels[5], 0.75)])
+        texts = [t.text for t in ET.parse(path).getroot().iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert all(label in texts for label in labels)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         path = tmp_path / "p.svg"
         xs = [0.0, 1.0, 2.0]

@@ -270,11 +270,6 @@ class TestPrincipalEigenpair:
         with pytest.raises(ConvergenceError):
             principal_eigenpair(op)
 
-    def test_rejects_bad_tolerance(self):
-        op = assemble_laplacian(interval_grid(0.0, 1.0, 0.25))
-        with pytest.raises(ValidationError):
-            principal_eigenpair(op, tol=0.0)
-
 
 def test_sparse_matches_dense_on_small_instance():
     policy = [["dirichlet", "dirichlet"], ["dirichlet", "dirichlet"]]
