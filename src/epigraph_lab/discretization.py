@@ -197,24 +197,15 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
     inside = np.asarray(contains(lattice_pts), dtype=bool).reshape(shape)
 
     interior = inside.copy()
-    for k in range(n_axes):
-        sl = [slice(None)] * n_axes
-        if policy[k][0] == "dirichlet":
-            sl[k] = 0
-            interior[tuple(sl)] = False
-        if policy[k][1] == "dirichlet":
-            sl[k] = shape[k] - 1
-            interior[tuple(sl)] = False
-    if not interior.any():
-        raise ValidationError("empty interior")
-
     face_artificial = np.zeros((n_axes, 2), dtype=bool)
     for k in range(n_axes):
-        sl = [slice(None)] * n_axes
-        sl[k] = 0
-        face_artificial[k, 0] = inside[tuple(sl)].any()
-        sl[k] = shape[k] - 1
-        face_artificial[k, 1] = inside[tuple(sl)].any()
+        for side in (0, 1):
+            face = (slice(None),) * k + (side * (shape[k] - 1),)
+            face_artificial[k, side] = inside[face].any()
+            if policy[k][side] == "dirichlet":
+                interior[face] = False
+    if not interior.any():
+        raise ValidationError("empty interior")
 
     node_index = np.full(shape, -1, dtype=np.int64)
     n_int = int(interior.sum())
@@ -302,25 +293,21 @@ class SparseOperator:
 def _folded_arms(grid: DomainGrid):
     """Resolve mirror arms onto their opposite side.
 
-    Returns effective (theta_minus, theta_plus, kinds, targets, points) where
-    a mirror arm copies the opposite arm's data, plus a per-(node, axis) flag
-    array: 0 none, 1 minus folded, 2 plus folded, 3 both (axis dropped).
+    Returns effective (theta, kinds, targets, points) arm arrays in which a
+    mirror arm carries a copy of the opposite arm's data.
     """
     th = grid.theta.copy()
     kind = grid.arm_kind.copy()
     target = grid.arm_target.copy()
     point = grid.arm_point.copy()
-    both = (kind[:, :, 0] == ARM_MIRROR) & (kind[:, :, 1] == ARM_MIRROR)
-    fold = np.zeros(kind.shape[:2], dtype=np.int8)
+    # build_grid rejects an axis of fewer than one cell: no node mirrors both sides
     for side, opp in ((0, 1), (1, 0)):
-        m = (kind[:, :, side] == ARM_MIRROR) & ~both
-        fold[m] += 1 + side
+        m = kind[:, :, side] == ARM_MIRROR
         th[:, :, side][m] = th[:, :, opp][m]
         kind[:, :, side][m] = kind[:, :, opp][m]
         target[:, :, side][m] = target[:, :, opp][m]
         point[m, side, :] = point[m, opp, :]
-    fold[both] = 3
-    return th, kind, target, point, fold
+    return th, kind, target, point
 
 
 def assemble_laplacian(grid: DomainGrid) -> SparseOperator:
@@ -328,7 +315,7 @@ def assemble_laplacian(grid: DomainGrid) -> SparseOperator:
     n = grid.n_interior
     ndim = grid.dimension
     h2 = grid.h * grid.h
-    th, kind, target, point, fold = _folded_arms(grid)
+    th, kind, target, point = _folded_arms(grid)
 
     rows_list = []
     cols_list = []
@@ -340,20 +327,20 @@ def assemble_laplacian(grid: DomainGrid) -> SparseOperator:
     all_rows = np.arange(n, dtype=np.int64)
     diag = np.zeros(n)
     for k in range(ndim):
-        live = fold[:, k] != 3
+        # every node keeps every axis: no arm pair is mirrored on both sides
         tm = th[:, k, 0]
         tp = th[:, k, 1]
-        diag[live] += 2.0 / (h2 * tm[live] * tp[live])
+        diag += 2.0 / (h2 * tm * tp)
         for side in (0, 1):
             ts = th[:, k, side]
             coeff = 2.0 / (h2 * ts * (tm + tp))
             ks = kind[:, k, side]
-            m = live & (ks == ARM_INTERNAL)
+            m = ks == ARM_INTERNAL
             if m.any():
                 rows_list.append(all_rows[m])
                 cols_list.append(target[:, k, side][m])
                 vals_list.append(-coeff[m])
-            m = live & ((ks == ARM_CUT) | (ks == ARM_LATTICE))
+            m = (ks == ARM_CUT) | (ks == ARM_LATTICE)
             if m.any():
                 bc_rows.append(all_rows[m])
                 bc_coeffs.append(coeff[m])
@@ -412,21 +399,21 @@ def stencil_residual(grid: DomainGrid, u: np.ndarray, trace=0.0) -> np.ndarray:
     if u.shape != (grid.n_interior,):
         raise ValidationError("field length does not match grid")
     h2 = grid.h * grid.h
-    th, kind, target, point, fold = _folded_arms(grid)
+    th, kind, target, point = _folded_arms(grid)
     trace_fn = as_trace(trace)
     out = np.zeros(grid.n_interior)
     for k in range(grid.dimension):
-        live = fold[:, k] != 3
+        # every node keeps every axis: no arm pair is mirrored on both sides
         tm = th[:, k, 0]
         tp = th[:, k, 1]
-        out[live] += 2.0 / (h2 * tm[live] * tp[live]) * u[live]
+        out += 2.0 / (h2 * tm * tp) * u
         for side in (0, 1):
             coeff = 2.0 / (h2 * th[:, k, side] * (tm + tp))
             ks = kind[:, k, side]
-            m = live & (ks == ARM_INTERNAL)
+            m = ks == ARM_INTERNAL
             if m.any():
                 out[m] -= coeff[m] * u[target[:, k, side][m]]
-            m = live & ((ks == ARM_CUT) | (ks == ARM_LATTICE))
+            m = (ks == ARM_CUT) | (ks == ARM_LATTICE)
             if m.any():
                 out[m] -= coeff[m] * trace_fn(point[m, k, side, :])
     return out

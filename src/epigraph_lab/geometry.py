@@ -150,6 +150,14 @@ def _interp_sampled(xp: np.ndarray, axes, values) -> np.ndarray:
     return itp(query)
 
 
+def _check_abscissae(xs: np.ndarray, what: str) -> None:
+    """Reject a table axis that ``np.interp`` or the clamp would misread."""
+    if xs.ndim != 1 or xs.size < 2 or not np.isfinite(xs).all() \
+            or not (np.diff(xs) > 0).all():
+        raise ValidationError(f"{what} must be finite, strictly increasing "
+                              "and hold >= 2 samples")
+
+
 # ---------------------------------------------------------------------------
 # epigraph spec
 # ---------------------------------------------------------------------------
@@ -254,6 +262,8 @@ def make_epigraph(kind: str, dimension: int = 2, normalize: bool = True, **param
         axes = tuple(np.asarray(a, dtype=float) for a in params["axes"])
         if len(axes) != dimension - 1:
             raise ValidationError("custom_sampled axes must match dimension - 1")
+        for a in axes:
+            _check_abscissae(a, "custom_sampled axes")
         values = np.asarray(params["values"], dtype=float)
         expected = tuple(len(a) for a in axes)
         if values.shape != (expected if len(expected) > 1 else (expected[0],)):
@@ -369,6 +379,9 @@ def revolution_set(profile="constant", dimension: int = 2, **kw) -> GeneralOpenS
         phis = np.asarray(kw["phis"], dtype=float)
         if xs.ndim != 1 or xs.shape != phis.shape:
             raise ValidationError("profile samples must be matching 1-D arrays")
+        _check_abscissae(xs, "profile samples xs")
+        if not np.isfinite(phis).all():
+            raise ValidationError("profile samples phis must be finite")
         params = (xs, phis)
     else:
         raise ValidationError(f"unknown revolution profile {profile!r}")

@@ -21,10 +21,11 @@ the damping floor; the new LU preconditions the steps after it.
 The nonlinearities whose derivative blows up somewhere (``sqrt_saturation``,
 ``double_front_source`` and ``power`` with exponent below 1) are routed to
 the Picard iteration u <- A^{-1} (b + f(u)) whatever the working range. Both
-stop once the max-norm residual is at most ``tol``; a NaN residual counts as
-not converged. Every returned field carries a residual that was recomputed
-through the independent gather-based stencil walker, not the solver's own
-matrix.
+run in one loop that stops once the max-norm residual is at most ``tol`` and
+raises ConvergenceError at ``max_iter``; each method supplies only its step.
+Newton raises on a non-finite residual, Picard runs on to its cap. Every
+returned field carries a residual that was recomputed through the
+independent gather-based stencil walker, not the solver's own matrix.
 
 ``principal_eigenpair`` runs ARPACK in shift-invert mode about 0 with the
 shared factors and a fixed start vector, so reruns are bit-identical.
@@ -129,10 +130,8 @@ def _factors(op: SparseOperator):
 
 
 def _jacobi(matrix: sp.csr_matrix):
-    d = matrix.diagonal()
-    if (d <= 0).any():
-        return None
-    return sp.diags(1.0 / d)
+    # the diagonal sums 2 / (h^2 theta- theta+) with theta >= 1e-8: positive
+    return sp.diags(1.0 / matrix.diagonal())
 
 
 def _bicgstab(matrix, rhs: np.ndarray, M, rtol: float, maxiter: int):
@@ -246,82 +245,71 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         elif method == "auto":
             method = "newton"
 
-    u0 = _initial_guess(op, f, b, policy.init, trace_vals, meta)
+    u = _initial_guess(op, f, b, policy.init, trace_vals, meta)
 
-    def residual_vec(u):
-        return op.matrix @ u - b - eval_f(f, u)
+    def residual(u):
+        r = op.matrix @ u - b - eval_f(f, u)
+        return r, float(np.abs(r).max())
 
-    def line_search(u, r, res, delta):
+    def line_search(u, res, delta):
         """The first of u + delta, u + delta/2, ... down to the damping floor
         whose residual is below ``res``, or None."""
         alpha = 1.0
         while alpha >= _DAMPING_FLOOR:
             u_try = u + alpha * delta
-            r_try = residual_vec(u_try)
-            res_try = float(np.abs(r_try).max())
+            r_try, res_try = residual(u_try)
             if res_try < res:
                 return u_try, r_try, res_try
             alpha *= 0.5
         return None
 
-    if method == "newton":
-        u = u0
-        r = residual_vec(u)
-        res = float(np.abs(r).max())
-        iters = 0
-        lu = None   # the latest Jacobian LU of this solve
-        while not res <= policy.tol and iters < policy.max_iter:
-            if not math.isfinite(res):
-                raise ConvergenceError("no convergence: non-finite residual",
-                                       iterations=iters, residual=res)
-            fp = eval_f_prime(f, u)
-            nonzero = bool(fp.any())
-            jac = op.matrix - sp.diags(fp) if nonzero else op.matrix
-            # once this solve has a Jacobian LU, step by BiCGSTAB preconditioned
-            # with it; a failed Krylov solve or line search refactors at u
-            krylov = nonzero and lu is not None
-            while True:
-                if krylov:
-                    pre = spla.LinearOperator(jac.shape, matvec=lu.solve, dtype=float)
-                    delta, info, _ = _bicgstab(jac, -r, pre, _NEWTON_KRYLOV_TOL,
-                                               _NEWTON_KRYLOV_MAXITER)
-                    if info != 0 or not np.isfinite(delta).all():
-                        krylov = False
-                        continue
-                elif nonzero:
-                    lu = factorize(jac)
-                    delta = lu.solve(-r)
-                else:
-                    # with f' identically zero the Jacobian is A: reuse its factors
-                    delta = _factors(op).solve(-r)
-                if not np.isfinite(delta).all():
-                    raise JacobianSingularError("jacobian singular: non-finite step")
-                step = line_search(u, r, res, delta)
-                if step is None and krylov:
-                    krylov = False
-                    continue
-                break
-            if step is None:
-                raise ConvergenceError(
-                    "no convergence: newton damping floor reached",
-                    iterations=iters, residual=res)
-            u, r, res = step
-            iters += 1
-        if not res <= policy.tol:
-            raise ConvergenceError("no convergence: newton iteration cap",
+    def exact_step(u, res, delta, iters):
+        if not np.isfinite(delta).all():
+            raise JacobianSingularError("jacobian singular: non-finite step")
+        step = line_search(u, res, delta)
+        if step is None:
+            raise ConvergenceError(
+                "no convergence: newton damping floor reached",
+                iterations=iters, residual=res)
+        return step
+
+    lu = None   # the latest Jacobian LU of this solve
+
+    def newton_step(u, r, res, iters):
+        nonlocal lu
+        if not math.isfinite(res):
+            raise ConvergenceError("no convergence: non-finite residual",
                                    iterations=iters, residual=res)
-    else:
-        u = u0
-        iters = 0
-        res = float(np.abs(residual_vec(u)).max())
-        lu = _factors(op)
-        while not res <= policy.tol and iters < policy.max_iter:
-            u = lu.solve(b + eval_f(f, u))
-            res = float(np.abs(residual_vec(u)).max())
-            iters += 1
-        if not res <= policy.tol:
-            raise ConvergenceError("no convergence: picard iteration cap",
-                                   iterations=iters, residual=res)
+        fp = eval_f_prime(f, u)
+        if not fp.any():
+            # with f' identically zero the Jacobian is A: reuse its factors
+            return exact_step(u, res, _factors(op).solve(-r), iters)
+        jac = op.matrix - sp.diags(fp)
+        if lu is not None:
+            pre = spla.LinearOperator(jac.shape, matvec=lu.solve, dtype=float)
+            delta, info, _ = _bicgstab(jac, -r, pre, _NEWTON_KRYLOV_TOL,
+                                       _NEWTON_KRYLOV_MAXITER)
+            if info == 0 and np.isfinite(delta).all():
+                step = line_search(u, res, delta)
+                if step is not None:
+                    return step
+        # no LU yet, or the Krylov step failed: refactorize at u, exact step
+        lu = factorize(jac)
+        return exact_step(u, res, lu.solve(-r), iters)
+
+    def picard_step(u, r, res, iters):
+        u = _factors(op).solve(b + eval_f(f, u))
+        return (u, *residual(u))
+
+    step = newton_step if method == "newton" else picard_step
+    r, res = residual(u)
+    iters = 0
+    while not res <= policy.tol and iters < policy.max_iter:
+        u, r, res = step(u, r, res, iters)
+        iters += 1
+    if not res <= policy.tol:
+        raise ConvergenceError(f"no convergence: {method} iteration cap",
+                               iterations=iters, residual=res)
 
     indep = float(np.abs(stencil_residual(grid, u, trace) - eval_f(f, u)).max())
     meta["residual_internal"] = res

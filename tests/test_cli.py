@@ -508,6 +508,44 @@ MISAPPLIED_CONFIGS = {
 }
 
 
+def _table_solve(kind, text):
+    """A torsion solve on a domain read from a two-column CSV of ``text``
+    (no file for None)."""
+    def make(tmp_path):
+        table = tmp_path / "table.csv"
+        if text is not None:
+            table.write_text(text)
+        cfg = _epigraph_solve(tmp_path / "out")
+        profile = "custom_sampled" if kind == "epigraph" else "samples"
+        cfg["domain"] = {"kind": kind, "profile": profile, "csv": str(table)}
+        return cfg
+    return make
+
+
+# values each rejected by one schema or loader check, with the message
+# that names the cause; the last three are tables np.interp would misread
+REJECTED_CONFIGS = {
+    "method_unknown": (_with(torsion_config, params__method="fast"),
+                       "params.method"),
+    "grid_without_h": (lambda tmp_path: dict(
+        torsion_config(tmp_path / "out"), grid={"box": [[0.0, 1.0]]}),
+        "grid needs 'h'"),
+    "csv_missing": (_table_solve("epigraph", None), "cannot read"),
+    "csv_one_row": (_table_solve("epigraph", "x,g\n0,0\n"),
+                    "needs a header and >= 2 rows"),
+    "csv_not_numeric": (_table_solve("epigraph", "x,g\n0,0\n1,high\n"),
+                        "must hold two numeric columns"),
+    "custom_sampled_unsorted": (_table_solve("epigraph", "x,g\n3,0\n1,5\n2,0\n"),
+                                "strictly increasing"),
+    "revolution_nan_abscissa": (_table_solve("revolution",
+                                             "x,phi\n-10,1\n10,1\nnan,1\n"),
+                                "strictly increasing"),
+    "revolution_nan_radius": (_table_solve("revolution",
+                                           "x,phi\n-10,1\n10,1\n20,nan\n"),
+                              "phis must be finite"),
+}
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(make, id=name) for name, make in
     {**CRASHING_CONFIGS, **MISAPPLIED_CONFIGS}.items()])
@@ -527,3 +565,23 @@ def test_removed_keys_are_named(tmp_path, capsys, name, message):
     path.write_text(json.dumps(MISAPPLIED_CONFIGS[name](tmp_path)))
     assert main(["run", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", REJECTED_CONFIGS)
+def test_rejection_names_its_cause(tmp_path, capsys, name):
+    make, message = REJECTED_CONFIGS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(make(tmp_path)))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error:" in err and message in err
+
+
+def test_null_face_policy_is_the_default(tmp_path):
+    explicit = _with(_epigraph_solve, grid__face_policy=None)(tmp_path / "a")
+    assert explicit["grid"]["face_policy"] is None
+    assert run_cli(tmp_path, explicit)[0] == 0
+    assert run_cli(tmp_path, _epigraph_solve(tmp_path / "b" / "out"))[0] == 0
+    csvs = [sorted((tmp_path / d / "out").glob("*.csv")) for d in "ab"]
+    assert [p.name for p in csvs[0]] == ["solution.csv"]
+    assert [p.read_bytes() for p in csvs[0]] == [p.read_bytes() for p in csvs[1]]

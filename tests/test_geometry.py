@@ -95,6 +95,53 @@ def test_custom_sampled_shape_mismatch():
                       values=np.array([0.0, 1.0, 2.0]))
 
 
+def test_custom_sampled_3d_is_bilinear_inside_and_clamped_outside():
+    def g(x1, x2):
+        return 0.5 + 0.25 * x1 - 0.5 * x2 + 0.125 * x1 * x2
+
+    a1, a2 = np.array([-1.0, 0.0, 2.0]), np.array([0.0, 0.5, 1.0, 3.0])
+    spec = make_epigraph("custom_sampled", dimension=3, axes=[a1, a2],
+                         values=g(a1[:, None], a2[None, :]), normalize=False)
+    inside = np.array([[-0.7, 0.1], [0.3, 2.2], [1.9, 0.75], [0.0, 0.5]])
+    assert np.abs(eval_g(spec, inside) - g(inside[:, 0], inside[:, 1])).max() <= 1e-14
+    outside = np.array([[-5.0, 0.2], [4.0, -1.0], [0.5, 7.0], [9.0, 9.0]])
+    clamped = np.stack([np.clip(outside[:, 0], -1.0, 2.0),
+                        np.clip(outside[:, 1], 0.0, 3.0)], axis=1)
+    assert np.array_equal(eval_g(spec, outside), eval_g(spec, clamped))
+    assert np.abs(eval_g(spec, outside) - g(clamped[:, 0], clamped[:, 1])).max() <= 1e-14
+
+
+BAD_ABSCISSAE = {
+    "unsorted": [3.0, 1.0, 2.0],
+    "repeated": [0.0, 1.0, 1.0],
+    "nan": [0.0, np.nan, 2.0],
+    "inf": [0.0, 1.0, np.inf],
+}
+
+
+@pytest.mark.parametrize("xs", BAD_ABSCISSAE.values(), ids=BAD_ABSCISSAE.keys())
+def test_tabulated_profiles_reject_bad_abscissae(xs):
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        make_epigraph("custom_sampled", dimension=2, axes=[np.array(xs)],
+                      values=np.array([0.0, 5.0, 0.0]))
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        make_epigraph("custom_sampled", dimension=3,
+                      axes=[np.array([0.0, 1.0]), np.array(xs)],
+                      values=np.zeros((2, 3)))
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        revolution_set(profile="samples", xs=xs, phis=[1.0, 1.0, 1.0])
+
+
+def test_tabulated_profiles_need_two_samples_and_finite_radii():
+    with pytest.raises(ValidationError, match=">= 2 samples"):
+        make_epigraph("custom_sampled", dimension=2, axes=[np.array([1.0])],
+                      values=np.array([0.0]))
+    with pytest.raises(ValidationError, match=">= 2 samples"):
+        revolution_set(profile="samples", xs=[1.0], phis=[1.0])
+    with pytest.raises(ValidationError, match="phis must be finite"):
+        revolution_set(profile="samples", xs=[0.0, 1.0], phis=[1.0, np.nan])
+
+
 def test_exp_profile_membership():
     spec = make_epigraph("exp_x1", dimension=2)
     assert spec.contains(np.array([[0.0, 1.5]]))[0]

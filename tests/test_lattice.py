@@ -1,6 +1,7 @@
 """Property tests for the lattice lookups of ``DomainGrid``: ``snap``,
-``node``, ``buffer_lattice`` and ``buffer_mask``, on random 1-, 2- and 3-D
-grids, ball domains and face policies."""
+``node``, ``buffer_lattice`` and ``buffer_mask``, and for the arm and sign
+invariants assembly relies on, on random 1-, 2- and 3-D grids (boxes one
+cell wide included), ball domains and face policies."""
 
 import itertools
 
@@ -8,7 +9,8 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from epigraph_lab import ValidationError, build_grid
+from epigraph_lab import (ARM_MIRROR, ValidationError, assemble_laplacian,
+                          build_grid)
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -115,3 +117,15 @@ def test_plane_buffer_is_the_lateral_buffer_lattice(grid, depth):
     ref = plane_buffer_reference(grid, depth)
     assert got.shape == ref.shape
     assert (got == ref).all()
+
+
+@SETTINGS
+@given(grids())
+def test_no_double_mirror_and_m_matrix_sign_pattern(grid):
+    mirror = grid.arm_kind == ARM_MIRROR
+    assert not (mirror[:, :, 0] & mirror[:, :, 1]).any()
+    a = assemble_laplacian(grid).matrix.tocoo()
+    on_diag = a.row == a.col
+    assert on_diag.sum() == grid.n_interior
+    assert (a.data[on_diag] > 0).all()
+    assert (a.data[~on_diag] <= 0).all()
