@@ -14,6 +14,7 @@ exit 3.
 import argparse
 import csv as _csv
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -289,16 +290,12 @@ def _solution_rows(sol: SolutionField):
 
 def _midline_series(sol: SolutionField):
     """Profile of u along the last axis at the lateral lattice midline."""
-    pts = sol.grid.points
-    mask = np.ones(len(pts), dtype=bool)
-    for ax in range(pts.shape[1] - 1):
-        axis = sol.grid.axes[ax]
-        mid = axis[len(axis) // 2]
-        mask &= pts[:, ax] == mid
-    if not mask.any():
+    grid = sol.grid
+    column = grid.node_index[tuple(n // 2 for n in grid.shape[:-1])]
+    keep = column >= 0
+    if not keep.any():
         return None
-    order = np.argsort(pts[mask, -1])
-    return pts[mask, -1][order], sol.values[mask][order]
+    return grid.axes[-1][keep], sol.values[column[keep]]
 
 
 def _run_solve(cfg):
@@ -331,17 +328,18 @@ def _run_solve(cfg):
     return _Result(summary, checks, {"solution.csv": (header, rows)}, svg)
 
 
+def _on_last_axis(fn):
+    """A trace that evaluates the 1-D ``fn`` at each point's last coordinate."""
+    return lambda pts: fn(np.atleast_2d(pts)[:, -1])
+
+
 def _profile_field(profile: str, ymax: float, h: float):
     """Closed-form front on a narrow vertical window, constant laterally."""
     fn = _PROFILES[profile][0]
     spec = make_epigraph("half_space", dimension=2)
     grid = build_grid(spec, [[0.0, 8 * h], [0.0, ymax]], h)
     values = fn(grid.points[:, 1])
-
-    def trace(pts):
-        return fn(np.atleast_2d(pts)[:, 1])
-
-    sol = SolutionField(grid=grid, values=values, trace=trace,
+    sol = SolutionField(grid=grid, values=values, trace=_on_last_axis(fn),
                         residual_norm=0.0, method="closed_form",
                         meta={"profile": profile})
     return sol, spec
@@ -361,14 +359,25 @@ def _run_moving_plane(cfg):
             raise ValidationError("params.lambda_max asks for too many planes"
                                   " at this grid step")
         lambda_grid = np.arange(lo + 2 * h, p["lambda_max"] + h / 2, h)
+    # cap_sweep never returns an empty table; the fields it sweeps are finite
     tol = cfg["tolerances"]["check"]
     rep = cap_sweep(sol, spec, lambda_grid=lambda_grid, tol=tol,
                     buffer=p["buffer"])
+    if p["expect"] == "monotone":
+        checks = {
+            "cap_ordering": bool((rep.cap_min_diff >= -1e-10).all()),
+            "derivative_nonnegative": rep.dn_u_min >= -tol,
+            "no_sign_changes": len(rep.sign_change_cells) == 0,
+        }
+    else:
+        checks = {"sign_changes_found": len(rep.sign_change_cells) > 0}
     hopf = []
     for lam in p["hopf_lambdas"]:
         hrep = hopf_slope_check(sol, float(lam), buffer=p["buffer"])
         hopf.append({"lambda": hrep.lam, "defect": hrep.defect,
                      "dn_min": hrep.dn_min, "dn_max": hrep.dn_max})
+        checks[f"hopf_defect_at_{format_float(hrep.lam)}"] = \
+            hrep.defect <= 5.0 * sol.grid.h ** 2
     rows = [[lam, diff, b] for lam, diff, b in
             zip(rep.lambda_grid, rep.cap_min_diff, rep.meta["interp_bounds"])]
     summary = {
@@ -377,25 +386,10 @@ def _run_moving_plane(cfg):
             "dn_u_min": rep.dn_u_min,
             "n_sign_change_cells": len(rep.sign_change_cells),
             "lambda_count": int(len(rep.lambda_grid)),
-            "worst_cap_min": float(np.nanmin(rep.cap_min_diff))
-            if len(rep.cap_min_diff) else math.nan,
+            "worst_cap_min": float(rep.cap_min_diff.min()),
         },
         "hopf": hopf,
     }
-    if p["expect"] == "monotone":
-        finite = rep.cap_min_diff[~np.isnan(rep.cap_min_diff)]
-        checks = {
-            "cap_ordering": bool((finite >= -1e-10).all()),
-            "derivative_nonnegative": rep.dn_u_min >= -tol,
-            "no_sign_changes": len(rep.sign_change_cells) == 0,
-        }
-    else:
-        checks = {"sign_changes_found": len(rep.sign_change_cells) > 0}
-    for entry in hopf:
-        lam = entry["lambda"]
-        bound = 5.0 * sol.grid.h ** 2
-        checks[f"hopf_defect_at_{format_float(lam)}"] = \
-            entry["defect"] <= bound
     svg = {"series": [("cap min diff", rep.lambda_grid, rep.cap_min_diff)],
            "title": "cap sweep", "xlabel": "plane height",
            "ylabel": "min(u_reflected - u)"}
@@ -423,18 +417,15 @@ def _run_threshold_scan(cfg):
             "cells": p["cells"],
         },
     }
-    checks = {}
-    if "sufficiency_gap_ok" in rep.meta:
-        checks["sufficiency_gap"] = rep.meta["sufficiency_gap_ok"]
+    # threshold_scan sets sufficiency_gap_ok exactly when a width fails
+    checks, markers = {}, [("sufficient width", eps)]
     if rep.failure_width is not None:
+        checks["sufficiency_gap"] = rep.meta["sufficiency_gap_ok"]
         checks["crossing_near_prediction"] = \
             abs(rep.failure_width - target) <= max(0.02 * target, step)
-    rows = [[S, lam] for S, lam in rep.table]
-    markers = [("sufficient width", eps)]
-    if rep.failure_width is not None:
         markers.append(("failure width", rep.failure_width))
-    svg = {"series": [("lambda1", np.array([r[0] for r in rows]),
-                       np.array([r[1] for r in rows]))],
+    rows = [[S, lam] for S, lam in rep.table]
+    svg = {"series": [("lambda1", *np.array(rep.table).T)],
            "title": "principal eigenvalue vs width", "xlabel": "width",
            "ylabel": "lambda1", "markers": markers}
     return _Result(summary, checks, {"scan.csv": (["S", "lambda1"], rows)},
@@ -514,11 +505,9 @@ def _run_section(cfg):
     domain = _build_domain(cfg["domain"])
     nu, probes = p["direction"], p["probes"]
     if isinstance(probes, dict):
-        axes = [np.linspace(probes["lo"], probes["hi"], probes["count"])] \
-            * (len(nu) - 1)
-        mesh = np.meshgrid(*axes, indexing="ij") if axes else []
-        probe_grid = np.stack([m.ravel() for m in mesh], axis=1) \
-            if axes else np.zeros((1, 0))
+        # C order, as meshgrid(indexing="ij"); no lateral axis: one empty probe
+        axis = np.linspace(probes["lo"], probes["hi"], probes["count"])
+        probe_grid = np.array([*itertools.product(axis, repeat=len(nu) - 1)])
     else:
         probe_grid = np.asarray(probes, dtype=float)
     rep = section_measure(domain, np.asarray(nu, dtype=float), probe_grid,
@@ -537,9 +526,7 @@ def _run_section(cfg):
             rep.unbounded_suspected == p["expect_unbounded"]
     svg = None
     if probe_grid.shape[1] == 1:
-        xs = np.array([q[0] for q, _ in rep.per_line])
-        ms = np.array([m for _, m in rep.per_line])
-        svg = {"series": [("per-line measure", xs, ms)],
+        svg = {"series": [("per-line measure", *np.array(rows).T)],
                "title": "directional section", "xlabel": "probe",
                "ylabel": "line measure"}
     return _Result(summary, checks, {"per_line.csv": (header, rows)}, svg)
@@ -612,11 +599,7 @@ def _front_residual(fn, fkind: str, ymax: float):
         grid = build_grid(strip_set(0.0, ymax, dimension=1),
                           [[0.0, ymax]], h)
         u = fn(grid.points[:, 0])
-
-        def trace(p):
-            return fn(np.atleast_2d(p)[:, 0])
-
-        r = stencil_residual(grid, u, trace) - \
+        r = stencil_residual(grid, u, _on_last_axis(fn)) - \
             eval_f(make_nonlinearity(fkind), u)
         return float(np.abs(r).max())
     return observe
@@ -626,11 +609,8 @@ def _tanh_solve_error(h: float) -> float:
     """Allen-Cahn solve vs the hyperbolic-tangent front."""
     grid = build_grid(make_epigraph("half_space", dimension=2),
                       [[0.0, 0.25], [0.0, 12.0]], h)
-
-    def trace(p):
-        return closed_forms.tanh_front(np.atleast_2d(p)[:, 1])
-
-    sol = solve_semilinear(grid, make_nonlinearity("allen_cahn"), trace=trace,
+    sol = solve_semilinear(grid, make_nonlinearity("allen_cahn"),
+                           trace=_on_last_axis(closed_forms.tanh_front),
                            policy=SolvePolicy(init="front_lift", tol=1e-11))
     return float(np.abs(sol.values -
                         closed_forms.tanh_front(grid.points[:, 1])).max())
@@ -655,10 +635,10 @@ def _run_verify_examples(cfg):
     tol = cfg["tolerances"]["check"]
     rep = cap_sweep(*_profile_field("saturating_front", _PROFILES[
         "saturating_front"][1], _PROFILE_H), tol=tol)
-    finite = rep.cap_min_diff[~np.isnan(rep.cap_min_diff)]
-    checks["saturating_front_cap_ordering"] = bool((finite >= -1e-10).all())
+    checks["saturating_front_cap_ordering"] = \
+        bool((rep.cap_min_diff >= -1e-10).all())
     checks["saturating_front_flat_detected"] = \
-        bool((finite == 0.0).any()) and rep.dn_u_min == 0.0
+        bool((rep.cap_min_diff == 0.0).any()) and rep.dn_u_min == 0.0
     checks["saturating_front_no_sign_changes"] = \
         len(rep.sign_change_cells) == 0
 

@@ -111,8 +111,9 @@ def oscillation_fit(u: SolutionField, x0, radii) -> OscillationFit:
 
     x0 should lie on the domain boundary; its trace value joins the
     oscillation set (the closed intersection contains the boundary point).
-    The largest radius is dropped when its ball comes within 3h of an
-    artificial face (the truncation buffer); each ball needs 3 nodes."""
+    The largest radius (every copy of it) is dropped when its ball comes
+    within 3h of an artificial face (the truncation buffer); each ball needs
+    3 nodes."""
     grid = u.grid
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (grid.dimension,):
@@ -125,18 +126,10 @@ def oscillation_fit(u: SolutionField, x0, radii) -> OscillationFit:
     d = np.sqrt(((grid.points - x0) ** 2).sum(axis=1))
 
     # drop the largest radius if it reaches within 3h of an artificial face
-    usable = []
-    for r in radii:
-        touches = False
-        for k in range(grid.dimension):
-            lo, hi = grid.box[k]
-            if grid.face_artificial[k, 0] and x0[k] - r < lo + 3 * grid.h:
-                touches = True
-            if grid.face_artificial[k, 1] and x0[k] + r > hi - 3 * grid.h:
-                touches = True
-        if touches and r == radii[0]:
-            continue
-        usable.append(r)
+    reach = np.stack([x0 - radii[0] < grid.box[:, 0] + 3 * grid.h,
+                      x0 + radii[0] > grid.box[:, 1] - 3 * grid.h], axis=1)
+    usable = [r for r in radii if r != radii[0]] \
+        if (reach & grid.face_artificial).any() else radii
     if len(usable) < 2:
         raise ValidationError("too few radii inside the window")
 

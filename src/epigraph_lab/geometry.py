@@ -265,8 +265,7 @@ def make_epigraph(kind: str, dimension: int = 2, normalize: bool = True, **param
         for a in axes:
             _check_abscissae(a, "custom_sampled axes")
         values = np.asarray(params["values"], dtype=float)
-        expected = tuple(len(a) for a in axes)
-        if values.shape != (expected if len(expected) > 1 else (expected[0],)):
+        if values.shape != tuple(len(a) for a in axes):
             raise ValidationError("custom_sampled values shape mismatch")
         if not np.isfinite(values).all():
             raise ValidationError("custom_sampled values must be finite")
@@ -375,6 +374,9 @@ def revolution_set(profile="constant", dimension: int = 2, **kw) -> GeneralOpenS
     elif profile == "cosine":
         params = (float(kw.get("base", 1.0)), float(kw.get("amp", 0.2)), float(kw.get("freq", 1.0)))
     elif profile == "samples":
+        for key in ("xs", "phis"):
+            if key not in kw:
+                raise ValidationError(f"samples profile needs {key!r}")
         xs = np.asarray(kw["xs"], dtype=float)
         phis = np.asarray(kw["phis"], dtype=float)
         if xs.ndim != 1 or xs.shape != phis.shape:

@@ -229,6 +229,8 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
     policy.validate()
     if op is None:
         op = assemble_laplacian(grid)
+    elif op.grid is not grid:
+        raise ValidationError("op was assembled on another grid")
     b = boundary_rhs(op, trace)
     trace_vals = as_trace(trace)(op.bc_points) if op.bc_rows.size else np.zeros(0)
 

@@ -76,6 +76,19 @@ class TestRunSolve:
         run_cli(tmp_path, cfg)
         assert not (tmp_path / "out" / "plot.svg").exists()
 
+    def test_no_svg_when_the_midline_column_holds_no_interior_node(
+            self, tmp_path):
+        # under the parabola, the lateral midline x = 0 of this box holds
+        # no interior node, so there is no profile to plot
+        cfg = torsion_config(tmp_path / "out")
+        cfg["svg"] = True
+        cfg["domain"] = {"kind": "under_parabola"}
+        cfg["grid"] = {"box": [[-2.0, 2.0], [0.0, 4.0]], "h": 0.25}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 0
+        assert (tmp_path / "out" / "solution.csv").is_file()
+        assert not (tmp_path / "out" / "plot.svg").exists()
+
 
 class TestExitCodes:
     def test_unknown_top_level_key(self, tmp_path):
@@ -309,6 +322,27 @@ class TestMoreExperiments:
         assert summary["checks"] == {"unbounded_flag_matches": True}
         assert summary["observations"]["unbounded_suspected"] is True
         assert summary["observations"]["n_lines"] == 2
+
+    @pytest.mark.parametrize("domain,direction", [
+        ({"kind": "strip", "a": 0.0, "b": 1.0, "dimension": 1}, [1.0]),
+        ({"kind": "winged_strip"}, [0.0, 1.0]),
+        ({"kind": "orthant", "dimension": 3}, [0.0, 0.0, 1.0])])
+    def test_section_probe_lattice_is_in_c_order(self, tmp_path, domain,
+                                                 direction):
+        cfg = section_config(tmp_path / "out", domain, direction=direction,
+                             window=5.0,
+                             probes={"lo": -1.0, "hi": 1.0, "count": 3})
+        assert run_cli(tmp_path, cfg)[0] == 0
+        lines = (tmp_path / "out" / "per_line.csv").read_text().splitlines()
+        k = len(direction) - 1
+        assert lines[0].split(",") == [f"p{i + 1}" for i in range(k)] + [
+            "measure"]
+        probes = [[float(c) for c in line.split(",")[:k]]
+                  for line in lines[1:]]
+        axis = [-1.0, 0.0, 1.0]
+        expected = {0: [[]], 1: [[a] for a in axis],
+                    2: [[a, b] for a in axis for b in axis]}[k]
+        assert probes == expected
 
     def test_estimates_brandt_probes_hold(self, tmp_path):
         code, _ = run_cli(tmp_path, brandt_config(tmp_path / "out"))

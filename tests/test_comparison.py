@@ -13,6 +13,7 @@ from epigraph_lab import (
     assemble_laplacian,
     build_grid,
     comparison_test,
+    cosh_mode,
     epsilon_bounded,
     growth_counterexample,
     make_nonlinearity,
@@ -80,6 +81,14 @@ def test_ordered_pairs_hold_across_seeds():
         assert u.values.max() <= 1e-11   # inverse positivity of A - L I
         rep = comparison_test(u, v)
         assert rep.comparison_holds
+
+
+def test_ordered_pair_rejects_an_operator_of_another_grid():
+    g = interval_grid(0.0, 2.0, 0.25)
+    other = assemble_laplacian(interval_grid(0.0, 1.0, 1.0 / 8))
+    assert other.n == g.n_interior
+    with pytest.raises(ValidationError, match="another grid"):
+        ordered_pair(g, other, 1.0, np.random.default_rng(0))
 
 
 def test_ordered_pair_on_singular_shift_is_a_numerical_error():
@@ -243,6 +252,19 @@ class TestGrowthCounterexample:
         assert abs(rep.meta["growth_slope"] - m) <= 0.05 * m
         xs = [x for x, _ in rep.table]
         assert xs == sorted(xs)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_table_is_the_column_max_of_the_interior_nodes(self, m):
+        # per-point reference: max |w| over the interior nodes of each x
+        rep = growth_counterexample(m)
+        grid = build_grid(lambda p: (p[:, 1] > 0) & (p[:, 1] < math.pi),
+                          [[-rep.meta["x_max"], rep.meta["x_max"]],
+                           [0.0, math.pi]], rep.meta["h"],
+                          face_policy=[["dirichlet", "dirichlet"]] * 2)
+        cols = {}
+        for p, w in zip(grid.points, cosh_mode(m, grid.points)):
+            cols.setdefault(float(p[0]), []).append(abs(float(w)))
+        assert rep.table == [(x, max(cols[x])) for x in sorted(cols)]
 
     def test_validation(self):
         with pytest.raises(ValidationError):

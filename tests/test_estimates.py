@@ -204,6 +204,22 @@ class TestOscillationFit:
         rep = oscillation_fit(u, (1.0, 0.0), [0.5, 0.25, 1.9])
         assert rep.radii == [0.5, 0.25]
 
+    # window [-2, 4] x [0, 2] at h = 1/16: the lateral faces and the top are
+    # artificial, and the buffer 3h is 0.1875; a radius of 1 stays clear of
+    # the top from x0 on the boundary y = 0
+    @pytest.mark.parametrize("x0,radii,kept", [
+        # -1 - 1 < -2 + 3h: the low face of axis 0
+        ((-1.0, 0.0), [1.0, 0.5, 1.0, 0.25], [0.5, 0.25]),
+        # 3 + 1 > 4 - 3h: the high face of axis 0
+        ((3.0, 0.0), [0.25, 1.0, 1.0, 0.5], [0.5, 0.25]),
+        # from x0 = 1 the ball of radius 1 reaches no face
+        ((1.0, 0.0), [0.5, 1.0, 1.0], [1.0, 1.0, 0.5]),
+    ])
+    def test_every_copy_of_a_face_touching_largest_radius_is_dropped(
+            self, x0, radii, kept):
+        rep = oscillation_fit(self.make_flat(h=1.0 / 16), x0, radii)
+        assert rep.radii == kept
+
     def test_orthant_corner_exponent_is_refinement_stable(self):
         f = make_nonlinearity("constant", value=1.0)
         alphas = []

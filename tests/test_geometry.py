@@ -95,6 +95,20 @@ def test_custom_sampled_shape_mismatch():
                       values=np.array([0.0, 1.0, 2.0]))
 
 
+def test_custom_sampled_without_lateral_axes_is_a_shape_mismatch():
+    # dimension 1 has no lateral axis, so a single value has the wrong shape
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        make_epigraph("custom_sampled", dimension=1, axes=[], values=[1.0])
+
+
+@pytest.mark.parametrize("given,missing", [({}, "xs"),
+                                           ({"xs": [0.0, 1.0]}, "phis"),
+                                           ({"phis": [1.0, 1.0]}, "xs")])
+def test_samples_profile_names_a_missing_key(given, missing):
+    with pytest.raises(ValidationError, match=f"needs '{missing}'"):
+        revolution_set(profile="samples", **given)
+
+
 def test_custom_sampled_3d_is_bilinear_inside_and_clamped_outside():
     def g(x1, x2):
         return 0.5 + 0.25 * x1 - 0.5 * x2 + 0.125 * x1 * x2

@@ -194,6 +194,20 @@ def test_resonant_linear_source_fails_loudly():
         solve_semilinear(g, f, trace=1.0)
 
 
+def test_operator_of_another_grid_is_rejected():
+    # both lattices hold 7 interior nodes, so the matrices have equal size
+    g = interval_grid(0.0, 2.0, 0.25)
+    other = assemble_laplacian(interval_grid(0.0, 1.0, 1.0 / 8))
+    f = make_nonlinearity("constant", value=1.0)
+    with pytest.raises(ValidationError, match="another grid"):
+        solve_semilinear(g, f, op=other)
+    # an operator of an equal but distinct grid object is refused too
+    with pytest.raises(ValidationError, match="another grid"):
+        solve_semilinear(g, f, op=assemble_laplacian(
+            interval_grid(0.0, 2.0, 0.25)))
+    assert solve_semilinear(g, f, op=assemble_laplacian(g)).grid is g
+
+
 class TestPrincipalEigenpair:
     def test_three_node_interval(self):
         op = assemble_laplacian(interval_grid(0.0, 1.0, 0.25))
