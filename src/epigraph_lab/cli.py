@@ -84,6 +84,7 @@ _LEAVES = {   # leaf name -> test; the name is the type in error messages
     "integer >= 0": lambda v: type(v) is int and v >= 0,
     "integer >= 1": lambda v: type(v) is int and v >= 1,
     "integer >= 2": lambda v: type(v) is int and v >= 2,
+    "integer in [2, 2^32)": lambda v: type(v) is int and 2 <= v < 2**32,
     "boolean": lambda v: type(v) is bool,
     "string": lambda v: type(v) is str,
 }
@@ -156,7 +157,7 @@ _EPIGRAPH = Kinds("kind", {"epigraph": Kinds("profile", {
     **{name: {**_EPIGRAPH_KEYS, "params": ({}, {})}
        for name in EPIGRAPH_KINDS},
     "weierstrass": {**_EPIGRAPH_KEYS, "params": (
-        {"b": "integer >= 2", "alpha": "number", "tol": "number > 0"}, {})},
+        {"b": "integer in [2, 2^32)", "alpha": "number", "tol": "number > 0"}, {})},
     "custom_sampled": {**_EPIGRAPH_KEYS, "csv": ("string", REQUIRED)},
 }, default="half_space")})
 _SECTIONS = {

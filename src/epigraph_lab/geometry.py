@@ -25,6 +25,7 @@ user predicate must not assume C order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,9 @@ EPIGRAPH_KINDS = (
 # "epigraph" domain is an EpigraphSpec, every other kind a GeneralOpenSet
 OPEN_SET_KINDS = ("strip", "winged_strip", "under_parabola", "epigraph", "orthant", "revolution")
 
+# a bound above the winged strip's widest wing half-width, asinh(1) = 0.8814
+_WING_REACH = 0.89
+
 
 # ---------------------------------------------------------------------------
 # profile formulas
@@ -85,6 +89,11 @@ def _arc_bump_ramp_profile(t: np.ndarray) -> np.ndarray:
     return _arc_bump_profile(t) + np.maximum(t - 6.0, 0.0)
 
 
+# the Weierstrass phase residues live in 32-bit limbs of uint64 words, where
+# limb * b + carry must not wrap: hence b < 2^32
+_LIMB_BITS = 32
+
+
 def _weierstrass_term_count(b: int, alpha: float, tol: float) -> int:
     # keep terms 1..n where n is the first index whose geometric tail bound
     # b^{-n alpha} / (1 - b^{-alpha}) drops below tol
@@ -98,21 +107,51 @@ def _weierstrass_term_count(b: int, alpha: float, tol: float) -> int:
 
 
 def _weierstrass_profile(t: np.ndarray, b: int, alpha: float, tol: float) -> np.ndarray:
-    # Phases of high terms (b^n t large) are rounding-dominated in float64,
-    # but each term is bounded by its amplitude, so the sum stays within the
-    # certified tail bound of the kept amplitudes. Terms are added one at a
-    # time, so a point's value does not depend on the batch it comes in; the
-    # series is therefore summed once per distinct abscissa and gathered back
-    # (a lattice holds few distinct x', a vertical probe line one).
+    # sum_{n=1..nterms} b^{-n alpha} cos(pi b^n t) with every phase reduced
+    # exactly. The series is even and 2-periodic, so x = fmod(|t|, 2), which
+    # is exact. Write x = M 2^e with an integer M < 2^53; then b^n x = R_n 2^e
+    # modulo 2, where R_n = b^n M mod 2^(1-e) = b R_{n-1} mod 2^(1-e). R_n is
+    # kept exactly in 32-bit limbs (b < 2^32 keeps limb * b + carry inside
+    # uint64), and limb k times 2^(32k+e) is an exact double. So the phase
+    # y = R_n 2^e in [0, 2) is correctly rounded when two limbs hold R_n
+    # (1 - e <= 64: x = 0 or x >= 2^-11) and within a few ulps otherwise,
+    # and folding it to min(y, 2 - y), where the cosine is cheapest, is
+    # exact. Each term is thus within a few ulps of its exact value at the
+    # given double, and the sum within about 1e-15 of the declared partial
+    # sum, whose tail is below tol.
+    #
+    # Terms are added one at a time and a point's limbs above its own
+    # modulus stay zero, so its value does not depend on the batch it comes
+    # in; the series is summed once per distinct x and gathered back (a
+    # lattice holds few distinct x', a vertical probe line one).
     t = np.asarray(t, dtype=float)
-    distinct, back = np.unique(t, return_inverse=True)
+    distinct, back = np.unique(np.fmod(np.abs(t), 2.0), return_inverse=True)
+    undefined = np.isnan(distinct)   # t was NaN or infinite
+    x = np.where(undefined, 0.0, distinct)
+    e = np.maximum(np.frexp(x)[1] - 53, -1074)
+    bits = 1 - e                     # R_n lives modulo 2^bits, bits >= 53
+    offset = np.arange(0, int(bits.max(initial=53)), _LIMB_BITS)[:, None]  # limb k: bit 32k
+    masks = (np.uint64(1) << np.clip(bits - offset, 0, _LIMB_BITS).astype(np.uint64)) \
+        - np.uint64(1)
+    scales = np.ldexp(1.0, offset + e)
+    limbs = np.zeros(masks.shape, np.uint64)
+    limbs[0] = np.ldexp(x, -e).astype(np.uint64)
+    limbs[1] = limbs[0] >> _LIMB_BITS
+    limbs &= masks
     nterms = _weierstrass_term_count(b, alpha, tol)
-    n = np.arange(1, nterms + 1, dtype=float)
-    amps = float(b) ** (-alpha * n)
-    freqs = np.pi * float(b) ** n
+    amps = float(b) ** (-alpha * np.arange(1, nterms + 1, dtype=float))
     out = np.zeros(distinct.shape)
-    for amp, freq in zip(amps, freqs):
-        out += amp * np.cos(freq * distinct)
+    for amp in amps:
+        limbs *= np.uint64(b)
+        for k in range(1, len(limbs)):
+            limbs[k] += limbs[k - 1] >> _LIMB_BITS
+        limbs &= masks
+        y = limbs[-1] * scales[-1]
+        for k in range(len(limbs) - 2, -1, -1):
+            y += limbs[k] * scales[k]
+        np.minimum(y, 2.0 - y, out=y)
+        out += amp * np.cos(np.pi * y)
+    out[undefined] = np.nan
     return out[back].reshape(t.shape)
 
 
@@ -230,27 +269,32 @@ def eval_g(spec: EpigraphSpec, x_prime):
 
 
 def make_epigraph(kind: str, dimension: int = 2, normalize: bool = True, **params) -> EpigraphSpec:
-    """Catalog factory; computes the vertical shift that puts inf g at 0.
+    """Catalog factory with a vertical shift that normalizes the profile.
 
+    For ``weierstrass`` the shift is minus the minimum of the series
+    sampled at 10,001 points of one period, so inf g can sit slightly below
+    0: the series dips between the samples (to about -0.01 for the default
+    parameters). For every other kind it puts inf g at 0.
     ``normalize=False`` keeps the raw catalog formula (shift 0).
     """
     if kind not in EPIGRAPH_KINDS:
         raise ValidationError(f"unknown epigraph kind {kind!r}")
     shift = 0.0
     if kind == "weierstrass":
-        b = int(params.get("b", 2))
+        b = params.get("b", 2)
         alpha = float(params.get("alpha", 0.5))
         tol = float(params.get("tol", 1e-12))
-        if b <= 1:
-            raise ValidationError("weierstrass base must be an integer > 1")
+        if not (isinstance(b, numbers.Real) and 2 <= b < 2**_LIMB_BITS
+                and float(b).is_integer()):
+            raise ValidationError("weierstrass base must be an integer in [2, 2^32)")
         if not 0.0 < alpha < 1.0:
             raise ValidationError("weierstrass exponent must lie in (0,1)")
-        if tol <= 0.0:
-            raise ValidationError("weierstrass tolerance must be positive")
+        if not 0.0 < tol < math.inf:
+            raise ValidationError("weierstrass tolerance must be positive and finite")
+        b = int(b)
         params = {"b": b, "alpha": alpha, "tol": tol}
         if normalize:
-            # the series has period 2/b in x; a dense one-period probe
-            # pins the minimum to sampling accuracy
+            # the series has period 2/b in x
             t = np.linspace(0.0, 2.0 / b, 10001)
             shift = -float(_weierstrass_profile(t, b, alpha, tol).min())
     elif kind == "coercive_quadratic":
@@ -332,10 +376,15 @@ class GeneralOpenSet:
             y = pts[:, -1]
             return (self.a < y) & (y < self.b)
         if k == "winged_strip":
-            x, y = pts[:, 0], pts[:, 1]
-            ax = np.abs(x)
-            h = np.arcsinh(np.exp(-ax))
-            return (np.abs(y) < 1.0) | (np.abs(y - ax) < h) | (np.abs(y + ax) < h)
+            # |y| < 1, or within h = asinh(e^-|x|) of a wing y = +-|x|. The
+            # nearer wing is ||y| - |x|| away, bit for bit, and h <= asinh 1
+            # < _WING_REACH, so h is only evaluated within that reach.
+            ax, ay = np.abs(pts[:, 0]), np.abs(pts[:, 1])
+            inside = ay < 1.0
+            gap = np.abs(ay - ax)
+            near = np.flatnonzero(gap < _WING_REACH)
+            inside[near] |= gap[near] < np.arcsinh(np.exp(-ax[near]))
+            return inside
         if k == "under_parabola":
             x, y = pts[:, 0], pts[:, 1]
             return (0.0 < y) & (y < x**2)

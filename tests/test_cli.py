@@ -564,6 +564,10 @@ REJECTED_CONFIGS = {
     "grid_without_h": (lambda tmp_path: dict(
         torsion_config(tmp_path / "out"), grid={"box": [[0.0, 1.0]]}),
         "grid needs 'h'"),
+    # the series keeps its phases in 32-bit limbs, so b must stay below 2^32
+    "weierstrass_base_oversize": (_with(_section, domain={
+        "kind": "epigraph", "profile": "weierstrass", "params": {"b": 2**32}}),
+        "domain.params.b must be an integer in [2, 2^32)"),
     "csv_missing": (_table_solve("epigraph", None), "cannot read"),
     "csv_one_row": (_table_solve("epigraph", "x,g\n0,0\n"),
                     "needs a header and >= 2 rows"),

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from epigraph_lab import (
     revolution_set,
     section_measure,
 )
-from epigraph_lab.geometry import _points_on_lines, _weierstrass_profile
+from epigraph_lab.geometry import _points_on_lines, _weierstrass_profile, \
+    _weierstrass_term_count
 
 # geometric series limit: sum_{n>=1} 2^(-n/2) = 1/(sqrt(2)-1)
 WEIERSTRASS_AT_ZERO = 2.4142135623730950488
@@ -77,6 +79,41 @@ def test_weierstrass_normalization_shifts_min_to_zero():
     assert vals.min() == 0.0
     assert vals.max() > 1.0
     assert spec.shift != 0.0
+
+
+@pytest.mark.parametrize("params,message", [
+    ({"b": 2.5}, "base must be an integer"),
+    ({"b": 2**32}, "base must be an integer"),
+    ({"b": 1}, "base must be an integer"),
+    ({"tol": math.nan}, "tolerance must be positive and finite"),
+    ({"tol": math.inf}, "tolerance must be positive and finite"),
+    ({"tol": 0.0}, "tolerance must be positive and finite"),
+])
+def test_weierstrass_rejects_bad_parameters(params, message):
+    # a fractional base used to be truncated, and a NaN or infinite tol
+    # gave a one-term series
+    with pytest.raises(ValidationError, match=message):
+        make_epigraph("weierstrass", **params)
+
+
+def _weierstrass_reference(x: float, b: int, nterms: int):
+    """The same partial sum at the same double, to 60 digits."""
+    with mpmath.workdps(60):
+        xm = mpmath.mpf(x)
+        return sum(mpmath.power(b, -0.5 * n) * mpmath.cospi(mpmath.power(b, n) * xm)
+                   for n in range(1, nterms + 1))
+
+
+@pytest.mark.parametrize("b", [2, 3])
+def test_weierstrass_matches_an_mpmath_partial_sum(b):
+    # rounding pi b^n x before the cosine used to cost about 1e-7
+    special = [0.0, 1e-300, -1e-300, 1e-5, -1e-5, 2.0 - 2.0**-52, -0.75]
+    xs = np.array(special + list(np.random.default_rng(13).uniform(-2.0, 2.0, 40)))
+    got = _weierstrass_profile(xs, b, 0.5, 1e-12)
+    nterms = _weierstrass_term_count(b, 0.5, 1e-12)
+    err = max(abs(g - _weierstrass_reference(float(x), b, nterms)) for x, g in zip(xs, got))
+    assert err <= 1e-14
+    assert _weierstrass_profile(np.array([]), b, 0.5, 1e-12).shape == (0,)
 
 
 def test_custom_sampled_interpolates_and_clamps():
@@ -276,6 +313,54 @@ def test_winged_strip_per_line_measures():
     assert not rep.unbounded_suspected
 
 
+def _winged_union(pts):
+    """The winged strip's closed form, with both wing widths evaluated."""
+    x, y = pts[:, 0], pts[:, 1]
+    ax = np.abs(x)
+    h = np.arcsinh(np.exp(-ax))
+    return (np.abs(y) < 1.0) | (np.abs(y - ax) < h) | (np.abs(y + ax) < h)
+
+
+def _nudged(y: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        y = float(np.nextafter(y, math.copysign(math.inf, ulps)))
+    return y
+
+
+# a point on the winged strip: an abscissa (often near 0, where the wings
+# are widest), then an ordinate that is free or within a few ulps of
+# |y| = 1, of the wing reach ||y| - |x|| = 0.89, or of a wing's edge
+# ||y| - |x|| = asinh(exp(-|x|))
+_WINGED_POINT = st.tuples(
+    st.one_of(st.floats(-1.0, 1.0), st.floats(-40.0, 40.0)),
+    st.sampled_from(["free", "strip", "reach", "edge"]),
+    st.floats(-50.0, 50.0, allow_nan=False),
+    st.integers(-3, 3), st.booleans(), st.booleans())
+
+
+def _winged_point(x, anchor, free, ulps, below, negate):
+    ax = abs(x)
+    if anchor == "free":
+        y = free
+    elif anchor == "strip":
+        y = 1.0
+    else:
+        gap = 0.89 if anchor == "reach" else float(np.arcsinh(np.exp(-ax)))
+        y = ax - gap if below else ax + gap
+    y = _nudged(y, ulps)
+    return [x, -y if negate else y]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_WINGED_POINT, min_size=1, max_size=30))
+def test_winged_strip_membership_matches_the_closed_form(points):
+    # contains evaluates the wing width only near a wing; membership must
+    # keep the bits of the full union
+    pts = np.array([_winged_point(*p) for p in points])
+    got = winged_strip_set().contains(pts)
+    assert np.array_equal(got, _winged_union(pts))
+
+
 def test_parabola_section_flagged_unbounded():
     dom = under_parabola_set()
     rep = section_measure(dom, [0.0, 1.0], np.linspace(-12, 12, 25),
@@ -382,14 +467,17 @@ def test_points_on_lines_match_broadcast_bit_for_bit(n, per_row, m, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=1, max_size=20),
-       st.integers(0, 2**32 - 1))
-def test_weierstrass_value_does_not_depend_on_batch(xs, seed):
+@given(st.lists(st.one_of(st.floats(-50.0, 50.0, allow_nan=False),
+                          st.floats(-1e-6, 1e-6, allow_nan=False)),
+                min_size=1, max_size=20),
+       st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_weierstrass_value_does_not_depend_on_batch(xs, seed, b):
     # the profile sums the series once per distinct abscissa: a shuffled
-    # batch with repeats gives each point the bits of a one-point batch
+    # batch with repeats gives each point the bits of a one-point batch,
+    # also when tiny |x| in the batch need more phase limbs than the rest
     batch = np.random.default_rng(seed).permutation(np.array(xs + xs))
-    values = _weierstrass_profile(batch, 2, 0.5, 1e-12)
-    alone = np.array([_weierstrass_profile(np.array([x]), 2, 0.5, 1e-12)[0]
+    values = _weierstrass_profile(batch, b, 0.5, 1e-12)
+    alone = np.array([_weierstrass_profile(np.array([x]), b, 0.5, 1e-12)[0]
                       for x in batch])
     assert values.shape == batch.shape
     assert np.array_equal(values.view(np.uint64), alone.view(np.uint64))
