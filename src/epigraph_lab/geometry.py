@@ -1,12 +1,12 @@
 """Epigraph domains, catalog open sets, reflections and section measures.
 
 Domains come in two flavours. An ``EpigraphSpec`` describes a set
-``{x : x_N > g(x')}`` with the profile ``g`` drawn from a small catalog
-(half space, two bump-and-ramp profiles, a Weierstrass-type series, a
-coercive quadratic, an exponential, or tabulated samples). A
-``GeneralOpenSet`` wraps a membership predicate for sets that are not
-epigraphs (strips, two pathological planar sets, the positive orthant,
-revolution-type tubes).
+``{x : x_N > g(x')}`` with the profile ``g`` drawn from the table
+``_PROFILES`` (half space, two bump-and-ramp profiles, a Weierstrass-type
+series, a coercive quadratic, an exponential, or tabulated samples). A
+``GeneralOpenSet`` wraps a predicate of the table ``_OPEN_SETS`` for sets
+that are not epigraphs (strips, two pathological planar sets, the positive
+orthant, revolution-type tubes with radii from ``_RADII``).
 
 The section of a set in a direction ``nu`` is the supremum over lines
 parallel to ``nu`` of the 1-D measure of the slice. ``section_measure``
@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_params
 
 __all__ = [
     "EpigraphSpec",
@@ -50,20 +51,6 @@ __all__ = [
     "revolution_set",
 ]
 
-EPIGRAPH_KINDS = (
-    "half_space",
-    "arc_bump",
-    "arc_bump_ramp",
-    "weierstrass",
-    "coercive_quadratic",
-    "exp_x1",
-    "custom_sampled",
-)
-
-# the domain kinds besides the profile catalog, as listed by the CLI; an
-# "epigraph" domain is an EpigraphSpec, every other kind a GeneralOpenSet
-OPEN_SET_KINDS = ("strip", "winged_strip", "under_parabola", "epigraph", "orthant", "revolution")
-
 # a bound above the winged strip's widest wing half-width, asinh(1) = 0.8814
 _WING_REACH = 0.89
 
@@ -74,7 +61,6 @@ _WING_REACH = 0.89
 
 def _arc_bump_profile(t: np.ndarray) -> np.ndarray:
     """Flat, half-disc bump on [-4,0], quarter-disc rise on [0,2], flat 2."""
-    t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     m = (t >= -4.0) & (t <= 0.0)
     out[m] = np.sqrt(np.maximum(4.0 - (t[m] + 2.0) ** 2, 0.0))
@@ -82,11 +68,6 @@ def _arc_bump_profile(t: np.ndarray) -> np.ndarray:
     out[m] = np.sqrt(np.maximum(4.0 - (t[m] - 2.0) ** 2, 0.0))
     out[t > 2.0] = 2.0
     return out
-
-
-def _arc_bump_ramp_profile(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    return _arc_bump_profile(t) + np.maximum(t - 6.0, 0.0)
 
 
 # the Weierstrass phase residues live in 32-bit limbs of uint64 words, where
@@ -176,16 +157,15 @@ def _exp_x1(xp: np.ndarray) -> np.ndarray:
 
 
 def _interp_sampled(xp: np.ndarray, axes, values) -> np.ndarray:
+    # axes and values as _check_sampled leaves them: float arrays
     if len(axes) == 1:
-        return np.interp(xp[:, 0], np.asarray(axes[0], float), np.asarray(values, float))
+        return np.interp(xp[:, 0], axes[0], values)
     from scipy.interpolate import RegularGridInterpolator
 
-    axes = [np.asarray(a, float) for a in axes]
-    vals = np.asarray(values, float)
     query = xp.copy()
     for k, a in enumerate(axes):  # clamp: constant extension outside the table
         query[:, k] = np.clip(query[:, k], a[0], a[-1])
-    itp = RegularGridInterpolator(axes, vals, method="linear")
+    itp = RegularGridInterpolator(axes, values, method="linear")
     return itp(query)
 
 
@@ -195,6 +175,75 @@ def _check_abscissae(xs: np.ndarray, what: str) -> None:
             or not (np.diff(xs) > 0).all():
         raise ValidationError(f"{what} must be finite, strictly increasing "
                               "and hold >= 2 samples")
+
+
+def _check_weierstrass(p: dict, dimension: int) -> dict:
+    b = p["b"]
+    if not (isinstance(b, numbers.Real) and 2 <= b < 2**_LIMB_BITS
+            and float(b).is_integer()):
+        raise ValidationError("weierstrass base must be an integer in [2, 2^32)")
+    if not 0.0 < p["alpha"] < 1.0:
+        raise ValidationError("weierstrass exponent must lie in (0,1)")
+    if not 0.0 < p["tol"] < math.inf:
+        raise ValidationError("weierstrass tolerance must be positive and finite")
+    return {**p, "b": int(b)}
+
+
+def _check_sampled(p: dict, dimension: int) -> dict:
+    axes = tuple(np.asarray(a, dtype=float) for a in p["axes"])
+    if len(axes) != dimension - 1:
+        raise ValidationError("custom_sampled axes must match dimension - 1")
+    for a in axes:
+        _check_abscissae(a, "custom_sampled axes")
+    values = np.asarray(p["values"], dtype=float)
+    if values.shape != tuple(len(a) for a in axes):
+        raise ValidationError("custom_sampled values shape mismatch")
+    if not np.isfinite(values).all():
+        raise ValidationError("custom_sampled values must be finite")
+    return {"axes": axes, "values": values}
+
+
+def _check_samples(p: dict, dimension: int) -> dict:
+    xs = np.asarray(p["xs"], dtype=float)
+    phis = np.asarray(p["phis"], dtype=float)
+    if xs.ndim != 1 or xs.shape != phis.shape:
+        raise ValidationError("profile samples must be matching 1-D arrays")
+    _check_abscissae(xs, "profile samples xs")
+    if not np.isfinite(phis).all():
+        raise ValidationError("profile samples phis must be finite")
+    return {"xs": xs, "phis": phis}
+
+
+# a catalog profile: formula maps (points, params) to values; prepare and
+# shift map (params, dimension) to checked params and a normalizing shift
+_Profile = namedtuple("_Profile", ["formula", "defaults", "prepare", "shift"],
+                      defaults=({}, lambda p, dimension: p,
+                                lambda p, dimension: 0.0))
+
+
+# epigraph profiles g(x') of an (m, N-1) batch x'
+_PROFILES = {
+    "half_space": _Profile(lambda xp, p: np.zeros(xp.shape[0])),
+    "arc_bump": _Profile(lambda xp, p: _arc_bump_profile(xp[:, 0])),
+    "arc_bump_ramp": _Profile(lambda xp, p: _arc_bump_profile(xp[:, 0])
+                              + np.maximum(xp[:, 0] - 6.0, 0.0)),
+    "weierstrass": _Profile(
+        lambda xp, p: _weierstrass_profile(xp[:, 0], p["b"], p["alpha"], p["tol"]),
+        {"b": 2, "alpha": 0.5, "tol": 1e-12}, _check_weierstrass,
+        # minus the minimum over one period, 2/b in x
+        lambda p, dimension: -float(_weierstrass_profile(np.linspace(
+            0.0, 2.0 / p["b"], 10001), p["b"], p["alpha"], p["tol"]).min())),
+    "coercive_quadratic": _Profile(
+        lambda xp, p: _coercive_quadratic(xp),
+        # inf of x1^2 + prod sin(j x_j) is -1
+        shift=lambda p, dimension: 1.0 if dimension >= 3 else 0.0),
+    "exp_x1": _Profile(lambda xp, p: _exp_x1(xp)),
+    "custom_sampled": _Profile(
+        lambda xp, p: _interp_sampled(xp, p["axes"], p["values"]),
+        {"axes": None, "values": None}, _check_sampled,
+        lambda p, dimension: -float(p["values"].min())),
+}
+EPIGRAPH_KINDS = tuple(_PROFILES)
 
 
 # ---------------------------------------------------------------------------
@@ -230,46 +279,32 @@ class EpigraphSpec:
 
 
 def _eval_g_batch(spec: EpigraphSpec, xp: np.ndarray) -> np.ndarray:
-    k = spec.kind
-    if k == "half_space":
-        raw = np.zeros(xp.shape[0])
-    elif k == "arc_bump":
-        raw = _arc_bump_profile(xp[:, 0])
-    elif k == "arc_bump_ramp":
-        raw = _arc_bump_ramp_profile(xp[:, 0])
-    elif k == "weierstrass":
-        p = spec.params
-        raw = _weierstrass_profile(xp[:, 0], p["b"], p["alpha"], p["tol"])
-    elif k == "coercive_quadratic":
-        raw = _coercive_quadratic(xp)
-    elif k == "exp_x1":
-        raw = _exp_x1(xp)
-    else:
-        raw = _interp_sampled(xp, spec.params["axes"], spec.params["values"])
-    return raw + spec.shift
+    return _PROFILES[spec.kind].formula(xp, spec.params) + spec.shift
 
 
 def eval_g(spec: EpigraphSpec, x_prime):
     """Boundary profile g(x'); scalar in, scalar out."""
     d = spec.dimension - 1
     a = np.asarray(x_prime, dtype=float)
-    if a.ndim == 0:
-        if d != 1:
-            raise ValidationError("scalar x' only valid for planar epigraphs")
-        return float(_eval_g_batch(spec, a.reshape(1, 1))[0])
-    if a.ndim == 1:
-        if d == 1:  # batch of scalars
-            return _eval_g_batch(spec, a.reshape(-1, 1))
-        if a.size != d:
-            raise ValidationError("x' dimension mismatch")
-        return float(_eval_g_batch(spec, a.reshape(1, d))[0])
-    if a.shape[1] != d:
+    if a.ndim == 0 and d != 1:
+        raise ValidationError("scalar x' only valid for planar epigraphs")
+    # a planar epigraph takes a batch of scalars, any other one point or a batch
+    batch = a.reshape(-1, 1) if d == 1 and a.ndim < 2 else np.atleast_2d(a)
+    if batch.shape[1] != d:
         raise ValidationError("x' dimension mismatch")
-    return _eval_g_batch(spec, a)
+    g = _eval_g_batch(spec, batch)
+    return float(g[0]) if a.ndim == 0 or a.ndim == 1 and d > 1 else g
 
 
 def make_epigraph(kind: str, dimension: int = 2, normalize: bool = True, **params) -> EpigraphSpec:
     """Catalog factory with a vertical shift that normalizes the profile.
+
+    Parameters (defaults): ``weierstrass`` b (2, an integer in [2, 2^32)),
+    alpha (0.5, in (0, 1)) and tol (1e-12, > 0, the series' tail bound);
+    ``custom_sampled`` axes and values (required; dimension - 1 increasing
+    axes and finite values shaped by them); the other kinds none. An unknown
+    kind or parameter, a missing one and a non-finite number raise
+    ValidationError.
 
     For ``weierstrass`` the shift is minus the minimum of the series
     sampled at 10,001 points of one period, so inf g can sit slightly below
@@ -277,47 +312,8 @@ def make_epigraph(kind: str, dimension: int = 2, normalize: bool = True, **param
     parameters). For every other kind it puts inf g at 0.
     ``normalize=False`` keeps the raw catalog formula (shift 0).
     """
-    if kind not in EPIGRAPH_KINDS:
-        raise ValidationError(f"unknown epigraph kind {kind!r}")
-    shift = 0.0
-    if kind == "weierstrass":
-        b = params.get("b", 2)
-        alpha = float(params.get("alpha", 0.5))
-        tol = float(params.get("tol", 1e-12))
-        if not (isinstance(b, numbers.Real) and 2 <= b < 2**_LIMB_BITS
-                and float(b).is_integer()):
-            raise ValidationError("weierstrass base must be an integer in [2, 2^32)")
-        if not 0.0 < alpha < 1.0:
-            raise ValidationError("weierstrass exponent must lie in (0,1)")
-        if not 0.0 < tol < math.inf:
-            raise ValidationError("weierstrass tolerance must be positive and finite")
-        b = int(b)
-        params = {"b": b, "alpha": alpha, "tol": tol}
-        if normalize:
-            # the series has period 2/b in x
-            t = np.linspace(0.0, 2.0 / b, 10001)
-            shift = -float(_weierstrass_profile(t, b, alpha, tol).min())
-    elif kind == "coercive_quadratic":
-        if normalize and dimension >= 3:
-            shift = 1.0  # inf of x1^2 + prod sin(j x_j) is -1
-    elif kind == "custom_sampled":
-        if "axes" not in params or "values" not in params:
-            raise ValidationError("custom_sampled needs 'axes' and 'values'")
-        axes = tuple(np.asarray(a, dtype=float) for a in params["axes"])
-        if len(axes) != dimension - 1:
-            raise ValidationError("custom_sampled axes must match dimension - 1")
-        for a in axes:
-            _check_abscissae(a, "custom_sampled axes")
-        values = np.asarray(params["values"], dtype=float)
-        if values.shape != tuple(len(a) for a in axes):
-            raise ValidationError("custom_sampled values shape mismatch")
-        if not np.isfinite(values).all():
-            raise ValidationError("custom_sampled values must be finite")
-        params = {"axes": axes, "values": values}
-        if normalize:
-            shift = -float(values.min())
-    elif params:
-        raise ValidationError(f"{kind} takes no parameters")
+    entry, params = check_params(_PROFILES, kind, "epigraph kind", params, dimension)
+    shift = entry.shift(params, dimension) if normalize else 0.0
     return EpigraphSpec(dimension=dimension, kind=kind, params=params, shift=shift)
 
 
@@ -343,61 +339,66 @@ def cap_membership(spec: EpigraphSpec, x, lam: float):
 # general open sets
 # ---------------------------------------------------------------------------
 
+def _winged_strip(pts: np.ndarray, p: dict) -> np.ndarray:
+    # |y| < 1, or within h = asinh(e^-|x|) of a wing y = +-|x|. The nearer
+    # wing is ||y| - |x|| away, bit for bit, and h <= asinh 1 < _WING_REACH,
+    # so h is only evaluated within that reach.
+    ax, ay = np.abs(pts[:, 0]), np.abs(pts[:, 1])
+    inside = ay < 1.0
+    gap = np.abs(ay - ax)
+    near = np.flatnonzero(gap < _WING_REACH)
+    inside[near] |= gap[near] < np.arcsinh(np.exp(-ax[near]))
+    return inside
+
+
+# the domain kinds besides the profile catalog, in the CLI's listing order,
+# each with its membership predicate of (points, params); an "epigraph"
+# domain is an EpigraphSpec, every other kind a GeneralOpenSet
+_OPEN_SETS = {
+    "strip": lambda pts, p: (p["a"] < pts[:, -1]) & (pts[:, -1] < p["b"]),
+    "winged_strip": _winged_strip,
+    "under_parabola": lambda pts, p: (0.0 < pts[:, 1]) & (pts[:, 1] < pts[:, 0] ** 2),
+    "epigraph": None,
+    "orthant": lambda pts, p: np.all(pts > 0.0, axis=1),
+    "revolution": lambda pts, p: (np.linalg.norm(pts[:, 1:], axis=1)
+                                  < _RADII[p["profile"]].formula(pts[:, 0], p)),
+}
+OPEN_SET_KINDS = tuple(_OPEN_SETS)
+
+# revolution radius profiles phi(x_1)
+_RADII = {
+    "constant": _Profile(lambda t, p: np.full_like(t, p["value"]), {"value": 1.0}),
+    "cosine": _Profile(lambda t, p: p["base"] + p["amp"] * np.cos(p["freq"] * t),
+                       {"base": 1.0, "amp": 0.2, "freq": 1.0}),
+    "samples": _Profile(lambda t, p: np.interp(t, p["xs"], p["phis"]),
+                        {"xs": None, "phis": None}, _check_samples),
+}
+
+
 @dataclass(frozen=True)
 class GeneralOpenSet:
-    """Membership-predicate domain from a small catalog."""
+    """Membership-predicate domain from a small catalog, with its kind's
+    parameters (a revolution set's include its ``profile``)."""
 
     kind: str
     dimension: int = 2
-    a: float = 0.0
-    b: float = 1.0
-    profile_kind: str = "constant"
-    profile_params: tuple = (1.0,)
+    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in OPEN_SET_KINDS or self.kind == "epigraph":
+        if self.kind not in OPEN_SET_KINDS or _OPEN_SETS[self.kind] is None:
             raise ValidationError(f"unknown open set kind {self.kind!r}")
-
-    def _phi(self, t: np.ndarray) -> np.ndarray:
-        if self.profile_kind == "constant":
-            return np.full_like(t, float(self.profile_params[0]))
-        if self.profile_kind == "cosine":
-            base, amp, freq = self.profile_params
-            return base + amp * np.cos(freq * t)
-        xs, phis = self.profile_params
-        return np.interp(t, np.asarray(xs, float), np.asarray(phis, float))
 
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dimension:
             raise ValidationError("point dimension mismatch")
-        k = self.kind
-        if k == "strip":
-            y = pts[:, -1]
-            return (self.a < y) & (y < self.b)
-        if k == "winged_strip":
-            # |y| < 1, or within h = asinh(e^-|x|) of a wing y = +-|x|. The
-            # nearer wing is ||y| - |x|| away, bit for bit, and h <= asinh 1
-            # < _WING_REACH, so h is only evaluated within that reach.
-            ax, ay = np.abs(pts[:, 0]), np.abs(pts[:, 1])
-            inside = ay < 1.0
-            gap = np.abs(ay - ax)
-            near = np.flatnonzero(gap < _WING_REACH)
-            inside[near] |= gap[near] < np.arcsinh(np.exp(-ax[near]))
-            return inside
-        if k == "under_parabola":
-            x, y = pts[:, 0], pts[:, 1]
-            return (0.0 < y) & (y < x**2)
-        if k == "orthant":
-            return np.all(pts > 0.0, axis=1)
-        r = np.linalg.norm(pts[:, 1:], axis=1)
-        return r < self._phi(pts[:, 0])
+        return _OPEN_SETS[self.kind](pts, self.params)
 
 
 def strip_set(a: float, b: float, dimension: int = 2) -> GeneralOpenSet:
     if not b > a:
         raise ValidationError("strip needs b > a")
-    return GeneralOpenSet(kind="strip", dimension=dimension, a=float(a), b=float(b))
+    return GeneralOpenSet("strip", dimension, {"a": float(a), "b": float(b)})
 
 
 def winged_strip_set() -> GeneralOpenSet:
@@ -409,35 +410,19 @@ def under_parabola_set() -> GeneralOpenSet:
 
 
 def orthant_set(dimension: int = 2) -> GeneralOpenSet:
-    return GeneralOpenSet(kind="orthant", dimension=dimension)
+    return GeneralOpenSet("orthant", dimension)
 
 
 def revolution_set(profile="constant", dimension: int = 2, **kw) -> GeneralOpenSet:
     """Tube {|x_2..x_N| < phi(x_1)}.
 
-    profile: "constant" (value=R), "cosine" (base, amp, freq) or "samples"
-    (xs, phis arrays, piecewise-linear in between, clamped outside).
+    profile: "constant" (value, 1.0), "cosine" (base 1.0 + amp 0.2 times
+    cos(freq 1.0 x_1)) or "samples" (xs, phis arrays, both required,
+    piecewise-linear in between, clamped outside). ValidationError for an
+    unknown profile or parameter, a missing one and a non-finite number.
     """
-    if profile == "constant":
-        params = (float(kw.get("value", 1.0)),)
-    elif profile == "cosine":
-        params = (float(kw.get("base", 1.0)), float(kw.get("amp", 0.2)), float(kw.get("freq", 1.0)))
-    elif profile == "samples":
-        for key in ("xs", "phis"):
-            if key not in kw:
-                raise ValidationError(f"samples profile needs {key!r}")
-        xs = np.asarray(kw["xs"], dtype=float)
-        phis = np.asarray(kw["phis"], dtype=float)
-        if xs.ndim != 1 or xs.shape != phis.shape:
-            raise ValidationError("profile samples must be matching 1-D arrays")
-        _check_abscissae(xs, "profile samples xs")
-        if not np.isfinite(phis).all():
-            raise ValidationError("profile samples phis must be finite")
-        params = (xs, phis)
-    else:
-        raise ValidationError(f"unknown revolution profile {profile!r}")
-    return GeneralOpenSet(kind="revolution", dimension=dimension,
-                          profile_kind=profile, profile_params=params)
+    _, params = check_params(_RADII, profile, "revolution profile", kw, dimension)
+    return GeneralOpenSet("revolution", dimension, {"profile": profile, **params})
 
 
 # ---------------------------------------------------------------------------

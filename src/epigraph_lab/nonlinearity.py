@@ -1,21 +1,22 @@
 """Nonlinearity catalog with Lipschitz data and comparison-threshold constants.
 
-Every catalog entry carries an exact evaluation rule and an analytic
-description of its derivative, so ``lipschitz_on`` can return the true
-sup of |f'| on a compact range, or ``UNBOUNDED`` (+inf) where the
-function is not locally Lipschitz. Threshold formulas (``epsilon_bounded``,
-``epsilon_growth``, ``gamma_max``, ``growth_lower_bound``) are pure
-closed-form evaluations.
+The catalog is one table, ``_KINDS``, whose entries carry an exact
+evaluation rule and an analytic description of the derivative, so
+``lipschitz_on`` can return the true sup of |f'| on a compact range, or
+``UNBOUNDED`` (+inf) where the function is not locally Lipschitz. Threshold
+formulas (``epsilon_bounded``, ``epsilon_growth``, ``gamma_max``,
+``growth_lower_bound``) are pure closed-form evaluations.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_params
 
 __all__ = [
     "UNBOUNDED",
@@ -31,17 +32,6 @@ __all__ = [
     "growth_lower_bound",
 ]
 
-NONLINEARITY_KINDS = (
-    "constant",
-    "linear",
-    "allen_cahn",
-    "power",
-    "sqrt_saturation",
-    "double_front_source",
-    "custom_table",
-)
-
-
 # "no finite bound": a Lipschitz constant where f is not locally Lipschitz,
 # a width threshold where no smallness is needed
 UNBOUNDED = math.inf
@@ -49,12 +39,10 @@ UNBOUNDED = math.inf
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Catalog nonlinearity f with declared monotonicity/positivity metadata."""
+    """Catalog nonlinearity f: a kind and its checked parameters."""
 
     kind: str
     params: dict = field(default_factory=dict)
-    f0: float = 0.0
-    monotone_nonincreasing: bool = False
 
     def __post_init__(self):
         if self.kind not in NONLINEARITY_KINDS:
@@ -63,109 +51,98 @@ class Nonlinearity:
     def __call__(self, t):
         return eval_f(self, t)
 
+    @property
+    def f0(self) -> float:
+        """f(0), or NaN for a table that does not cover 0."""
+        try:
+            # + 0.0 reads the -0.0 of a negative slope times 0 as 0.0
+            return eval_f(self, 0.0) + 0.0
+        except ValidationError:
+            return math.nan
+
+    @property
+    def monotone_nonincreasing(self) -> bool:
+        return _KINDS[self.kind].nonincreasing(self.params)
+
+    @property
+    def derivative_unbounded(self) -> bool:
+        """Whether f' blows up somewhere (then f is not locally Lipschitz)."""
+        return _KINDS[self.kind].derivative_unbounded(self.params)
+
 
 def make_nonlinearity(kind: str, **params) -> Nonlinearity:
-    if kind == "constant":
-        k = float(params.get("value", 1.0))
-        return Nonlinearity(kind, {"value": k}, f0=k,
-                            monotone_nonincreasing=True)
-    if kind == "linear":
-        c = float(params.get("slope", 1.0))
-        return Nonlinearity(kind, {"slope": c}, f0=0.0,
-                            monotone_nonincreasing=c <= 0.0)
-    if kind == "allen_cahn":
-        if params:
-            raise ValidationError("allen_cahn takes no parameters")
-        return Nonlinearity(kind, {}, f0=0.0)
-    if kind == "power":
-        q = float(params.get("exponent", 2.0))
-        if q <= 0.0:
-            raise ValidationError("power exponent must be positive")
-        return Nonlinearity(kind, {"exponent": q}, f0=0.0)
-    if kind == "sqrt_saturation":
-        if params:
-            raise ValidationError("sqrt_saturation takes no parameters")
-        return Nonlinearity(kind, {}, f0=12.0, monotone_nonincreasing=True)
-    if kind == "double_front_source":
-        if params:
-            raise ValidationError("double_front_source takes no parameters")
-        return Nonlinearity(kind, {}, f0=0.0)
-    if kind == "custom_table":
-        if "ts" not in params or "fs" not in params:
-            raise ValidationError("custom_table needs 'ts' and 'fs'")
-        ts = np.asarray(params["ts"], dtype=float)
-        fs = np.asarray(params["fs"], dtype=float)
-        if ts.ndim != 1 or ts.shape != fs.shape or ts.size < 2:
-            raise ValidationError("custom_table needs matching 1-D arrays, >= 2 rows")
-        if not (np.diff(ts) > 0).all():
-            raise ValidationError("custom_table abscissae must be strictly increasing")
-        if not (np.isfinite(ts).all() and np.isfinite(fs).all()):
-            raise ValidationError("custom_table values must be finite")
-        if ts[0] <= 0.0 <= ts[-1]:
-            f0 = float(np.interp(0.0, ts, fs))
-        else:
-            f0 = math.nan
-        return Nonlinearity(kind, {"ts": ts, "fs": fs}, f0=f0,
-                            monotone_nonincreasing=bool((np.diff(fs) <= 0.0).all()))
-    raise ValidationError(f"unknown nonlinearity kind {kind!r}")
+    """Catalog factory. Parameters (defaults): ``constant`` value (1.0),
+    ``linear`` slope (1.0), ``power`` exponent (2.0, > 0), ``custom_table``
+    ts and fs (required; matching finite 1-D arrays, ts increasing); the
+    other kinds none. An unknown kind or parameter, a missing one and a
+    non-finite number raise ValidationError."""
+    _, params = check_params(_KINDS, kind, "nonlinearity kind", params)
+    return Nonlinearity(kind, params)
+
+
+def _check_power(p: dict) -> dict:
+    if p["exponent"] <= 0.0:
+        raise ValidationError("power exponent must be positive")
+    return p
+
+
+def _check_table(p: dict) -> dict:
+    ts = np.asarray(p["ts"], dtype=float)
+    fs = np.asarray(p["fs"], dtype=float)
+    if ts.ndim != 1 or ts.shape != fs.shape or ts.size < 2:
+        raise ValidationError("custom_table needs matching 1-D arrays, >= 2 rows")
+    if not (np.diff(ts) > 0).all():
+        raise ValidationError("custom_table abscissae must be strictly increasing")
+    if not (np.isfinite(ts).all() and np.isfinite(fs).all()):
+        raise ValidationError("custom_table values must be finite")
+    return {"ts": ts, "fs": fs}
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _sqrt_saturation(t: np.ndarray) -> np.ndarray:
+def _masked(t: np.ndarray, mask: np.ndarray, rule) -> np.ndarray:
+    """rule(t) where mask holds, 0 elsewhere."""
     out = np.zeros_like(t)
-    out[t < 0.0] = 12.0
-    m = (t >= 0.0) & (t <= 1.0)
-    out[m] = 12.0 * np.sqrt(1.0 - t[m])
+    out[mask] = rule(t[mask])
     return out
 
 
-def _double_front_source(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    m = (t > 0.0) & (t < 1.0)
-    tm = t[m]
-    r = tm**0.25
-    out[m] = -192.0 * np.sqrt(tm * (1.0 - r)) * (1.0 - 1.25 * r)
-    return out
-
-
-def _double_front_source_prime(t: np.ndarray) -> np.ndarray:
+def _double_front_source_prime(t: np.ndarray, params: dict) -> np.ndarray:
     # f = -192 sqrt(p) q with p = t - t^(5/4), q = 1 - (5/4) t^(1/4), p' = q
-    out = np.zeros_like(t)
-    m = (t > 0.0) & (t < 1.0)
-    tm = t[m]
-    p = tm - tm**1.25
-    q = 1.0 - 1.25 * tm**0.25
-    out[m] = -192.0 * (q * q / (2.0 * np.sqrt(p)) - 0.3125 * tm**-0.75 * np.sqrt(p))
-    return out
+    def slope(tm):
+        p = tm - tm**1.25
+        q = 1.0 - 1.25 * tm**0.25
+        return -192.0 * (q * q / (2.0 * np.sqrt(p)) - 0.3125 * tm**-0.75 * np.sqrt(p))
+    return _masked(t, (t > 0.0) & (t < 1.0), slope)
+
+
+def _table(t: np.ndarray, p: dict):
+    """The table's nodes and values, once t is checked to lie on it."""
+    ts, fs = p["ts"], p["fs"]
+    if (t < ts[0]).any() or (t > ts[-1]).any():
+        raise ValidationError("domain exceeded")
+    return ts, fs
+
+
+def _table_prime(t: np.ndarray, p: dict) -> np.ndarray:
+    ts, fs = _table(t, p)
+    slopes = np.diff(fs) / np.diff(ts)
+    idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(slopes) - 1)
+    return slopes[idx]
+
+
+def _evaluate(rule, f: Nonlinearity, t):
+    """``rule`` of f's entry at a scalar (float out) or array argument."""
+    a = np.asarray(t, dtype=float)
+    out = rule(np.atleast_1d(a), f.params)
+    return float(out[0]) if a.ndim == 0 else out
 
 
 def eval_f(f: Nonlinearity, t):
     """Evaluate f at a scalar or array argument."""
-    a = np.asarray(t, dtype=float)
-    scalar = a.ndim == 0
-    a = np.atleast_1d(a)
-    k = f.kind
-    if k == "constant":
-        out = np.full_like(a, f.params["value"])
-    elif k == "linear":
-        out = f.params["slope"] * a
-    elif k == "allen_cahn":
-        out = a - a**3
-    elif k == "power":
-        out = np.maximum(a, 0.0) ** f.params["exponent"]
-    elif k == "sqrt_saturation":
-        out = _sqrt_saturation(a)
-    elif k == "double_front_source":
-        out = _double_front_source(a)
-    else:
-        ts, fs = f.params["ts"], f.params["fs"]
-        if (a < ts[0]).any() or (a > ts[-1]).any():
-            raise ValidationError("domain exceeded")
-        out = np.interp(a, ts, fs)
-    return float(out[0]) if scalar else out
+    return _evaluate(_KINDS[f.kind].f, f, t)
 
 
 def eval_f_prime(f: Nonlinearity, t):
@@ -174,35 +151,7 @@ def eval_f_prime(f: Nonlinearity, t):
     At catalog kink points the one-sided derivative from the active branch
     is returned; table entries use the local segment slope.
     """
-    a = np.asarray(t, dtype=float)
-    scalar = a.ndim == 0
-    a = np.atleast_1d(a)
-    k = f.kind
-    if k == "constant":
-        out = np.zeros_like(a)
-    elif k == "linear":
-        out = np.full_like(a, f.params["slope"])
-    elif k == "allen_cahn":
-        out = 1.0 - 3.0 * a**2
-    elif k == "power":
-        q = f.params["exponent"]
-        out = np.zeros_like(a)
-        m = a > 0.0
-        out[m] = q * a[m] ** (q - 1.0)
-    elif k == "sqrt_saturation":
-        out = np.zeros_like(a)
-        m = (a > 0.0) & (a < 1.0)
-        out[m] = -6.0 / np.sqrt(1.0 - a[m])
-    elif k == "double_front_source":
-        out = _double_front_source_prime(a)
-    else:
-        ts, fs = f.params["ts"], f.params["fs"]
-        if (a < ts[0]).any() or (a > ts[-1]).any():
-            raise ValidationError("domain exceeded")
-        slopes = np.diff(fs) / np.diff(ts)
-        idx = np.clip(np.searchsorted(ts, a, side="right") - 1, 0, len(slopes) - 1)
-        out = slopes[idx]
-    return float(out[0]) if scalar else out
+    return _evaluate(_KINDS[f.kind].f_prime, f, t)
 
 
 # ---------------------------------------------------------------------------
@@ -227,67 +176,106 @@ def _sup_abs_on(fun, lo: float, hi: float) -> float:
     return best
 
 
+def _power_lipschitz(p: dict, m: float, M: float) -> float:
+    q = p["exponent"]
+    if M <= 0.0:
+        return 0.0
+    if q < 1.0 and m <= 0.0:
+        return UNBOUNDED  # slope q t^(q-1) blows up at 0+
+    try:  # the slope is largest at M for q >= 1, at m for q < 1
+        return q * (M if q >= 1.0 else m) ** (q - 1.0)
+    except OverflowError:  # lipschitz_on raises on it if f is locally Lipschitz
+        return math.inf
+
+
+def _sqrt_saturation_lipschitz(p: dict, m: float, M: float) -> float:
+    if M <= 0.0 or m >= 1.0:
+        return 0.0
+    if M >= 1.0:
+        return UNBOUNDED  # slope -6/sqrt(1-t) blows up at 1-
+    return 6.0 / math.sqrt(1.0 - M)
+
+
+def _double_front_source_lipschitz(p: dict, m: float, M: float) -> float:
+    if M <= 0.0 or m >= 1.0:
+        return 0.0
+    if m <= 0.0 or M >= 1.0:
+        return UNBOUNDED  # derivative blows up at both ends of (0,1)
+    return _sup_abs_on(lambda t: _double_front_source_prime(t, p), m, M)
+
+
+def _table_lipschitz(p: dict, m: float, M: float) -> float:
+    # the largest slope of the segments lo..hi - 1 that meet [m, M]
+    ts, fs = p["ts"], p["fs"]
+    lo = max(np.searchsorted(ts, m, side="right") - 1, 0)
+    hi = min(np.searchsorted(ts, M, side="left"), len(ts) - 1)
+    if hi <= lo:
+        return 0.0
+    seg = np.abs(np.diff(fs[lo:hi + 1]) / np.diff(ts[lo:hi + 1]))
+    return float(seg.max())
+
+
 def lipschitz_on(f: Nonlinearity, interval):
     """Sup of |f'| over [m, M], or UNBOUNDED where f is not locally Lipschitz."""
     m, M = (float(v) for v in interval)
     if m > M:
         raise ValidationError("interval must satisfy m <= M")
-    k = f.kind
-    if k == "constant":
-        return 0.0
-    if k == "linear":
-        return abs(f.params["slope"])
-    if k == "allen_cahn":
-        cands = [abs(1.0 - 3.0 * m * m), abs(1.0 - 3.0 * M * M)]
-        if m <= 0.0 <= M:
-            cands.append(1.0)
-        if math.isinf(max(cands)):
-            # f is locally Lipschitz: an infinite bound is float overflow
-            raise ValidationError(
-                f"Lipschitz bound of allen_cahn overflows on [{m:g}, {M:g}]")
-        return max(cands)
-    if k == "power":
-        q = f.params["exponent"]
-        if q >= 1.0:
-            if M <= 0.0:
-                return 0.0
-            try:
-                bound = q * M ** (q - 1.0)
-            except OverflowError:
-                bound = math.inf
-            if math.isinf(bound):
-                # f is locally Lipschitz: an infinite bound is float overflow
-                raise ValidationError(
-                    f"Lipschitz bound of power exponent {q:g} overflows on "
-                    f"[{m:g}, {M:g}]")
-            return bound
-        if M <= 0.0:
-            return 0.0
-        if m <= 0.0:
-            return UNBOUNDED  # slope q t^(q-1) blows up at 0+
-        return q * m ** (q - 1.0)
-    if k == "sqrt_saturation":
-        if M <= 0.0 or m >= 1.0:
-            return 0.0
-        if M >= 1.0:
-            return UNBOUNDED  # slope -6/sqrt(1-t) blows up at 1-
-        return 6.0 / math.sqrt(1.0 - M)
-    if k == "double_front_source":
-        if M <= 0.0 or m >= 1.0:
-            return 0.0
-        if m <= 0.0 or M >= 1.0:
-            return UNBOUNDED  # derivative blows up at both ends of (0,1)
-        return _sup_abs_on(_double_front_source_prime, m, M)
-    ts = f.params["ts"]
-    fs = f.params["fs"]
-    lo = np.searchsorted(ts, m, side="right") - 1
-    hi = np.searchsorted(ts, M, side="left")
-    lo = max(lo, 0)
-    hi = min(hi, len(ts) - 1)
-    if hi <= lo:
-        return 0.0
-    seg = np.abs(np.diff(fs[lo:hi + 1]) / np.diff(ts[lo:hi + 1]))
-    return float(seg.max())
+    bound = _KINDS[f.kind].lipschitz(f.params, m, M)
+    if math.isinf(bound) and not f.derivative_unbounded:
+        # f is locally Lipschitz: an infinite bound is float overflow
+        raise ValidationError(
+            f"Lipschitz bound of {f.kind} overflows on [{m:g}, {M:g}]")
+    return bound
+
+
+# a catalog kind: f and f_prime map (1-D t, params), lipschitz (params, m,
+# M) and the two flags params to a bool; defaults as in errors.check_params
+_Kind = namedtuple("_Kind", ["f", "f_prime", "lipschitz", "defaults", "prepare",
+                             "nonincreasing", "derivative_unbounded"],
+                   defaults=({}, lambda p: p, lambda p: False, lambda p: False))
+_KINDS = {
+    "constant": _Kind(
+        lambda t, p: np.full_like(t, p["value"]),
+        lambda t, p: np.zeros_like(t),
+        lambda p, m, M: 0.0,
+        defaults={"value": 1.0}, nonincreasing=lambda p: True),
+    "linear": _Kind(
+        lambda t, p: p["slope"] * t,
+        lambda t, p: np.full_like(t, p["slope"]),
+        lambda p, m, M: abs(p["slope"]),
+        defaults={"slope": 1.0},
+        nonincreasing=lambda p: p["slope"] <= 0.0),
+    "allen_cahn": _Kind(
+        lambda t, p: t - t**3,
+        lambda t, p: 1.0 - 3.0 * t**2,
+        # |f'| = |1 - 3 t^2| peaks at an end of [m, M] or at t = 0
+        lambda p, m, M: max(abs(1.0 - 3.0 * m * m), abs(1.0 - 3.0 * M * M),
+                            1.0 if m <= 0.0 <= M else 0.0)),
+    "power": _Kind(
+        lambda t, p: np.maximum(t, 0.0) ** p["exponent"],
+        lambda t, p: _masked(
+            t, t > 0.0, lambda tm: p["exponent"] * tm ** (p["exponent"] - 1.0)),
+        _power_lipschitz,
+        defaults={"exponent": 2.0}, prepare=_check_power,
+        derivative_unbounded=lambda p: p["exponent"] < 1.0),
+    "sqrt_saturation": _Kind(
+        lambda t, p: np.where(t < 0.0, 12.0, _masked(
+            t, (t >= 0.0) & (t <= 1.0), lambda tm: 12.0 * np.sqrt(1.0 - tm))),
+        lambda t, p: _masked(t, (t > 0.0) & (t < 1.0),
+                             lambda tm: -6.0 / np.sqrt(1.0 - tm)),
+        _sqrt_saturation_lipschitz,
+        nonincreasing=lambda p: True, derivative_unbounded=lambda p: True),
+    "double_front_source": _Kind(
+        lambda t, p: _masked(t, (t > 0.0) & (t < 1.0), lambda tm: -192.0 * np.sqrt(
+            tm * (1.0 - tm**0.25)) * (1.0 - 1.25 * tm**0.25)),
+        _double_front_source_prime, _double_front_source_lipschitz,
+        derivative_unbounded=lambda p: True),
+    "custom_table": _Kind(
+        lambda t, p: np.interp(t, *_table(t, p)), _table_prime, _table_lipschitz,
+        defaults={"ts": None, "fs": None}, prepare=_check_table,
+        nonincreasing=lambda p: bool((np.diff(p["fs"]) <= 0.0).all())),
+}
+NONLINEARITY_KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------

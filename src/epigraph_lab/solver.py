@@ -18,9 +18,10 @@ BiCGSTAB preconditioned with that LU, to a relative residual of 1e-10 within
 10 iterations. A step refactorizes J(u_k) and is solved exactly when
 BiCGSTAB fails (nonzero info or a non-finite step) or when its step reaches
 the damping floor; the new LU preconditions the steps after it.
-The nonlinearities whose derivative blows up somewhere (``sqrt_saturation``,
-``double_front_source`` and ``power`` with exponent below 1) are routed to
-the Picard iteration u <- A^{-1} (b + f(u)) whatever the working range. Both
+A nonlinearity that declares a derivative blowing up somewhere
+(``Nonlinearity.derivative_unbounded``: ``sqrt_saturation``,
+``double_front_source``, ``power`` with exponent below 1) is routed to the
+Picard iteration u <- A^{-1} (b + f(u)) whatever the working range. Both
 run in one loop that stops once the max-norm residual is at most ``tol`` and
 raises ConvergenceError at ``max_iter``; each method supplies only its step.
 Newton raises on a non-finite residual, Picard runs on to its cap. Every
@@ -57,7 +58,6 @@ __all__ = [
     "principal_eigenpair",
 ]
 
-_NONSMOOTH_KINDS = ("sqrt_saturation", "double_front_source")
 _DAMPING_FLOOR = 2.0 ** -10
 _KRYLOV_TOL = 1e-13
 _NEWTON_KRYLOV_TOL = 1e-10
@@ -236,16 +236,13 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
 
     method = policy.method
     meta = {}
-    if method in ("auto", "newton"):
-        nonsmooth = f.kind in _NONSMOOTH_KINDS or (
-            f.kind == "power" and f.params["exponent"] < 1.0)
-        if nonsmooth:
-            if method == "newton":
-                meta["fallback"] = "picard"
-                meta["fallback_reason"] = "f not differentiable on range"
-            method = "picard"
-        elif method == "auto":
-            method = "newton"
+    if method != "picard" and f.derivative_unbounded:
+        if method == "newton":
+            meta["fallback"] = "picard"
+            meta["fallback_reason"] = "f not differentiable on range"
+        method = "picard"
+    elif method == "auto":
+        method = "newton"
 
     u = _initial_guess(op, f, b, policy.init, trace_vals, meta)
 

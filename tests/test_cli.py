@@ -228,12 +228,23 @@ class TestReportAndCatalog:
         assert main(["report", str(tmp_path / "void")]) == 2
 
     def test_list_catalog(self, capsys):
+        # the kind tuples are read off the catalog tables, so their order
+        # is pinned here
         assert main(["list-catalog"]) == 0
-        out = capsys.readouterr().out
-        for tag in ("half_space", "weierstrass", "winged_strip",
-                    "under_parabola", "sqrt_saturation",
-                    "double_front_source", "verify_examples", "solve"):
-            assert tag in out
+        assert capsys.readouterr().out == "\n".join([
+            "epigraph profiles:", "  half_space", "  arc_bump",
+            "  arc_bump_ramp", "  weierstrass", "  coercive_quadratic",
+            "  exp_x1", "  custom_sampled",
+            "open sets:", "  strip", "  winged_strip", "  under_parabola",
+            "  epigraph", "  orthant", "  revolution",
+            "nonlinearities:", "  constant", "  linear", "  allen_cahn",
+            "  power", "  sqrt_saturation", "  double_front_source",
+            "  custom_table",
+            "closed-form profiles:", "  saturating_front", "  double_front",
+            "  tanh_front",
+            "experiments:", "  estimates", "  moving_plane", "  section",
+            "  solve", "  symmetry", "  threshold_scan", "  uniqueness",
+            "  verify_examples", ""])
 
 
 def section_config(outdir, domain, **params):

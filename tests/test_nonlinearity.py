@@ -156,6 +156,8 @@ def test_lipschitz_on_formulas(kind, params, interval, expected):
     ("power", {"exponent": 0.5}, (0.0, 1.0)),
     ("sqrt_saturation", {}, (0.0, 1.0)),
     ("double_front_source", {}, (0.0, 1.0)),
+    # a finite sup past the float range: m ** (q - 1) raised OverflowError
+    ("power", {"exponent": 0.01}, (1e-320, 1.0)),
 ])
 def test_lipschitz_unbounded_where_slope_blows_up(kind, params, interval):
     f = make_nonlinearity(kind, **params)
