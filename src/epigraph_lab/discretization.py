@@ -270,7 +270,12 @@ class SparseOperator:
 
     Immutable once ``assemble_laplacian`` returns it: nothing writes to
     ``matrix`` afterwards, so ``solver`` keeps the matrix's LU factors on the
-    operator (``_lu``) and every solve with this operator reuses them."""
+    operator (``_lu``) and every solve with this operator reuses them. Next
+    to them sits the latest Jacobian LU that a Newton solve on this operator
+    factorized (``_jac_lu``); the next Newton solve on it starts from that LU
+    as its BiCGSTAB preconditioner. A solve's last bits therefore depend on
+    the Newton solves that ran on the operator before it; rerunning the same
+    sequence of calls gives bit-identical results."""
 
     matrix: sp.csr_matrix
     bc_rows: np.ndarray
@@ -278,6 +283,7 @@ class SparseOperator:
     bc_points: np.ndarray
     grid: DomainGrid = field(repr=False)
     _lu: object = field(default=None, init=False, repr=False, compare=False)
+    _jac_lu: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

@@ -38,7 +38,8 @@ def check_params(table: dict, kind, what: str, given: dict, *context):
     overridden by ``given``, as floats where the default is one, then put
     through ``entry.prepare(params, *context)``. ValidationError for an
     unknown kind and, naming the key, for a key the defaults lack, a
-    missing one and a float that is not finite after ``prepare``."""
+    missing one, a value ``float()`` cannot convert where the default is a
+    float, and a float that is not finite after ``prepare``."""
     if kind not in tuple(table):
         raise ValidationError(f"unknown {what} {kind!r}")
     entry, label = table[kind], f"{what} {kind!r}"
@@ -50,7 +51,11 @@ def check_params(table: dict, kind, what: str, given: dict, *context):
         if params[key] is None:
             raise ValidationError(f"{label} needs {key!r}")
         if isinstance(default, float):
-            params[key] = float(params[key])
+            try:
+                params[key] = float(params[key])
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"{label} parameter {key!r} must be a number") from None
     params = entry.prepare(params, *context)
     for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):

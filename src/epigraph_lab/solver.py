@@ -12,12 +12,16 @@ fill stays near-linear; from three dimensions on the fill explodes and
 of 1e-13 instead (the cut-arm operator is not symmetric).
 
 ``solve_semilinear`` is a damped Newton iteration on F(u) = A u - b - f(u)
-with the exact Jacobian J(u) = A - diag(f'(u)). The first step with a nonzero
-f' factorizes its Jacobian; each later step solves J(u_k) delta = -F(u_k) by
-BiCGSTAB preconditioned with that LU, to a relative residual of 1e-10 within
-10 iterations. A step refactorizes J(u_k) and is solved exactly when
-BiCGSTAB fails (nonzero info or a non-finite step) or when its step reaches
-the damping floor; the new LU preconditions the steps after it.
+with the exact Jacobian J(u) = A - diag(f'(u)). The latest Jacobian LU of a
+Newton solve is kept on the operator (``SparseOperator._jac_lu``) and
+preconditions every later step with a nonzero f', in this solve and in later
+Newton solves on that operator (a lagged preconditioner: Knoll & Keyes,
+JCP 193, 2004): BiCGSTAB solves J(u_k) delta = -F(u_k) to a relative
+residual of 1e-10 within 10 iterations. A step refactorizes J(u_k), replaces
+the kept LU and is solved exactly when there is none yet, when BiCGSTAB fails
+(nonzero info or a non-finite step) or when its step reaches the damping
+floor. So a Newton solve's last bits depend on the Newton solves before it on
+its operator; the same sequence of calls reruns bit-identically.
 A nonlinearity that declares a derivative blowing up somewhere
 (``Nonlinearity.derivative_unbounded``: ``sqrt_saturation``,
 ``double_front_source``, ``power`` with exponent below 1) is routed to the
@@ -219,12 +223,15 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                      op: SparseOperator = None) -> SolutionField:
     """Solve A u = b + f(u) on the grid with Dirichlet trace data.
 
-    Newton keeps one Jacobian LU per solve: the first step with f' not
-    identically zero factorizes A - diag(f'(u)), later steps run BiCGSTAB
-    preconditioned by it and refactorize only when BiCGSTAB fails or its
+    Newton keeps one Jacobian LU per operator, on ``op``: a step with f' not
+    identically zero runs BiCGSTAB preconditioned by the latest LU of
+    A - diag(f'(u)) that a Newton solve on ``op`` factorized, and
+    refactorizes at u only when there is none yet, BiCGSTAB fails or its
     step fails the line search (then the exact step is retried once before
-    ConvergenceError). Steps with f' identically zero and Picard use the
-    operator's shared LU of A."""
+    ConvergenceError). The first Newton solve on an operator therefore
+    factorizes its first Jacobian; a later one may factorize nothing, and
+    its last bits depend on the Newton solves before it on ``op``. Steps
+    with f' identically zero and Picard use the operator's shared LU of A."""
     policy = policy or SolvePolicy()
     policy.validate()
     if op is None:
@@ -272,10 +279,7 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                 iterations=iters, residual=res)
         return step
 
-    lu = None   # the latest Jacobian LU of this solve
-
     def newton_step(u, r, res, iters):
-        nonlocal lu
         if not math.isfinite(res):
             raise ConvergenceError("no convergence: non-finite residual",
                                    iterations=iters, residual=res)
@@ -284,6 +288,7 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
             # with f' identically zero the Jacobian is A: reuse its factors
             return exact_step(u, res, _factors(op).solve(-r), iters)
         jac = op.matrix - sp.diags(fp)
+        lu = op._jac_lu   # the latest Jacobian LU of a Newton solve on op
         if lu is not None:
             pre = spla.LinearOperator(jac.shape, matvec=lu.solve, dtype=float)
             delta, info, _ = _bicgstab(jac, -r, pre, _NEWTON_KRYLOV_TOL,
@@ -293,7 +298,7 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                 if step is not None:
                     return step
         # no LU yet, or the Krylov step failed: refactorize at u, exact step
-        lu = factorize(jac)
+        lu = op._jac_lu = factorize(jac)
         return exact_step(u, res, lu.solve(-r), iters)
 
     def picard_step(u, r, res, iters):

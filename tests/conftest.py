@@ -1,5 +1,7 @@
-"""Shared pytest plumbing: acceptance verdict lines in the final summary."""
+"""Shared pytest plumbing: acceptance verdict lines in the final summary,
+and a stand-in for SciPy's BiCGSTAB."""
 
+import numpy as np
 import pytest
 
 _verdicts = []
@@ -30,3 +32,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("-", "acceptance criteria")
     for line in _verdicts:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def zero_krylov():
+    """``zero_krylov(info)``: a stand-in for SciPy's bicgstab that returns a
+    zero step with the given info (1: BiCGSTAB fails, so every Newton step
+    refactorizes its Jacobian and is an exact step)."""
+    return lambda info: lambda matrix, rhs, **kwargs: (np.zeros_like(rhs), info)

@@ -1,5 +1,5 @@
 """Catalog parameters: every factory rejects a parameter its kind does not
-take and a non-finite number, and the CLI schema declares the same kinds
+take, a value that is not a number and a non-finite number, and the CLI schema declares the same kinds
 with the same parameter names as the library's catalog tables."""
 
 import inspect
@@ -32,6 +32,19 @@ REJECTED = {
 @pytest.mark.parametrize("make,key", REJECTED.values(), ids=REJECTED)
 def test_factories_name_the_rejected_parameter(make, key):
     with pytest.raises(ValidationError, match=f"'{key}'"):
+        make()
+
+
+# each used to escape float() as a bare ValueError or TypeError
+NOT_NUMBERS = {
+    "constant_string": (lambda: make_nonlinearity("constant", value="x"), "value"),
+    "cosine_list": (lambda: revolution_set("cosine", base=[1.0]), "base"),
+}
+
+
+@pytest.mark.parametrize("make,key", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_factories_name_a_parameter_that_is_not_a_number(make, key):
+    with pytest.raises(ValidationError, match=f"'{key}' must be a number"):
         make()
 
 

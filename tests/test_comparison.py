@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from epigraph_lab import (
     NumericalError,
@@ -155,6 +156,26 @@ class TestUniqueness:
                               n_restarts=3)
         assert rep.meta["status"] == "hypothesis violated: S >= threshold"
         assert rep.lambda1 < 1.0
+
+    @staticmethod
+    def allen_cahn_restarts():
+        """(norm, iterations) of each restart, on a fresh grid and operator."""
+        g = build_grid(strip_set(0.0, 1.0), [[0.0, 2.0], [0.0, 1.0]], 0.125)
+        rep = uniqueness_test(g, make_nonlinearity("allen_cahn"), n_restarts=6,
+                              seed=7, amplitude=0.5)
+        return [(r["norm"], r["iterations"]) for r in rep.meta["restarts"]]
+
+    def test_restarts_rerun_bit_identically(self):
+        # later restarts are preconditioned by an earlier restart's LU: the
+        # same sequence of solves gives the same bits
+        assert self.allen_cahn_restarts() == self.allen_cahn_restarts()
+
+    def test_restart_iterations_match_exact_newton(self, monkeypatch,
+                                                   zero_krylov):
+        restarts = self.allen_cahn_restarts()
+        monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=1))
+        exact = self.allen_cahn_restarts()
+        assert [it for _, it in restarts] == [it for _, it in exact]
 
     def test_requires_zero_at_origin(self):
         g = interval_grid(0.0, 1.0, 0.25)

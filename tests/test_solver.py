@@ -24,6 +24,7 @@ from epigraph_lab import (
     stencil_residual,
     strip_set,
     tanh_front,
+    uniqueness_test,
 )
 
 # smallest eigenvalue of (1/h^2) tridiag(-1, 2, -1), 3 nodes, h = 1/4:
@@ -316,16 +317,12 @@ def arc_bump_operator():
     return g, assemble_laplacian(g)
 
 
-def allen_cahn_front():
-    g, op = arc_bump_operator()
-    return solve_semilinear(g, make_nonlinearity("allen_cahn"),
+def allen_cahn_front(op=None):
+    """The Allen-Cahn front on ``op`` (by default a fresh arc_bump operator)."""
+    op = arc_bump_operator()[1] if op is None else op
+    return solve_semilinear(op.grid, make_nonlinearity("allen_cahn"),
                             trace=tanh_trace, op=op,
                             policy=SolvePolicy(init="front_lift"))
-
-
-def zero_krylov(info):
-    """A stand-in for SciPy's bicgstab: a zero step with the given info."""
-    return lambda matrix, rhs, **kwargs: (np.zeros_like(rhs), info)
 
 
 class TestSharedFactors:
@@ -356,7 +353,7 @@ class TestSharedFactors:
         assert call_counts["splu"] == 1
 
     def test_newton_factorizes_first_jacobian_then_runs_bicgstab(
-            self, call_counts, monkeypatch):
+            self, call_counts, monkeypatch, zero_krylov):
         sol = allen_cahn_front()
         assert sol.iterations > 1
         assert call_counts == {"splu": 1, "bicgstab": sol.iterations - 1}
@@ -367,8 +364,8 @@ class TestSharedFactors:
         assert ref.iterations == sol.iterations
         assert np.abs(sol.values - ref.values).max() <= 1e-12
 
-    def test_krylov_step_failing_line_search_refactors(self, call_counts,
-                                                       monkeypatch):
+    def test_krylov_step_failing_line_search_refactors(
+            self, call_counts, monkeypatch, zero_krylov):
         # a zero Krylov step never lowers the residual: each step after the
         # first refactors and retries with the exact step, which succeeds
         monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=0))
@@ -377,7 +374,8 @@ class TestSharedFactors:
         monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=1))
         assert np.array_equal(sol.values, allen_cahn_front().values)
 
-    def test_krylov_step_refactors_before_raising(self, monkeypatch):
+    def test_krylov_step_refactors_before_raising(self, monkeypatch,
+                                                  zero_krylov):
         # the second factorization yields a zero step too: the solve raises
         # only after the Krylov step and the refactored step both fail
         calls = []
@@ -401,6 +399,70 @@ class TestSharedFactors:
             allen_cahn_front()
         assert calls == ["splu", "bicgstab", "splu"]
         assert exc.value.iterations == 1
+
+    def test_second_newton_solve_on_op_factorizes_nothing(self, call_counts):
+        # the Jacobian LU stays on op and preconditions the next solve
+        op = arc_bump_operator()[1]
+        allen_cahn_front(op)
+        assert call_counts["splu"] == 1
+        sol = allen_cahn_front(op)
+        assert call_counts["splu"] == 1
+        assert sol.meta["residual_internal"] <= SolvePolicy().tol
+        ref = allen_cahn_front()
+        assert np.abs(sol.values - ref.values).max() <= 1e-12
+
+    # the LU of A + 5 I (slope -5) preconditions the front's Jacobians well
+    # enough; that of A - 5 I (slope 5) does not, so BiCGSTAB fails and the
+    # first step refactorizes and replaces the LU
+    @pytest.mark.parametrize("slope,splu", [(-5.0, 0), (5.0, 1)])
+    def test_newton_solve_inherits_another_nonlinearitys_lu(
+            self, call_counts, slope, splu):
+        op = arc_bump_operator()[1]
+        solve_semilinear(op.grid, make_nonlinearity("linear", slope=slope),
+                         trace=0.5, op=op)
+        inherited = op._jac_lu
+        assert inherited is not None
+        call_counts["splu"] = 0
+        sol = allen_cahn_front(op)
+        assert call_counts["splu"] == splu
+        assert (op._jac_lu is inherited) == (splu == 0)
+        assert sol.meta["residual_internal"] <= SolvePolicy().tol
+        assert np.abs(sol.values - allen_cahn_front().values).max() <= 1e-12
+
+    def test_failing_krylov_replaces_the_inherited_lu(self, call_counts,
+                                                      monkeypatch, zero_krylov):
+        op = arc_bump_operator()[1]
+        allen_cahn_front(op)
+        inherited = op._jac_lu
+        monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=1))
+        call_counts["splu"] = 0
+        sol = allen_cahn_front(op)
+        assert call_counts["splu"] == sol.iterations
+        assert op._jac_lu is not inherited
+        assert sol.meta["residual_internal"] <= SolvePolicy().tol
+
+    def test_newton_solve_after_a_failed_one_converges(self, call_counts):
+        # the failed solve leaves the LU of a Jacobian far from the front's
+        op = arc_bump_operator()[1]
+        init = np.random.default_rng(0).uniform(-5.0, 5.0, op.n)
+        with pytest.raises(ConvergenceError, match="iteration cap"):
+            solve_semilinear(op.grid, make_nonlinearity("allen_cahn"),
+                             trace=tanh_trace, op=op,
+                             policy=SolvePolicy(init=init, max_iter=2))
+        assert op._jac_lu is not None
+        sol = allen_cahn_front(op)
+        assert sol.meta["residual_internal"] <= SolvePolicy().tol
+        assert np.abs(sol.values - allen_cahn_front().values).max() <= 1e-12
+
+    @pytest.mark.parametrize("f", [make_nonlinearity("allen_cahn"),
+                                   make_nonlinearity("linear", slope=1.0)],
+                             ids=["allen_cahn", "linear"])
+    def test_uniqueness_restarts_share_one_jacobian_lu(self, call_counts, f):
+        # one LU of A for the eigenpair and one Jacobian LU for all restarts
+        g = build_grid(strip_set(0.0, 1.0), [[0.0, 2.0], [0.0, 1.0]], 0.125)
+        rep = uniqueness_test(g, f, n_restarts=4, amplitude=0.5)
+        assert [r["outcome"] for r in rep.meta["restarts"]] == ["converged"] * 4
+        assert call_counts["splu"] == 2
 
     def test_three_dimensional_lift_runs_bicgstab(self, call_counts):
         dom = make_epigraph("half_space", dimension=3)
