@@ -1,14 +1,14 @@
 """Config-driven experiment runner.
 
 ``epigraph-lab run config.json`` checks the config against one declarative
-schema (``_SECTIONS``, ``_COMMON`` and the ``_EXPERIMENTS`` table) before
-anything runs, executes one experiment on the typed, defaulted config, and
-writes deterministic artifacts (CSV tables without timestamps, a summary, a
-run record with a config hash and file manifest, optionally an SVG plot).
-Exit status is 0 only when every asserted check passed; a malformed or
-misapplied config (unknown key, key the chosen kind or experiment does not
-use, missing key, value of the wrong JSON type) exits 2, numerical failures
-exit 3.
+schema (``_SECTIONS``, its catalog rows read off the library's tables,
+``_COMMON`` and the ``_EXPERIMENTS`` table) before anything runs, runs one
+experiment on the typed, defaulted config and writes deterministic artifacts
+(CSV tables without timestamps, a summary, a run record with a config hash
+and file manifest, optionally an SVG plot). Exit status is 0 only when every
+asserted check passed; a malformed or misapplied config (unknown key, key
+the chosen kind or experiment does not use, missing key, value of the wrong
+JSON type or range) exits 2, numerical failures exit 3.
 """
 
 import argparse
@@ -31,9 +31,9 @@ from .errors import LabError, ValidationError, NumericalError
 from .estimates import brandt_check, oscillation_fit
 from .geometry import EPIGRAPH_KINDS, OPEN_SET_KINDS, make_epigraph, \
     strip_set, winged_strip_set, under_parabola_set, orthant_set, \
-    revolution_set, section_measure
+    revolution_set, section_measure, _PROFILES as _EPIGRAPH_PROFILES, _RADII
 from .nonlinearity import NONLINEARITY_KINDS, UNBOUNDED, make_nonlinearity, \
-    eval_f
+    eval_f, _KINDS
 from .reporting import write_csv, write_json, read_json, config_hash, \
     svg_line_plot, format_float
 from .solver import SolvePolicy, SolutionField, solve_semilinear
@@ -84,7 +84,7 @@ _LEAVES = {   # leaf name -> test; the name is the type in error messages
     "integer >= 0": lambda v: type(v) is int and v >= 0,
     "integer >= 1": lambda v: type(v) is int and v >= 1,
     "integer >= 2": lambda v: type(v) is int and v >= 2,
-    "integer in [2, 2^32)": lambda v: type(v) is int and 2 <= v < 2**32,
+    "integer": lambda v: type(v) is int,
     "boolean": lambda v: type(v) is bool,
     "string": lambda v: type(v) is str,
 }
@@ -150,32 +150,33 @@ def _child(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
+def _catalog(tag: str, table: dict, keys: dict = None) -> Kinds:
+    """The kinds of a library catalog table, each parameter typed by its
+    default (None, required: one ``csv`` instead); a domain table's kinds
+    share ``keys``, nest theirs under ``params`` and default to the first."""
+    cases = {}
+    for kind, entry in table.items():
+        params = {key: {float: "number", int: "integer", type(None): None}[
+            type(default)] for key, default in entry.defaults.items()}
+        if None in params.values():
+            params = {"csv": ("string", REQUIRED)}
+        elif keys is not None:
+            params = {"params": (params, {})}
+        cases[kind] = {**(keys or {}), **params}
+    return Kinds(tag, cases, None if keys is None else next(iter(table)))
+
+
 _NUMBERS = ["number"]
 _DIM = {"dimension": ("integer >= 1", 2)}
-_EPIGRAPH_KEYS = {**_DIM, "normalize": ("boolean", True)}
-_EPIGRAPH = Kinds("kind", {"epigraph": Kinds("profile", {
-    **{name: {**_EPIGRAPH_KEYS, "params": ({}, {})}
-       for name in EPIGRAPH_KINDS},
-    "weierstrass": {**_EPIGRAPH_KEYS, "params": (
-        {"b": "integer in [2, 2^32)", "alpha": "number", "tol": "number > 0"}, {})},
-    "custom_sampled": {**_EPIGRAPH_KEYS, "csv": ("string", REQUIRED)},
-}, default="half_space")})
+_EPIGRAPH = Kinds("kind", {"epigraph": _catalog(
+    "profile", _EPIGRAPH_PROFILES, {**_DIM, "normalize": ("boolean", True)})})
 _SECTIONS = {
     "domain": Kinds("kind", {
         **_EPIGRAPH.cases, "winged_strip": {}, "under_parabola": {},
         "orthant": _DIM,
         "strip": {"a": ("number", 0.0), "b": ("number", 1.0), **_DIM},
-        "revolution": Kinds("profile", {
-            "constant": {**_DIM, "params": ({"value": "number"}, {})},
-            "cosine": {**_DIM, "params": (dict.fromkeys(
-                ("base", "amp", "freq"), "number"), {})},
-            "samples": {**_DIM, "csv": ("string", REQUIRED)},
-        }, default="constant")}),
-    "nonlinearity": Kinds("kind", {
-        "constant": {"value": "number"}, "linear": {"slope": "number"},
-        "power": {"exponent": "number"}, "allen_cahn": {},
-        "sqrt_saturation": {}, "double_front_source": {},
-        "custom_table": {"csv": ("string", REQUIRED)}}),
+        "revolution": _catalog("profile", _RADII, _DIM)}),
+    "nonlinearity": _catalog("kind", _KINDS),
     "grid": {"box": ([["number", "number"]], REQUIRED),
              "h": ("number > 0", REQUIRED),
              "face_policy": Either([["dirichlet|neumann"] * 2], None)},
@@ -240,7 +241,7 @@ def _build_domain(d: dict):
 
 def _build_nonlinearity(d: dict):
     params = {k: v for k, v in d.items() if k != "kind"}
-    if d["kind"] == "custom_table":
+    if "csv" in d:
         ts, fs = _load_two_columns(d["csv"], "nonlinearity.csv")
         params = {"ts": ts, "fs": fs}
     return make_nonlinearity(d["kind"], **params)
@@ -832,8 +833,7 @@ def _cmd_report(args) -> int:
     if "error" in summary:
         print(f"error: {summary['error']}")
     print("files:")
-    for name in sorted(record.get("files", {})):
-        info = record["files"][name]
+    for name, info in sorted(record.get("files", {}).items()):
         print(f"  {name} ({info['bytes']} bytes)")
     return 0
 

@@ -134,6 +134,8 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
         raise ValidationError("uniqueness probe needs f(0) = 0")
     if n_restarts < 1:
         raise ValidationError("n_restarts must be >= 1")
+    if not 0 < tol < math.inf:
+        raise ValidationError("tol must be positive and finite")
     op = assemble_laplacian(grid)
     lam1 = principal_eigenpair(op).lambda1
     L = lipschitz_on(f, (-amplitude, amplitude))
@@ -178,6 +180,8 @@ def symmetry_test(grid, f: Nonlinearity, isometry, tol: float = 1e-10,
     The isometry must map lattice nodes to lattice nodes; images that leave
     the window (period translations) are simply not compared, so the defect
     is measured on the overlap, restricted to the 3-node truncation buffer."""
+    if not 0 < tol < math.inf:
+        raise ValidationError("tol must be positive and finite")
     u = solution if solution is not None else solve_semilinear(grid, f)
     pts = grid.points
     images = np.atleast_2d(np.asarray(isometry(pts), dtype=float))

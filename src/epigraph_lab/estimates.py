@@ -61,8 +61,8 @@ def brandt_check(u: SolutionField, f_values: np.ndarray, center,
                  delta: float) -> BrandtReport:
     """Gradient bound at one interior node against ball maxima of u and f."""
     grid = u.grid
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValidationError("delta must be positive and finite")
     f_values = np.asarray(f_values, dtype=float)
     if f_values.shape != (grid.n_interior,):
         raise ValidationError("f_values length does not match grid")

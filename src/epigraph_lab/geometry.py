@@ -221,7 +221,8 @@ _Profile = namedtuple("_Profile", ["formula", "defaults", "prepare", "shift"],
                                 lambda p, dimension: 0.0))
 
 
-# epigraph profiles g(x') of an (m, N-1) batch x'
+# epigraph profiles g(x') of an (m, N-1) batch x'; the first is the
+# CLI's default profile
 _PROFILES = {
     "half_space": _Profile(lambda xp, p: np.zeros(xp.shape[0])),
     "arc_bump": _Profile(lambda xp, p: _arc_bump_profile(xp[:, 0])),
@@ -365,7 +366,7 @@ _OPEN_SETS = {
 }
 OPEN_SET_KINDS = tuple(_OPEN_SETS)
 
-# revolution radius profiles phi(x_1)
+# revolution radius profiles phi(x_1); the first is the CLI's default
 _RADII = {
     "constant": _Profile(lambda t, p: np.full_like(t, p["value"]), {"value": 1.0}),
     "cosine": _Profile(lambda t, p: p["base"] + p["amp"] * np.cos(p["freq"] * t),

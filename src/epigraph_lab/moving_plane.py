@@ -168,8 +168,8 @@ def cap_sweep(u: SolutionField, spec, lambda_grid=None, tol: float = 1e-8,
               buffer: int = 3) -> MovingPlaneReport:
     """Minimum of (u_lambda - u) over each cap, plus vertical-slope data."""
     grid = u.grid
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValidationError("tol must be positive and finite")
     lo = grid.box[-1, 0]
     hi = grid.box[-1, 1]
     h = grid.h

@@ -107,8 +107,8 @@ class SolvePolicy:
     def validate(self):
         if self.method not in ("auto", "newton", "picard"):
             raise ValidationError("policy method must be auto, newton or picard")
-        if self.tol <= 0:
-            raise ValidationError("tolerances must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValidationError("tolerances must be positive and finite")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be >= 1")
 

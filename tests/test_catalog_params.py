@@ -1,6 +1,7 @@
 """Catalog parameters: every factory rejects a parameter its kind does not
-take, a value that is not a number and a non-finite number, and the CLI schema declares the same kinds
-with the same parameter names as the library's catalog tables."""
+take, a value that is not a number and a non-finite number. The CLI schema
+reads its catalog kinds and parameters off the library's tables, so only
+its hand-declared open sets are checked against their factories."""
 
 import inspect
 import math
@@ -10,8 +11,7 @@ import pytest
 from epigraph_lab import (ValidationError, geometry, make_epigraph,
                           make_nonlinearity, revolution_set)
 from epigraph_lab.cli import _SECTIONS
-from epigraph_lab.geometry import _OPEN_SETS, _PROFILES, _RADII
-from epigraph_lab.nonlinearity import _KINDS
+from epigraph_lab.geometry import _OPEN_SETS
 
 # each used to be accepted: the key was dropped or stored, or the
 # non-finite number reached the formulas
@@ -46,31 +46,6 @@ NOT_NUMBERS = {
 def test_factories_name_a_parameter_that_is_not_a_number(make, key):
     with pytest.raises(ValidationError, match=f"'{key}' must be a number"):
         make()
-
-
-# the CLI reads the table kinds' arrays from a two-column CSV
-CSV_PARAMS = {"custom_table": {"ts", "fs"}, "custom_sampled": {"axes", "values"},
-              "samples": {"xs", "phis"}}
-
-
-def _schema_params(kind: str, case: dict) -> set:
-    """The library parameters that the schema of one kind supplies."""
-    if "csv" in case:
-        return CSV_PARAMS[kind]
-    if "params" in case:            # domain kinds nest them under "params"
-        return set(case["params"][0])
-    return set(case)
-
-
-@pytest.mark.parametrize("schema,table", [
-    (_SECTIONS["nonlinearity"], _KINDS),
-    (_SECTIONS["domain"].cases["epigraph"], _PROFILES),
-    (_SECTIONS["domain"].cases["revolution"], _RADII),
-], ids=["nonlinearity", "epigraph", "revolution"])
-def test_schema_and_table_declare_the_same_parameters(schema, table):
-    assert set(schema.cases) == set(table)
-    for kind, case in schema.cases.items():
-        assert _schema_params(kind, case) == set(table[kind].defaults), kind
 
 
 def test_schema_and_table_declare_the_same_open_sets():

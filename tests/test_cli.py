@@ -567,18 +567,29 @@ def _table_solve(kind, text):
     return make
 
 
-# values each rejected by one schema or loader check, with the message
-# that names the cause; the last three are tables np.interp would misread
+def _weierstrass(**params):
+    return _with(_section, domain={
+        "kind": "epigraph", "profile": "weierstrass", "params": params})
+
+
+# values each rejected by one schema, library or loader check, with the
+# message that names the cause; the last three are tables np.interp would
+# misread
 REJECTED_CONFIGS = {
     "method_unknown": (_with(torsion_config, params__method="fast"),
                        "params.method"),
     "grid_without_h": (lambda tmp_path: dict(
         torsion_config(tmp_path / "out"), grid={"box": [[0.0, 1.0]]}),
         "grid needs 'h'"),
-    # the series keeps its phases in 32-bit limbs, so b must stay below 2^32
-    "weierstrass_base_oversize": (_with(_section, domain={
-        "kind": "epigraph", "profile": "weierstrass", "params": {"b": 2**32}}),
-        "domain.params.b must be an integer in [2, 2^32)"),
+    # the schema types b by its default, an integer
+    "weierstrass_base_float": (_weierstrass(b=2.0),
+                               "domain.params.b must be an integer"),
+    # the series keeps its phases in 32-bit limbs, so b must stay below
+    # 2^32; the library checks that range, and tol's, as it builds the domain
+    "weierstrass_base_oversize": (_weierstrass(b=2**32),
+                                  "base must be an integer in [2, 2^32)"),
+    "weierstrass_tol_zero": (_weierstrass(tol=0.0),
+                             "tolerance must be positive"),
     "csv_missing": (_table_solve("epigraph", None), "cannot read"),
     "csv_one_row": (_table_solve("epigraph", "x,g\n0,0\n"),
                     "needs a header and >= 2 rows"),
@@ -624,6 +635,7 @@ def test_rejection_names_its_cause(tmp_path, capsys, name):
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "validation error:" in err and message in err
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_null_face_policy_is_the_default(tmp_path):

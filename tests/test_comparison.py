@@ -12,11 +12,14 @@ from epigraph_lab import (
     SolvePolicy,
     ValidationError,
     assemble_laplacian,
+    brandt_check,
     build_grid,
+    cap_sweep,
     comparison_test,
     cosh_mode,
     epsilon_bounded,
     growth_counterexample,
+    make_epigraph,
     make_nonlinearity,
     ordered_pair,
     revolution_set,
@@ -259,6 +262,31 @@ class TestSymmetry:
             return q
         with pytest.raises(ValidationError, match="isometry not grid-aligned"):
             symmetry_test(g, f, mirror)
+
+
+# each probe used to let a NaN or infinite tolerance through its "<= 0"
+# guard: cap_sweep called u = 4 - x2 monotone up to the window's middle,
+# symmetry_test and uniqueness_test passed any defect or restart norm, and
+# brandt_check raised a bare ValueError
+PROBES = {
+    "cap_sweep": lambda u, t: cap_sweep(u, None, tol=t),
+    "symmetry_test": lambda u, t: symmetry_test(
+        u.grid, make_nonlinearity("constant"), lambda p: p, tol=t, solution=u),
+    "uniqueness_test": lambda u, t: uniqueness_test(
+        u.grid, make_nonlinearity("allen_cahn"), tol=t),
+    "brandt_check": lambda u, t: brandt_check(
+        u, np.zeros(u.grid.n_interior), u.grid.points[0], t),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("probe", PROBES.values(), ids=PROBES)
+def test_probe_tolerance_must_be_positive_and_finite(probe, value):
+    g = build_grid(make_epigraph("half_space"), [[-2.0, 2.0], [0.0, 4.0]], 0.25)
+    u = SolutionField(grid=g, values=4.0 - g.points[:, 1],
+                      trace=lambda p: 4.0 - p[:, -1], method="closed_form")
+    with pytest.raises(ValidationError, match="must be positive and finite"):
+        probe(u, value)
 
 
 class TestGrowthCounterexample:

@@ -163,6 +163,16 @@ def test_policy_validation():
         SolvePolicy(max_iter=0).validate()
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan], ids=["inf", "nan"])
+def test_non_finite_tol_is_rejected(tol):
+    # inf used to return the unconverged torsion lift as a solution, with
+    # residual 0.375, and nan to raise ConvergenceError
+    g = build_grid(make_epigraph("arc_bump"), [[-2.0, 2.0], [0.0, 4.0]], 1 / 8)
+    with pytest.raises(ValidationError, match="positive and finite"):
+        solve_semilinear(g, make_nonlinearity("allen_cahn"), trace=0.5,
+                         policy=SolvePolicy(tol=tol))
+
+
 @pytest.mark.parametrize("method", ["newton", "picard"])
 def test_nan_residual_is_not_converged(method):
     # NaN > tol is false, so a NaN residual must never read as converged
