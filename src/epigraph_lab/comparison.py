@@ -104,8 +104,8 @@ def _interval_eigen(S: float, cells: int) -> float:
 
 def threshold_scan(L: float, widths, cells: int = 128) -> ComparisonReport:
     """Discrete lambda_1 per width; failure width = first crossing below L."""
-    if L <= 0:
-        raise ValidationError("L must be positive")
+    if not 0 < L < math.inf:
+        raise ValidationError("L must be positive and finite")
     widths = [float(w) for w in widths]
     if not widths or any(w <= 0 for w in widths) or \
             any(b <= a for a, b in zip(widths, widths[1:])):
@@ -142,7 +142,7 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
     hypothesis_ok = lam1 > L
     rng = np.random.default_rng(seed)
     restarts = []
-    worst = None
+    worst = 0.0
     for k in range(n_restarts):
         init = rng.uniform(-amplitude, amplitude, op.n)
         try:
@@ -151,8 +151,7 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
             norm = sol.max_norm
             restarts.append({"restart": k, "norm": norm,
                              "iterations": sol.iterations, "outcome": "converged"})
-            if worst is None or norm > worst[0]:
-                worst = (norm, sol.values)
+            worst = max(worst, norm)
         except LabError as exc:
             restarts.append({"restart": k, "norm": None,
                              "outcome": f"{type(exc).__name__}: {exc}"})
@@ -163,8 +162,8 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
                if r["outcome"] != "converged" or r["norm"] > tol]
         if bad:
             witness = {"restarts": [r["restart"] for r in bad]}
-            if worst is not None and worst[0] > tol:
-                witness["values_max_norm"] = worst[0]
+            if worst > tol:
+                witness["values_max_norm"] = worst
     else:
         meta["status"] = "hypothesis violated: S >= threshold"
     return ComparisonReport(L=L, lambda1=lam1,

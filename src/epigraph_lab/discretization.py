@@ -289,12 +289,6 @@ class SparseOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.n,):
-            raise ValidationError("field length does not match operator dimension")
-        return self.matrix @ u
-
 
 def _folded_arms(grid: DomainGrid):
     """Resolve mirror arms onto their opposite side.

@@ -6,6 +6,14 @@ NumericalError means the computation itself failed or refused (CLI exit 3).
 
 import math
 
+__all__ = [
+    "LabError",
+    "ValidationError",
+    "NumericalError",
+    "ConvergenceError",
+    "JacobianSingularError",
+]
+
 
 class LabError(Exception):
     pass

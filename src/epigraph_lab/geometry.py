@@ -41,8 +41,6 @@ __all__ = [
     "OPEN_SET_KINDS",
     "make_epigraph",
     "eval_g",
-    "reflect",
-    "cap_membership",
     "section_measure",
     "strip_set",
     "winged_strip_set",
@@ -316,24 +314,6 @@ def make_epigraph(kind: str, dimension: int = 2, normalize: bool = True, **param
     entry, params = check_params(_PROFILES, kind, "epigraph kind", params, dimension)
     shift = entry.shift(params, dimension) if normalize else 0.0
     return EpigraphSpec(dimension=dimension, kind=kind, params=params, shift=shift)
-
-
-def reflect(x, lam: float):
-    """Mirror a point (or batch) across the horizontal plane at height lam."""
-    a = np.asarray(x, dtype=float)
-    out = a.copy()
-    out[..., -1] = 2.0 * lam - a[..., -1]
-    return out
-
-
-def cap_membership(spec: EpigraphSpec, x, lam: float):
-    """True iff x lies in the slab between the graph of g and height lam."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    gvals = _eval_g_batch(spec, pts[:, :-1])
-    inside = (pts[:, -1] > gvals) & (pts[:, -1] < lam)
-    if np.asarray(x).ndim == 1:
-        return bool(inside[0])
-    return inside
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,8 @@ def hopf_slope_check(u: SolutionField, lam: float, buffer: int = 3) -> HopfRepor
 
     The cap difference w = u_lambda - u vanishes on the plane, so its
     one-sided derivative from below is (-4 w(lam-h) + w(lam-2h)) / (2h)."""
+    if not math.isfinite(lam):
+        raise ValidationError("lambda must be finite")
     grid = u.grid
     h = grid.h
     lo = grid.box[-1, 0]

@@ -28,7 +28,6 @@ from .errors import ValidationError
 __all__ = [
     "SCHEMA_VERSION",
     "format_float",
-    "atomic_write_text",
     "write_csv",
     "write_json",
     "read_json",

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from epigraph_lab import (
+    ConvergenceError,
     NumericalError,
     SolutionField,
     SolvePolicy,
@@ -19,6 +20,7 @@ from epigraph_lab import (
     cosh_mode,
     epsilon_bounded,
     growth_counterexample,
+    hopf_slope_check,
     make_epigraph,
     make_nonlinearity,
     ordered_pair,
@@ -136,6 +138,18 @@ class TestThresholdScan:
             threshold_scan(1.0, [-1.0, 2.0])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("probe", [
+    lambda L: threshold_scan(L, [1.0, 2.0]),
+    lambda lam: hopf_slope_check(
+        SolutionField(grid=interval_grid(0.0, 2.0, 0.25), values=np.zeros(7)),
+        lam),
+], ids=["threshold_scan", "hopf_slope_check"])
+def test_probes_reject_non_finite_inputs(probe, value):
+    with pytest.raises(ValidationError, match="finite"):
+        probe(value)
+
+
 class TestUniqueness:
     def test_narrow_strip_only_zero(self):
         g = interval_grid(0.0, 2.0, 1.0 / 32)
@@ -152,6 +166,30 @@ class TestUniqueness:
         expected = 2.0 / h**2 * (1.0 - math.cos(math.pi / 64))
         assert rep.lambda1 == pytest.approx(expected, rel=1e-8)
         assert rep.L == 1.0
+
+    def test_witness_lists_failed_and_nonzero_restarts(self, monkeypatch):
+        # restart 0 raises, restart 1 converges to u = 0.5 while lambda_1 > L
+        outcomes = iter([ConvergenceError("no convergence: stub"), 0.5])
+
+        def stub(grid, f, trace=0.0, policy=None, op=None):
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return SolutionField(grid=grid, values=np.full(op.n, outcome),
+                                 iterations=1, method="newton")
+
+        monkeypatch.setattr("epigraph_lab.comparison.solve_semilinear", stub)
+        g = interval_grid(0.0, 2.0, 1.0 / 32)
+        rep = uniqueness_test(g, make_nonlinearity("linear", slope=1.0),
+                              n_restarts=2)
+        assert "status" not in rep.meta
+        assert not rep.comparison_holds
+        assert rep.witness == {"restarts": [0, 1], "values_max_norm": 0.5}
+        failed, nonzero = rep.meta["restarts"]
+        assert failed["outcome"] == "ConvergenceError: no convergence: stub"
+        assert failed["norm"] is None
+        assert nonzero["outcome"] == "converged"
+        assert nonzero["norm"] == 0.5
 
     def test_wide_strip_flags_hypothesis(self):
         g = interval_grid(0.0, 3.3, 3.3 / 64)

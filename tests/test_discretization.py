@@ -177,7 +177,7 @@ class TestStencilExactness:
         op = assemble_laplacian(disk_grid)
         rng = np.random.default_rng(3)
         u = rng.normal(size=disk_grid.n_interior)
-        direct = op.apply(u) - boundary_rhs(op, trace=0.7)
+        direct = op.matrix @ u - boundary_rhs(op, trace=0.7)
         gathered = stencil_residual(disk_grid, u, trace=0.7)
         assert np.max(np.abs(direct - gathered)) <= 1e-10
 
@@ -186,10 +186,10 @@ def test_single_interior_node_operator():
     g = build_grid(strip_set(-1.0, 2.0, dimension=1), [[0.0, 1.0]], 0.5)
     assert g.n_interior == 1
     op = assemble_laplacian(g)
-    assert op.apply(np.array([3.0])) == pytest.approx([3.0 * 2.0 / 0.25])
+    assert op.matrix @ np.array([3.0]) == pytest.approx([3.0 * 2.0 / 0.25])
     # constant trace 1 makes u = 1 the exact solution of -u'' = 0
     b = boundary_rhs(op, trace=1.0)
-    assert (op.apply(np.array([1.0])) - b) == pytest.approx([0.0], abs=1e-13)
+    assert (op.matrix @ np.array([1.0]) - b) == pytest.approx([0.0], abs=1e-13)
 
 
 def test_operator_linearity(disk_grid):
@@ -197,8 +197,8 @@ def test_operator_linearity(disk_grid):
     rng = np.random.default_rng(11)
     u = rng.normal(size=op.n)
     v = rng.normal(size=op.n)
-    lhs = op.apply(2.5 * u - 0.5 * v)
-    rhs = 2.5 * op.apply(u) - 0.5 * op.apply(v)
+    lhs = op.matrix @ (2.5 * u - 0.5 * v)
+    rhs = 2.5 * (op.matrix @ u) - 0.5 * (op.matrix @ v)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
 

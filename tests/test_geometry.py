@@ -1,4 +1,4 @@
-"""Domain catalog, reflections and directional section measures."""
+"""Domain catalog and directional section measures."""
 
 import math
 
@@ -14,8 +14,6 @@ from epigraph_lab import (
     build_grid,
     make_epigraph,
     eval_g,
-    reflect,
-    cap_membership,
     strip_set,
     winged_strip_set,
     under_parabola_set,
@@ -197,47 +195,6 @@ def test_exp_profile_membership():
     spec = make_epigraph("exp_x1", dimension=2)
     assert spec.contains(np.array([[0.0, 1.5]]))[0]
     assert not spec.contains(np.array([[0.0, 0.5]]))[0]
-
-
-@pytest.mark.parametrize("point,lam,expected", [
-    ((0.0, 0.5), 1.0, (0.0, 1.5)),
-    ((0.0, 1.0), 1.0, (0.0, 1.0)),   # fixed plane
-])
-def test_reflect_values(point, lam, expected):
-    got = reflect(np.array(point), lam)
-    assert np.allclose(got, expected, atol=0)
-
-
-def test_reflect_is_an_involution():
-    rng = np.random.default_rng(5)
-    pts = rng.normal(size=(40, 3))
-    lam = 0.75
-    back = reflect(reflect(pts, lam), lam)
-    # one rounding each way: 2*lam - (2*lam - x)
-    assert np.allclose(back, pts, rtol=0, atol=5e-15)
-
-
-def test_reflect_only_touches_last_coordinate():
-    p = np.array([3.0, -2.0, 0.25])
-    q = reflect(p, 1.0)
-    assert np.array_equal(q[:2], p[:2])
-    assert q[2] == 1.75
-
-
-@pytest.mark.parametrize("point,lam,inside", [
-    ((0.0, 0.5), 1.0, True),
-    ((0.0, 1.5), 1.0, False),
-])
-def test_cap_membership_half_space(point, lam, inside):
-    spec = make_epigraph("half_space", dimension=2)
-    assert bool(cap_membership(spec, np.array(point), lam)) is inside
-
-
-def test_cap_membership_above_arc_plateau():
-    # g = 2 at x = 3, so (3, 2.5) sits in the cap below lambda = 3
-    spec = make_epigraph("arc_bump", dimension=2)
-    assert bool(cap_membership(spec, np.array([3.0, 2.5]), 3.0))
-    assert not bool(cap_membership(spec, np.array([3.0, 1.5]), 3.0))
 
 
 class TestOpenSets:

@@ -79,7 +79,7 @@ def test_reported_residual_is_independent():
     f = make_nonlinearity("constant", value=1.0)
     sol = solve_semilinear(g, f)
     op = assemble_laplacian(g)
-    manual = op.apply(sol.values) - boundary_rhs(op, 0.0) - 1.0
+    manual = op.matrix @ sol.values - boundary_rhs(op, 0.0) - 1.0
     gather = stencil_residual(g, sol.values, 0.0) - 1.0
     assert np.max(np.abs(manual)) <= sol.residual_norm + 1e-12
     assert abs(np.max(np.abs(gather)) - sol.residual_norm) <= 1e-15
@@ -483,10 +483,10 @@ class TestSharedFactors:
         assert call_counts == {"splu": 0, "bicgstab": 1}
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="the absolute max-norm residual stalls at 4.4e-10 "
-                          "next to the cusp, whose diagonal grows like 32/h^4")
 def test_cusp_front_converges_at_fine_h():
+    # the absolute max-norm residual stalls at 4.4e-10 next to the cusp, whose
+    # diagonal grows like 32/h^4: only the componentwise backward-error test
+    # can stop there
     g = build_grid(make_epigraph("arc_bump"), [[-1.0, 1.0], [0.0, 4.0]], 1.0 / 64)
     assert g.n_interior == 22799
     sol = solve_semilinear(g, make_nonlinearity("allen_cahn"), trace=tanh_trace,
