@@ -246,7 +246,8 @@ _KINDS = {
         defaults={"slope": 1.0},
         nonincreasing=lambda p: p["slope"] <= 0.0),
     "allen_cahn": _Kind(
-        lambda t, p: t - t**3,
+        # t * t * t, not t**3: NumPy sends the cube through pow, 25x slower
+        lambda t, p: t - t * t * t,
         lambda t, p: 1.0 - 3.0 * t**2,
         # |f'| = |1 - 3 t^2| peaks at an end of [m, M] or at t = 0
         lambda p, m, M: max(abs(1.0 - 3.0 * m * m), abs(1.0 - 3.0 * M * M),

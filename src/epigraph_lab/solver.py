@@ -16,12 +16,17 @@ with the exact Jacobian J(u) = A - diag(f'(u)). The latest Jacobian LU of a
 Newton solve is kept on the operator (``SparseOperator._jac_lu``) and
 preconditions every later step with a nonzero f', in this solve and in later
 Newton solves on that operator (a lagged preconditioner: Knoll & Keyes,
-JCP 193, 2004): BiCGSTAB solves J(u_k) delta = -F(u_k) to a relative
-residual of 1e-10 within 10 iterations. A step refactorizes J(u_k), replaces
-the kept LU and is solved exactly when there is none yet, when BiCGSTAB fails
-(nonzero info or a non-finite step) or when its step reaches the damping
-floor. So a Newton solve's last bits depend on the Newton solves before it on
-its operator; the same sequence of calls reruns bit-identically.
+JCP 193, 2004): BiCGSTAB solves J(u_k) delta = -F(u_k) within 10 iterations
+to the relative residual max(1e-10, min(0.1, res_k / res_0)), res_k and res_0
+being the max-norm residuals at u_k and at the initial guess. That inexact
+Newton forcing term is O(||F(u_k)||), so it keeps the local quadratic
+convergence (Dembo, Eisenstat & Steihaug, SINUM 19, 1982) and spends few
+Krylov iterations on the early steps, whose accuracy the next step discards.
+A step refactorizes J(u_k), replaces the kept LU and is solved exactly when
+there is none yet, when BiCGSTAB fails (nonzero info or a non-finite step) or
+when its step reaches the damping floor. So a Newton solve's last bits depend
+on the Newton solves before it on its operator; the same sequence of calls
+reruns bit-identically.
 A nonlinearity that declares a derivative blowing up somewhere
 (``Nonlinearity.derivative_unbounded``: ``sqrt_saturation``,
 ``double_front_source``, ``power`` with exponent below 1) is routed to the
@@ -69,7 +74,10 @@ __all__ = [
 
 _DAMPING_FLOOR = 2.0 ** -10
 _KRYLOV_TOL = 1e-13
-_NEWTON_KRYLOV_TOL = 1e-10
+# the forcing term of a Newton step's BiCGSTAB, O(res_k): its relative
+# residual is max(_FORCING_MIN, min(_FORCING_MAX, res_k / res_0))
+_FORCING_MAX = 0.1
+_FORCING_MIN = 1e-10
 _NEWTON_KRYLOV_MAXITER = 10
 _LU_MAX_DIMENSION = 2
 # k eps with k = 4: the componentwise backward-error floor of the stopping test
@@ -232,13 +240,15 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
 
     Newton keeps one Jacobian LU per operator, on ``op``: a step with f' not
     identically zero runs BiCGSTAB preconditioned by the latest LU of
-    A - diag(f'(u)) that a Newton solve on ``op`` factorized, and
-    refactorizes at u only when there is none yet, BiCGSTAB fails or its
-    step fails the line search (then the exact step is retried once before
-    ConvergenceError). The first Newton solve on an operator therefore
-    factorizes its first Jacobian; a later one may factorize nothing, and
-    its last bits depend on the Newton solves before it on ``op``. Steps
-    with f' identically zero and Picard use the operator's shared LU of A."""
+    A - diag(f'(u)) that a Newton solve on ``op`` factorized, to the relative
+    residual max(1e-10, min(0.1, res_k / res_0)) (the max-norm residuals at
+    the iterate and at the initial guess), and refactorizes at u only when
+    there is none yet, BiCGSTAB fails or its step fails the line search
+    (then the exact step is retried once before ConvergenceError). The first
+    Newton solve on an operator therefore factorizes its first Jacobian; a
+    later one may factorize nothing, and its last bits depend on the Newton
+    solves before it on ``op``. Steps with f' identically zero and Picard
+    use the operator's shared LU of A."""
     policy = policy or SolvePolicy()
     policy.validate()
     if op is None:
@@ -265,12 +275,17 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         r = op.matrix @ u - b - fu
         return r, float(np.abs(r).max()), fu
 
+    abs_matrix = None   # |A|, built the first time the normwise test fails
+
     def converged(u, r, res, fu):
         """res <= tol, or every row within max(tol, k eps s_i) with
         s = |A||u| + |b| + |f(u)|: the rounding of evaluating row i."""
+        nonlocal abs_matrix
         if res <= policy.tol:
             return True
-        s = abs(op.matrix) @ np.abs(u) + np.abs(b) + np.abs(fu)
+        if abs_matrix is None:
+            abs_matrix = abs(op.matrix)
+        s = abs_matrix @ np.abs(u) + np.abs(b) + np.abs(fu)
         return bool((np.abs(r) <= np.maximum(policy.tol, _BACKWARD_FLOOR * s)).all())
 
     def line_search(u, res, delta):
@@ -307,7 +322,8 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         lu = op._jac_lu   # the latest Jacobian LU of a Newton solve on op
         if lu is not None:
             pre = spla.LinearOperator(jac.shape, matvec=lu.solve, dtype=float)
-            delta, info, _ = _bicgstab(jac, -r, pre, _NEWTON_KRYLOV_TOL,
+            rtol = max(_FORCING_MIN, min(_FORCING_MAX, res / res0))
+            delta, info, _ = _bicgstab(jac, -r, pre, rtol,
                                        _NEWTON_KRYLOV_MAXITER)
             if info == 0 and np.isfinite(delta).all():
                 step = line_search(u, res, delta)
@@ -323,6 +339,7 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
 
     step = newton_step if method == "newton" else picard_step
     r, res, fu = residual(u)
+    res0 = res   # the initial guess's residual, which scales the forcing
     iters = 0
     while not converged(u, r, res, fu):
         if iters == policy.max_iter:

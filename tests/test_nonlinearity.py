@@ -140,6 +140,14 @@ def test_eval_f_vectorized():
     assert out[0] == 0.0 and out[2] == 0.0
 
 
+def test_allen_cahn_cube_by_multiplication_matches_pow():
+    # t * t * t rounds twice where pow rounds once: a few eps of t and t^3
+    ts = np.random.default_rng(0).uniform(-3.0, 3.0, 10001)
+    out = eval_f(make_nonlinearity("allen_cahn"), ts)
+    bound = 4 * np.finfo(float).eps * (np.abs(ts) + np.abs(ts) ** 3)
+    assert (np.abs(out - (ts - ts ** 3)) <= bound).all()
+
+
 @pytest.mark.parametrize("kind,params,interval,expected", [
     ("linear", {"slope": -1.5}, (0.0, 5.0), 1.5),
     ("constant", {"value": 3.0}, (0.0, 1.0), 0.0),

@@ -322,6 +322,26 @@ def call_counts(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def krylov_log(monkeypatch):
+    """Record each call of SciPy's bicgstab: its ``rtol``, the max norm of its
+    right-hand side (the Newton residual at the iterate) and its iteration
+    count (callback calls)."""
+    log, bicgstab = [], spla.bicgstab
+
+    def logged(matrix, rhs, callback, **kwargs):
+        entry = {"rtol": kwargs["rtol"], "rhs": float(np.abs(rhs).max()),
+                 "iterations": 0}
+        log.append(entry)
+
+        def counted(x):
+            entry["iterations"] += 1
+            callback(x)
+        return bicgstab(matrix, rhs, callback=counted, **kwargs)
+    monkeypatch.setattr(spla, "bicgstab", logged)
+    return log
+
+
 def arc_bump_operator():
     g = build_grid(make_epigraph("arc_bump"), [[-2.0, 2.0], [0.0, 3.0]], 1.0 / 8)
     return g, assemble_laplacian(g)
@@ -422,9 +442,9 @@ class TestSharedFactors:
         assert np.abs(sol.values - ref.values).max() <= 1e-12
 
     # the LU of A + 5 I (slope -5) preconditions the front's Jacobians well
-    # enough; that of A - 5 I (slope 5) does not, so BiCGSTAB fails and the
-    # first step refactorizes and replaces the LU
-    @pytest.mark.parametrize("slope,splu", [(-5.0, 0), (5.0, 1)])
+    # enough; that of A - 20 I (slope 20) does not, so BiCGSTAB fails at a
+    # step, which refactorizes and replaces the LU
+    @pytest.mark.parametrize("slope,splu", [(-5.0, 0), (20.0, 1)])
     def test_newton_solve_inherits_another_nonlinearitys_lu(
             self, call_counts, slope, splu):
         op = arc_bump_operator()[1]
@@ -464,15 +484,21 @@ class TestSharedFactors:
         assert sol.meta["residual_internal"] <= SolvePolicy().tol
         assert np.abs(sol.values - allen_cahn_front().values).max() <= 1e-12
 
-    @pytest.mark.parametrize("f", [make_nonlinearity("allen_cahn"),
-                                   make_nonlinearity("linear", slope=1.0)],
+    # BiCGSTAB iterations over all restarts: allen_cahn's 11 calls took 27
+    # with every step solved to 1e-10 and take 12 with the forcing; linear's
+    # Jacobian is the matrix of the kept LU
+    @pytest.mark.parametrize("f,krylov_iterations",
+                             [(make_nonlinearity("allen_cahn"), 26),
+                              (make_nonlinearity("linear", slope=1.0), 0)],
                              ids=["allen_cahn", "linear"])
-    def test_uniqueness_restarts_share_one_jacobian_lu(self, call_counts, f):
+    def test_uniqueness_restarts_share_one_jacobian_lu(
+            self, call_counts, krylov_log, f, krylov_iterations):
         # one LU of A for the eigenpair and one Jacobian LU for all restarts
         g = build_grid(strip_set(0.0, 1.0), [[0.0, 2.0], [0.0, 1.0]], 0.125)
         rep = uniqueness_test(g, f, n_restarts=4, amplitude=0.5)
         assert [r["outcome"] for r in rep.meta["restarts"]] == ["converged"] * 4
         assert call_counts["splu"] == 2
+        assert sum(c["iterations"] for c in krylov_log) <= krylov_iterations
 
     def test_three_dimensional_lift_runs_bicgstab(self, call_counts):
         dom = make_epigraph("half_space", dimension=3)
@@ -481,6 +507,35 @@ class TestSharedFactors:
         assert sol.meta["lift"] == "bicgstab"
         assert sol.iterations == 0
         assert call_counts == {"splu": 0, "bicgstab": 1}
+
+
+class TestForcing:
+    """Each Newton step's BiCGSTAB runs to the relative residual
+    max(1e-10, min(0.1, res_k / res_0)) (Dembo, Eisenstat & Steihaug,
+    SINUM 19, 1982)."""
+
+    def test_rtol_follows_the_newton_residual(self, krylov_log):
+        # the second front on op inherits the first one's LU, so every step
+        # runs BiCGSTAB and the first call's right-hand side is -F(u_0)
+        op = arc_bump_operator()[1]
+        allen_cahn_front(op)
+        krylov_log.clear()
+        sol = allen_cahn_front(op)
+        assert len(krylov_log) == sol.iterations > 2
+        res0 = krylov_log[0]["rhs"]
+        for call in krylov_log:
+            assert call["rtol"] == max(1e-10, min(0.1, call["rhs"] / res0))
+        assert krylov_log[0]["rtol"] == 0.1
+        assert krylov_log[-1]["rtol"] == 1e-10
+
+    def test_front_iterations_match_exact_newton(self, monkeypatch,
+                                                 zero_krylov):
+        # loose early steps cost no Newton step, on a fresh operator or one
+        # whose inherited LU preconditions every step
+        op = arc_bump_operator()[1]
+        inexact = [allen_cahn_front(op).iterations for _ in range(2)]
+        monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=1))
+        assert inexact == [allen_cahn_front().iterations] * 2
 
 
 def test_cusp_front_converges_at_fine_h():
