@@ -20,9 +20,10 @@ import scipy.sparse as sp
 from . import closed_forms
 from .discretization import (ARM_CUT, ARM_LATTICE, as_trace, assemble_laplacian,
                              build_grid, stencil_residual)
-from .errors import LabError, ValidationError
-from .nonlinearity import Nonlinearity, epsilon_bounded, lipschitz_on
-from .solver import (SolutionField, SolvePolicy, factorize,
+from .errors import JacobianSingularError, LabError, ValidationError
+from .nonlinearity import (Nonlinearity, epsilon_bounded, eval_f_prime,
+                           lipschitz_on)
+from .solver import (SolutionField, SolvePolicy, _keep_jacobian_lu, factorize,
                      principal_eigenpair, solve_semilinear)
 
 __all__ = [
@@ -129,7 +130,16 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
     The operative hypothesis lambda_1 > L is checked first (L taken on the
     declared working range [-amplitude, amplitude]); when it fails the report
     carries a "hypothesis violated" status instead of asserting, and restart
-    outcomes are recorded as-is."""
+    outcomes are recorded as-is.
+
+    Every restart is a Newton solve on one shared operator, linearized once
+    at the solution under test: the LU of J(0) = A - diag(f'(0)) is kept on
+    the operator before the first restart and preconditions every restart's
+    BiCGSTAB steps, which run near u = 0 once the iterates settle. With
+    f'(0) = 0, J(0) = A shares A's LU and nothing more is factorized. A
+    nonlinearity whose derivative is unbounded takes the Picard route and
+    gets no J(0); a singular J(0) keeps nothing, and the first restart
+    factorizes the Jacobian at its iterate instead."""
     if not math.isnan(f.f0) and f.f0 != 0.0:
         raise ValidationError("uniqueness probe needs f(0) = 0")
     if n_restarts < 1:
@@ -140,6 +150,11 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
     lam1 = principal_eigenpair(op).lambda1
     L = lipschitz_on(f, (-amplitude, amplitude))
     hypothesis_ok = lam1 > L
+    if f.f0 == 0.0 and not f.derivative_unbounded:
+        try:
+            _keep_jacobian_lu(op, eval_f_prime(f, np.zeros(op.n)))
+        except JacobianSingularError:
+            pass
     rng = np.random.default_rng(seed)
     restarts = []
     worst = 0.0

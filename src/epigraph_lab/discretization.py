@@ -271,11 +271,13 @@ class SparseOperator:
     Immutable once ``assemble_laplacian`` returns it: nothing writes to
     ``matrix`` afterwards, so ``solver`` keeps the matrix's LU factors on the
     operator (``_lu``) and every solve with this operator reuses them. Next
-    to them sits the latest Jacobian LU that a Newton solve on this operator
-    factorized (``_jac_lu``); the next Newton solve on it starts from that LU
-    as its BiCGSTAB preconditioner. A solve's last bits therefore depend on
-    the Newton solves that ran on the operator before it; rerunning the same
-    sequence of calls gives bit-identical results."""
+    to them sits the latest Jacobian LU kept on this operator (``_jac_lu``):
+    the last one a Newton solve factorized, or one kept before any solve, as
+    ``uniqueness_test`` keeps that of J(0) = A - diag(f'(0)). The next Newton
+    solve on the operator starts from that LU as its BiCGSTAB
+    preconditioner. A solve's last bits therefore depend on what ran on the
+    operator before it; rerunning the same sequence of calls gives
+    bit-identical results."""
 
     matrix: sp.csr_matrix
     bc_rows: np.ndarray

@@ -47,12 +47,18 @@ def format_float(x) -> str:
 
 
 def atomic_write_text(path: str, text: str):
-    """Write-then-rename so readers never observe a partial file."""
+    """Write-then-rename so readers never observe a partial file. Text with
+    no UTF-8 bytes (a lone surrogate) raises ValidationError and writes
+    nothing."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            try:
+                fh.write(text)
+            except UnicodeEncodeError as exc:
+                raise ValidationError(
+                    f"text not encodable as UTF-8: {exc.reason}") from exc
         # mkstemp creates 0600; give the file what open() would: 0666 & ~umask
         umask = os.umask(0)
         os.umask(umask)

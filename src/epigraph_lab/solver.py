@@ -24,9 +24,12 @@ convergence (Dembo, Eisenstat & Steihaug, SINUM 19, 1982) and spends few
 Krylov iterations on the early steps, whose accuracy the next step discards.
 A step refactorizes J(u_k), replaces the kept LU and is solved exactly when
 there is none yet, when BiCGSTAB fails (nonzero info or a non-finite step) or
-when its step reaches the damping floor. So a Newton solve's last bits depend
-on the Newton solves before it on its operator; the same sequence of calls
-reruns bit-identically.
+when its step reaches the damping floor. A caller that knows where the
+iterates will settle may keep that Jacobian's LU first: ``uniqueness_test``
+keeps the LU of J(0) = A - diag(f'(0)) (A's own LU when f'(0) = 0) before
+its restarts, all of which should end at u = 0. So a Newton solve's last
+bits depend on the Newton solves and the LU kept before it on its operator;
+the same sequence of calls reruns bit-identically.
 A nonlinearity that declares a derivative blowing up somewhere
 (``Nonlinearity.derivative_unbounded``: ``sqrt_saturation``,
 ``double_front_source``, ``power`` with exponent below 1) is routed to the
@@ -36,8 +39,9 @@ once every row meets the componentwise backward-error test
 |r_i| <= max(tol, 4 eps s_i) with s = |A||u| + |b| + |f(u)| (Oettli &
 Prager, Numer. Math. 6, 1964): near a cusp the cut-cell diagonal reaches
 1e8 and the rounding of (A u)_i alone exceeds ``tol``, so a normwise test
-never passes there. The loop raises ConvergenceError at ``max_iter``; each
-method supplies only its step.
+never passes there. A has the M-matrix sign pattern, so the test reads
+|A||u| as 2 diag(A)|u| - A|u| and never forms |A|. The loop raises
+ConvergenceError at ``max_iter``; each method supplies only its step.
 Newton raises on a non-finite residual, Picard runs on to its cap. Every
 returned field carries a residual that was recomputed through the
 independent gather-based stencil walker, not the solver's own matrix.
@@ -148,23 +152,41 @@ def _factors(op: SparseOperator):
     return op._lu
 
 
+def _keep_jacobian_lu(op: SparseOperator, fp: np.ndarray):
+    """Factorize the Jacobian J = A - diag(fp), keep its LU on ``op`` as the
+    Jacobian LU that preconditions later Newton steps, and return it. With fp
+    identically zero J is A, whose shared LU is kept instead. A singular J
+    raises JacobianSingularError and keeps nothing."""
+    if fp.any():
+        op._jac_lu = factorize(op.matrix - sp.diags(fp))
+    else:
+        op._jac_lu = _factors(op)
+    return op._jac_lu
+
+
 def _jacobi(matrix: sp.csr_matrix):
     # the diagonal sums 2 / (h^2 theta- theta+) with theta >= 1e-8: positive
     return sp.diags(1.0 / matrix.diagonal())
 
 
-def _bicgstab(matrix, rhs: np.ndarray, M, rtol: float, maxiter: int):
+def _bicgstab(matrix, rhs: np.ndarray, psolve, rtol: float, maxiter: int):
     """BiCGSTAB for matrix x = rhs from x = 0 to the relative residual
-    ``rtol``, preconditioned by ``M`` (an approximate inverse, or None).
-    Returns the solution, SciPy's info code and the iteration count."""
-    count = {"it": 0}
+    ``rtol``, preconditioned by ``psolve`` (x -> an approximate inverse
+    applied to x). Returns the solution, SciPy's info code and the iteration
+    count ceil(applications / 2): BiCGSTAB applies the preconditioner once
+    per half step, and a call that stops at a half step, which SciPy's
+    callback never sees, still counts that iteration."""
+    applications = 0
 
-    def cb(_):
-        count["it"] += 1
+    def counted(x):
+        nonlocal applications
+        applications += 1
+        return psolve(x)
 
+    pre = spla.LinearOperator(matrix.shape, matvec=counted, dtype=float)
     x, info = spla.bicgstab(matrix, rhs, rtol=rtol, atol=0.0, maxiter=maxiter,
-                            M=M, callback=cb)
-    return x, info, count["it"]
+                            M=pre)
+    return x, info, -(-applications // 2)
 
 
 def solve_linear(op: SparseOperator, rhs: np.ndarray) -> SolutionField:
@@ -187,7 +209,7 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> SolutionField:
         u = _factors(op).solve(rhs)
     else:
         path = "bicgstab"
-        u, info, iters = _bicgstab(op.matrix, rhs, _jacobi(op.matrix),
+        u, info, iters = _bicgstab(op.matrix, rhs, _jacobi(op.matrix).dot,
                                    _KRYLOV_TOL, min(40 * op.n + 100, 200000))
     resid = float(np.abs(op.matrix @ u - rhs).max())
     if info != 0:
@@ -245,10 +267,12 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
     the iterate and at the initial guess), and refactorizes at u only when
     there is none yet, BiCGSTAB fails or its step fails the line search
     (then the exact step is retried once before ConvergenceError). The first
-    Newton solve on an operator therefore factorizes its first Jacobian; a
-    later one may factorize nothing, and its last bits depend on the Newton
-    solves before it on ``op``. Steps with f' identically zero and Picard
-    use the operator's shared LU of A."""
+    Newton solve on an operator therefore factorizes its first Jacobian,
+    unless a Jacobian LU was kept on ``op`` before it (``uniqueness_test``
+    keeps that of J(0) = A - diag(f'(0))); a later one may factorize
+    nothing, and its last bits depend on the Newton solves and the LU kept
+    before it on ``op``. Steps with f' identically zero and Picard use the
+    operator's shared LU of A."""
     policy = policy or SolvePolicy()
     policy.validate()
     if op is None:
@@ -275,17 +299,15 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         r = op.matrix @ u - b - fu
         return r, float(np.abs(r).max()), fu
 
-    abs_matrix = None   # |A|, built the first time the normwise test fails
-
     def converged(u, r, res, fu):
         """res <= tol, or every row within max(tol, k eps s_i) with
-        s = |A||u| + |b| + |f(u)|: the rounding of evaluating row i."""
-        nonlocal abs_matrix
+        s = |A||u| + |b| + |f(u)|: the rounding of evaluating row i. A has
+        the M-matrix sign pattern (positive diagonal, off-diagonal <= 0), so
+        |A||u| = 2 diag(A)|u| - A|u| and |A| is never formed."""
         if res <= policy.tol:
             return True
-        if abs_matrix is None:
-            abs_matrix = abs(op.matrix)
-        s = abs_matrix @ np.abs(u) + np.abs(b) + np.abs(fu)
+        a = np.abs(u)
+        s = 2.0 * op.matrix.diagonal() * a - op.matrix @ a + np.abs(b) + np.abs(fu)
         return bool((np.abs(r) <= np.maximum(policy.tol, _BACKWARD_FLOOR * s)).all())
 
     def line_search(u, res, delta):
@@ -318,20 +340,17 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         if not fp.any():
             # with f' identically zero the Jacobian is A: reuse its factors
             return exact_step(u, res, _factors(op).solve(-r), iters)
-        jac = op.matrix - sp.diags(fp)
-        lu = op._jac_lu   # the latest Jacobian LU of a Newton solve on op
+        lu = op._jac_lu   # the latest Jacobian LU kept on op
         if lu is not None:
-            pre = spla.LinearOperator(jac.shape, matvec=lu.solve, dtype=float)
             rtol = max(_FORCING_MIN, min(_FORCING_MAX, res / res0))
-            delta, info, _ = _bicgstab(jac, -r, pre, rtol,
-                                       _NEWTON_KRYLOV_MAXITER)
+            delta, info, _ = _bicgstab(op.matrix - sp.diags(fp), -r, lu.solve,
+                                       rtol, _NEWTON_KRYLOV_MAXITER)
             if info == 0 and np.isfinite(delta).all():
                 step = line_search(u, res, delta)
                 if step is not None:
                     return step
         # no LU yet, or the Krylov step failed: refactorize at u, exact step
-        lu = op._jac_lu = factorize(jac)
-        return exact_step(u, res, lu.solve(-r), iters)
+        return exact_step(u, res, _keep_jacobian_lu(op, fp).solve(-r), iters)
 
     def picard_step(u, r, res, iters):
         u = _factors(op).solve(b + eval_f(f, u))

@@ -198,6 +198,18 @@ class TestUniqueness:
         assert rep.meta["status"] == "hypothesis violated: S >= threshold"
         assert rep.lambda1 < 1.0
 
+    def test_hypothesis_violated_restarts_are_recorded(self):
+        # lambda_1 of the width-4 strip is below f'(0) = 1, so J(0) = A - I
+        # is indefinite; it still preconditions the restarts, and their
+        # outcomes are recorded as they come
+        g = build_grid(strip_set(0.0, 4.0), [[0.0, 2.0], [0.0, 4.0]], 0.25)
+        rep = uniqueness_test(g, make_nonlinearity("allen_cahn"), n_restarts=6,
+                              amplitude=0.5)
+        assert rep.meta["status"] == "hypothesis violated: S >= threshold"
+        assert rep.lambda1 < 1.0
+        assert rep.witness is None
+        assert [r["restart"] for r in rep.meta["restarts"]] == list(range(6))
+
     @staticmethod
     def allen_cahn_restarts():
         """(norm, iterations) of each restart, on a fresh grid and operator."""
@@ -207,8 +219,9 @@ class TestUniqueness:
         return [(r["norm"], r["iterations"]) for r in rep.meta["restarts"]]
 
     def test_restarts_rerun_bit_identically(self):
-        # later restarts are preconditioned by an earlier restart's LU: the
-        # same sequence of solves gives the same bits
+        # a restart whose Krylov step fails replaces J(0)'s LU on the shared
+        # operator for the later ones: the same sequence of solves gives the
+        # same bits
         assert self.allen_cahn_restarts() == self.allen_cahn_restarts()
 
     def test_restart_iterations_match_exact_newton(self, monkeypatch,

@@ -26,6 +26,7 @@ from epigraph_lab import (
     tanh_front,
     uniqueness_test,
 )
+from epigraph_lab.solver import _bicgstab
 
 # smallest eigenvalue of (1/h^2) tridiag(-1, 2, -1), 3 nodes, h = 1/4:
 # 32 (1 - cos(pi/4)), frozen from a 20-digit evaluation
@@ -325,19 +326,21 @@ def call_counts(monkeypatch):
 @pytest.fixture
 def krylov_log(monkeypatch):
     """Record each call of SciPy's bicgstab: its ``rtol``, the max norm of its
-    right-hand side (the Newton residual at the iterate) and its iteration
-    count (callback calls)."""
+    right-hand side (the Newton residual at the iterate) and its
+    preconditioner applications (one per half step, so a call that returns
+    at the first half step counts 1)."""
     log, bicgstab = [], spla.bicgstab
 
-    def logged(matrix, rhs, callback, **kwargs):
+    def logged(matrix, rhs, M, **kwargs):
         entry = {"rtol": kwargs["rtol"], "rhs": float(np.abs(rhs).max()),
-                 "iterations": 0}
+                 "applications": 0}
         log.append(entry)
 
         def counted(x):
-            entry["iterations"] += 1
-            callback(x)
-        return bicgstab(matrix, rhs, callback=counted, **kwargs)
+            entry["applications"] += 1
+            return M.matvec(x)
+        pre = spla.LinearOperator(M.shape, matvec=counted, dtype=float)
+        return bicgstab(matrix, rhs, M=pre, **kwargs)
     monkeypatch.setattr(spla, "bicgstab", logged)
     return log
 
@@ -345,6 +348,11 @@ def krylov_log(monkeypatch):
 def arc_bump_operator():
     g = build_grid(make_epigraph("arc_bump"), [[-2.0, 2.0], [0.0, 3.0]], 1.0 / 8)
     return g, assemble_laplacian(g)
+
+
+def restart_grid():
+    """The strip (0, 1) on [0, 2] x [0, 1], h = 1/8: uniqueness restarts."""
+    return build_grid(strip_set(0.0, 1.0), [[0.0, 2.0], [0.0, 1.0]], 0.125)
 
 
 def allen_cahn_front(op=None):
@@ -484,21 +492,82 @@ class TestSharedFactors:
         assert sol.meta["residual_internal"] <= SolvePolicy().tol
         assert np.abs(sol.values - allen_cahn_front().values).max() <= 1e-12
 
-    # BiCGSTAB iterations over all restarts: allen_cahn's 11 calls took 27
-    # with every step solved to 1e-10 and take 12 with the forcing; linear's
-    # Jacobian is the matrix of the kept LU
-    @pytest.mark.parametrize("f,krylov_iterations",
-                             [(make_nonlinearity("allen_cahn"), 26),
-                              (make_nonlinearity("linear", slope=1.0), 0)],
+    # every Newton step of every restart runs BiCGSTAB, which the LU of
+    # J(0) = A - f'(0) I preconditions so well that each call stops at its
+    # first half step (one application); linear's Jacobian is J(0) itself
+    @pytest.mark.parametrize("f", [make_nonlinearity("allen_cahn"),
+                                   make_nonlinearity("linear", slope=1.0)],
                              ids=["allen_cahn", "linear"])
     def test_uniqueness_restarts_share_one_jacobian_lu(
-            self, call_counts, krylov_log, f, krylov_iterations):
-        # one LU of A for the eigenpair and one Jacobian LU for all restarts
-        g = build_grid(strip_set(0.0, 1.0), [[0.0, 2.0], [0.0, 1.0]], 0.125)
-        rep = uniqueness_test(g, f, n_restarts=4, amplitude=0.5)
-        assert [r["outcome"] for r in rep.meta["restarts"]] == ["converged"] * 4
+            self, call_counts, krylov_log, f):
+        # one LU of A for the eigenpair and one of J(0) for all restarts
+        rep = uniqueness_test(restart_grid(), f, n_restarts=4,
+                              amplitude=0.5)
+        restarts = rep.meta["restarts"]
+        assert [r["outcome"] for r in restarts] == ["converged"] * 4
         assert call_counts["splu"] == 2
-        assert sum(c["iterations"] for c in krylov_log) <= krylov_iterations
+        newton = sum(r["iterations"] for r in restarts)
+        assert len(krylov_log) == newton >= 4
+        assert sum(c["applications"] for c in krylov_log) == newton
+
+    def test_uniqueness_with_zero_slope_at_zero_shares_the_lu_of_a(
+            self, call_counts):
+        # power 2: f'(0) = 0, so J(0) = A and the eigenpair's LU preconditions
+        # every restart
+        rep = uniqueness_test(restart_grid(),
+                              make_nonlinearity("power", exponent=2.0),
+                              n_restarts=4, amplitude=0.5)
+        restarts = rep.meta["restarts"]
+        assert [r["outcome"] for r in restarts] == ["converged"] * 4
+        assert rep.comparison_holds
+        assert call_counts["splu"] == 1
+        assert call_counts["bicgstab"] == sum(r["iterations"] for r in restarts)
+
+    def test_picard_uniqueness_keeps_no_jacobian(self, call_counts,
+                                                 monkeypatch):
+        # power 0.5: f' blows up at 0, so the restarts run Picard on A's LU
+        # and the probe keeps no Jacobian LU on their operator
+        ops = []
+
+        def assemble(grid):
+            ops.append(assemble_laplacian(grid))
+            return ops[-1]
+
+        monkeypatch.setattr("epigraph_lab.comparison.assemble_laplacian",
+                            assemble)
+        rep = uniqueness_test(restart_grid(),
+                              make_nonlinearity("power", exponent=0.5),
+                              n_restarts=4, amplitude=0.5)
+        assert len(rep.meta["restarts"]) == 4
+        assert call_counts == {"splu": 1, "bicgstab": 0}
+        assert ops[0]._jac_lu is None
+
+    def test_singular_jacobian_at_zero_keeps_nothing(self, monkeypatch):
+        # the second factorization, J(0)'s, fails: restart 0 factorizes the
+        # Jacobian at its start and preconditions the later restarts with it
+        splu, calls = spla.splu, []
+
+        def singular_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", singular_second)
+        rep = uniqueness_test(restart_grid(),
+                              make_nonlinearity("allen_cahn"), n_restarts=4,
+                              amplitude=0.5)
+        assert [r["outcome"] for r in rep.meta["restarts"]] == ["converged"] * 4
+        assert rep.comparison_holds
+        assert len(calls) == 3
+
+    def test_half_step_return_counts_one_iteration(self):
+        # preconditioned by A's own LU, BiCGSTAB stops at its first half step
+        op = arc_bump_operator()[1]
+        lu = spla.splu(op.matrix.tocsc())
+        _, info, iterations = _bicgstab(op.matrix, np.ones(op.n), lu.solve,
+                                        1e-10, 10)
+        assert (info, iterations) == (0, 1)
 
     def test_three_dimensional_lift_runs_bicgstab(self, call_counts):
         dom = make_epigraph("half_space", dimension=3)
