@@ -163,7 +163,10 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
     """Mask a uniform lattice by the domain and classify boundary arms.
 
     The box must be commensurate with h (within 1e-8 of an integer cell
-    count per axis). Cut-arm fractions are bisected to h * 1e-10.
+    count per axis). Cut-arm fractions are bisected to h * 1e-10, the arms
+    of every axis and side in one batch, so the membership predicate is
+    called once for the lattice mask and once per bisection step (41 times
+    whenever some arm is cut).
     """
     contains = _membership(domain)
     box = np.asarray(box, dtype=float)
@@ -218,6 +221,7 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
     arm_target = np.full((n_int, n_axes, 2), -1, dtype=np.int64)
     arm_point = np.zeros((n_int, n_axes, 2, n_axes))
 
+    cuts = []
     for k in range(n_axes):
         for side, step in ((0, -1), (1, +1)):
             nb_idx = lattice_idx.copy()
@@ -246,16 +250,23 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
             if m.any():
                 nu = np.zeros(n_axes)
                 nu[k] = step * h
-                base = points[m]
-                frac = _bisect(contains, base, nu, np.zeros(len(base)),
-                               np.ones(len(base)), True, iters=40)
-                frac = np.maximum(np.where(frac > _THETA_SNAP, 1.0, frac),
-                                  _THETA_FLOOR)
-                theta[m, k, side] = frac
-                arm_kind[m, k, side] = ARM_CUT
-                pts = points[m].copy()
-                pts[:, k] += step * h * frac
-                arm_point[m, k, side, :] = pts
+                cuts.append((k, side, m, nu))
+
+    if cuts:
+        # every cut arm of every axis and side in one bisection, each arm
+        # along its own direction nu = step * h * e_k
+        counts = [int(m.sum()) for _, _, m, _ in cuts]
+        bases = np.concatenate([points[m] for _, _, m, _ in cuts])
+        nus = np.repeat([nu for _, _, _, nu in cuts], counts, axis=0)
+        frac = _bisect(contains, bases, nus, np.zeros(len(bases)),
+                       np.ones(len(bases)), True, iters=40)
+        frac = np.maximum(np.where(frac > _THETA_SNAP, 1.0, frac), _THETA_FLOOR)
+        for (k, side, m, nu), f in zip(cuts, np.split(frac, np.cumsum(counts)[:-1])):
+            theta[m, k, side] = f
+            arm_kind[m, k, side] = ARM_CUT
+            pts = points[m].copy()
+            pts[:, k] += nu[k] * f
+            arm_point[m, k, side, :] = pts
 
     return DomainGrid(box=box, h=float(h), shape=shape, axes=axes, inside=inside,
                       interior=interior, node_index=node_index, points=points,

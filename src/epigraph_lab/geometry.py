@@ -11,15 +11,16 @@ orthant, revolution-type tubes with radii from ``_RADII``).
 The section of a set in a direction ``nu`` is the supremum over lines
 parallel to ``nu`` of the 1-D measure of the slice. ``section_measure``
 estimates it by sampling membership along a lattice of lines, one line at a
-time, then locating every boundary crossing of the scan by one batched
-bisection.
+time in bounded chunks, then locating every boundary crossing of the scan by
+one batched bisection.
 
 This module owns membership: ``_membership`` adapts a domain or a bare
-predicate, and ``_bisect`` locates membership flips in one batch; the cut-arm
-fractions of ``discretization.build_grid`` come from both. A predicate
-receives column-contiguous (Fortran-ordered) (m, N) batches of points, from
-the scans and bisections here and from ``build_grid``'s lattice mask, so a
-user predicate must not assume C order.
+predicate, and ``_bisect`` locates membership flips in one batch, along one
+direction or one direction per flip; the cut-arm fractions of
+``discretization.build_grid`` come from both, every axis and side at once.
+A predicate receives column-contiguous (Fortran-ordered) (m, N) batches of
+points, from the scans and bisections here and from ``build_grid``'s
+lattice mask, so a user predicate must not assume C order.
 """
 
 from __future__ import annotations
@@ -442,24 +443,25 @@ def _membership(domain):
 
 
 def _points_on_lines(base, t, nu):
-    """The (m, N) batch of points base + t nu, Fortran-ordered; base is one
-    point or one point per row.
+    """The (m, N) batch of points base + t nu, Fortran-ordered; base and nu
+    are each one vector or one vector per row.
 
     Each coordinate column is built in place (t nu_k, then + base_k): the
     same IEEE operations in the same order as the broadcast
     base[None, :] + t[:, None] * nu[None, :], so the points are identical,
     but without a length-N inner loop, and predicates read contiguous
     columns."""
-    pts = np.empty((t.size, nu.size), order="F")
-    for k in range(nu.size):
-        np.multiply(t, nu[k], out=pts[:, k])
+    pts = np.empty((t.size, nu.shape[-1]), order="F")
+    for k in range(pts.shape[1]):
+        np.multiply(t, nu[..., k], out=pts[:, k])
         pts[:, k] += base[..., k]
     return pts
 
 
 def _bisect(contains, bases, nu, lo, hi, state_lo, iters=48):
-    """Bisect membership flips bracketed by lo < hi along each base + t nu,
-    all brackets in one batch; state_lo is the membership at lo."""
+    """Bisect membership flips bracketed by lo < hi along each base + t nu
+    (nu one direction, or one per row), all brackets in one batch; state_lo
+    is the membership at lo."""
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         inside = np.asarray(contains(_points_on_lines(bases, mid, nu)), dtype=bool)
@@ -483,6 +485,11 @@ def _line_measure(inside_first, inside_last, cross, window, res):
     return measure, touched
 
 
+# the most sample points a section scan tests in one predicate call; batches
+# this small reuse freed memory instead of faulting in fresh pages per line
+_POINTS_PER_CALL = 16384
+
+
 def section_measure(domain, nu, probe_grid, line_resolution: float,
                     window: float = 100.0) -> SectionMeasure:
     """Estimate the directional section of a set over a lattice of probe lines.
@@ -494,8 +501,10 @@ def section_measure(domain, nu, probe_grid, line_resolution: float,
     window are flagged ``unbounded_suspected``.
 
     ``domain`` is a domain or a bare predicate; it receives column-contiguous
-    (m, N) batches of points (one per line, then one per bisection step), so
-    it must not assume C order. ``window`` must be finite and >= 0 and
+    (m, N) batches of points (each line in batches of at most
+    ``_POINTS_PER_CALL`` = 16,384 points, then one batch of every line's
+    crossings per bisection step), so it must not assume C order, and may
+    return any array-like of booleans. ``window`` must be finite and >= 0 and
     ``line_resolution`` finite and positive (``ValidationError`` otherwise).
     """
     if not (math.isfinite(line_resolution) and line_resolution > 0):
@@ -523,8 +532,9 @@ def section_measure(domain, nu, probe_grid, line_resolution: float,
     basis = _hyperplane_basis(nu)
     contains = _membership(domain)
 
-    # sample line by line (a fine scan of all lines at once would take
-    # hundreds of MB), then bisect the flips of every line in one batch,
+    # sample line by line in bounded chunks (a fine scan of all lines at
+    # once would take hundreds of MB, and even one whole line's batch lands
+    # on fresh pages), then bisect the flips of every line in one batch,
     # starting each bracket from its sampled state
     samples = 2.0 * window / line_resolution
     if not samples < np.iinfo(np.intp).max:
@@ -532,10 +542,13 @@ def section_measure(domain, nu, probe_grid, line_resolution: float,
                               " line_resolution")
     nsamp = int(math.ceil(samples)) + 1
     t = np.linspace(-window, window, nsamp)
+    chunks = [t[i:i + _POINTS_PER_CALL] for i in range(0, nsamp, _POINTS_PER_CALL)]
     bases, ends, flips, states = [], [], [], []
     for xp in probes:
         base = basis @ xp
-        inside = contains(_points_on_lines(base, t, nu))
+        inside = np.concatenate([
+            np.asarray(contains(_points_on_lines(base, tc, nu)), dtype=bool)
+            for tc in chunks])
         f = np.flatnonzero(inside[1:] != inside[:-1])
         bases.append(base)
         ends.append((inside[0], inside[-1]))

@@ -16,9 +16,12 @@ from epigraph_lab import (
     boundary_rhs,
     build_grid,
     make_epigraph,
+    revolution_set,
     stencil_residual,
     strip_set,
 )
+from epigraph_lab.discretization import _THETA_FLOOR, _THETA_SNAP
+from epigraph_lab.geometry import _bisect
 
 
 def unit_disk(points):
@@ -148,6 +151,66 @@ def test_cut_fractions_match_one_arm_at_a_time(domain, box, h):
         end = g.points[i].copy()
         end[k] += step * h * frac
         assert (g.arm_point[i, k, sd] == end).all()
+
+
+def unit_ball_3d(points):
+    return (points ** 2).sum(axis=1) < 1.0
+
+
+def weierstrass_slab(points, _spec=make_epigraph("weierstrass")):
+    # the Weierstrass epigraph cut off above, so that arms are cut on the
+    # upper side of the last axis too
+    return _spec.contains(points) & (points[:, 1] < 1.5)
+
+
+def per_side_arms_reference(grid, contains):
+    """theta and arm_point of every cut arm, one 40-step batched bisection
+    per (axis, side), snapped and floored as build_grid does."""
+    theta = np.ones_like(grid.theta)
+    arm_point = np.zeros_like(grid.arm_point)
+    for k in range(grid.dimension):
+        for side, step in ((0, -1), (1, +1)):
+            m = grid.arm_kind[:, k, side] == ARM_CUT
+            assert m.any()
+            nu = np.zeros(grid.dimension)
+            nu[k] = step * grid.h
+            base = grid.points[m]
+            frac = _bisect(contains, base, nu, np.zeros(len(base)),
+                           np.ones(len(base)), True, iters=40)
+            frac = np.maximum(np.where(frac > _THETA_SNAP, 1.0, frac), _THETA_FLOOR)
+            theta[m, k, side] = frac
+            pts = base.copy()
+            pts[:, k] += step * grid.h * frac
+            arm_point[m, k, side] = pts
+    return theta, arm_point
+
+
+@pytest.mark.parametrize("domain,box,h", [
+    (unit_disk, [[-1.5, 1.5], [-1.5, 1.5]], 1.0 / 16),
+    (revolution_set("cosine"), [[-2.0, 2.0], [-1.5, 1.5]], 1.0 / 16),
+    (weierstrass_slab, [[-0.5, 0.5], [-0.5, 2.0]], 1.0 / 32),
+    (unit_ball_3d, [[-1.5, 1.5]] * 3, 1.0 / 8),
+    (revolution_set("cosine", dimension=3, amp=0.5, freq=4.0),
+     [[-2.0, 2.0], [-1.75, 1.75], [-1.75, 1.75]], 1.0 / 8),
+])
+def test_one_bisection_batch_matches_per_side_batches(domain, box, h):
+    # every cut arm of every axis and side is bisected in one batch; each
+    # arm must get the bits of a batch holding only its own axis and side
+    calls = []
+
+    def contains(points):
+        calls.append(len(points))
+        return getattr(domain, "contains", domain)(points)
+
+    policy = [["dirichlet", "dirichlet"]] * len(box)
+    g = build_grid(contains, box, h, face_policy=policy)
+    # one lattice mask, then one call per bisection step
+    assert len(calls) == 41
+    assert calls[1] == int((g.arm_kind == ARM_CUT).sum())
+    theta, arm_point = per_side_arms_reference(g, getattr(domain, "contains", domain))
+    cut = g.arm_kind == ARM_CUT
+    assert np.array_equal(g.theta.view(np.uint64), theta.view(np.uint64))
+    assert np.array_equal(g.arm_point[cut].view(np.uint64), arm_point[cut].view(np.uint64))
 
 
 def quad(pts):

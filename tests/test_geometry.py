@@ -21,6 +21,7 @@ from epigraph_lab import (
     revolution_set,
     section_measure,
 )
+from epigraph_lab import geometry
 from epigraph_lab.geometry import _points_on_lines, _weierstrass_profile, \
     _weierstrass_term_count
 
@@ -409,15 +410,19 @@ _COORD = st.floats(-1e6, 1e6, allow_nan=False)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4), st.booleans(), st.integers(1, 40), st.data())
-def test_points_on_lines_match_broadcast_bit_for_bit(n, per_row, m, data):
+@given(st.integers(2, 4), st.booleans(), st.booleans(), st.integers(1, 40), st.data())
+def test_points_on_lines_match_broadcast_bit_for_bit(n, per_row, nu_per_row, m, data):
+    def vectors(one_per_row):
+        rows = m if one_per_row else 1
+        v = np.array(data.draw(st.lists(_COORD, min_size=rows * n, max_size=rows * n)))
+        return v.reshape(m, n) if one_per_row else v
+
     t = np.array(data.draw(st.lists(_COORD, min_size=m, max_size=m)))
-    nu = np.array(data.draw(st.lists(_COORD, min_size=n, max_size=n)))
-    rows = m if per_row else 1
-    base = np.array(data.draw(st.lists(_COORD, min_size=rows * n, max_size=rows * n)))
-    base = base.reshape(m, n) if per_row else base
+    nu = vectors(nu_per_row)
+    base = vectors(per_row)
     pts = _points_on_lines(base, t, nu)
-    expected = (base if per_row else base[None, :]) + t[:, None] * nu[None, :]
+    expected = (base if per_row else base[None, :]) \
+        + t[:, None] * (nu if nu_per_row else nu[None, :])
     assert pts.flags.f_contiguous
     assert pts.shape == expected.shape
     assert np.array_equal(pts.view(np.uint64), expected.view(np.uint64))
@@ -456,6 +461,37 @@ def test_section_predicate_receives_column_contiguous_batches(name):
     assert all(layouts)
 
 
+def test_section_accepts_a_list_returning_predicate():
+    probes = np.linspace(-3, 3, 13)
+    as_list = section_measure(lambda p: [abs(y) < 1 for y in p[:, 1]], [0.0, 1.0],
+                              probes, 1e-3, window=2.0)
+    as_array = section_measure(lambda p: np.abs(p[:, 1]) < 1, [0.0, 1.0],
+                               probes, 1e-3, window=2.0)
+    assert [m for _, m in as_list.per_line] == [m for _, m in as_array.per_line]
+    assert as_list.unbounded_suspected == as_array.unbounded_suspected
+
+
+@pytest.mark.parametrize("domain,nu", [
+    (winged_strip_set(), [0.0, 1.0]),
+    (under_parabola_set(), [0.0, 1.0]),
+    (make_epigraph("weierstrass"), [1.0, 1.0]),
+])
+def test_section_chunks_lines_and_matches_whole_line_scan(domain, nu, monkeypatch):
+    # window 40 at resolution 1e-3: 80,001 samples, five chunks per line
+    probes = np.linspace(-3, 3, 7)
+    rec = _RecordingDomain(domain)
+    chunked = section_measure(rec, nu, probes, 1e-3, window=40.0)
+    assert max(rec.sizes) <= geometry._POINTS_PER_CALL
+    # five sampling calls per line, then the 48 bisection steps
+    assert len(rec.sizes) == 5 * len(probes) + 48
+    monkeypatch.setattr(geometry, "_POINTS_PER_CALL", 80_001)
+    whole_rec = _RecordingDomain(domain)
+    whole = section_measure(whole_rec, nu, probes, 1e-3, window=40.0)
+    assert whole_rec.sizes[:len(probes)] == [80_001] * len(probes)
+    assert [m for _, m in chunked.per_line] == [m for _, m in whole.per_line]
+    assert chunked.unbounded_suspected == whole.unbounded_suspected
+
+
 @pytest.mark.parametrize("domain,box,h", [
     (make_epigraph("arc_bump"), [[-3.0, 3.0], [0.0, 3.0]], 0.25),
     (make_epigraph("weierstrass"), [[-1.0, 1.0], [0.0, 2.0]], 0.125),
@@ -464,7 +500,7 @@ def test_section_predicate_receives_column_contiguous_batches(name):
 def test_build_grid_predicate_receives_column_contiguous_batches(domain, box, h):
     layouts = []
     grid = build_grid(_layout_recorder(domain, layouts), box, h)
-    # the lattice mask, then 40 bisection steps per axis side with cut arms
+    # the lattice mask, then 40 bisection steps over every cut arm at once
     assert (grid.arm_kind == ARM_CUT).any()
-    assert len(layouts) > 1 and (len(layouts) - 1) % 40 == 0
+    assert len(layouts) == 41
     assert all(layouts)
