@@ -133,9 +133,10 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
     outcomes are recorded as-is.
 
     Every restart is a Newton solve on one shared operator, linearized once
-    at the solution under test: the LU of J(0) = A - diag(f'(0)) is kept on
-    the operator before the first restart and preconditions every restart's
-    BiCGSTAB steps, which run near u = 0 once the iterates settle. With
+    at the solution under test: the double-precision LU of
+    J(0) = A - diag(f'(0)) is kept on the operator before the first restart
+    and preconditions every restart's BiCGSTAB steps, which run near u = 0
+    once the iterates settle, one preconditioner application each. With
     f'(0) = 0, J(0) = A shares A's LU and nothing more is factorized. A
     nonlinearity whose derivative is unbounded takes the Picard route and
     gets no J(0); a singular J(0) keeps nothing, and the first restart
@@ -152,7 +153,7 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
     hypothesis_ok = lam1 > L
     if f.f0 == 0.0 and not f.derivative_unbounded:
         try:
-            _keep_jacobian_lu(op, eval_f_prime(f, np.zeros(op.n)))
+            _keep_jacobian_lu(op, eval_f_prime(f, np.zeros(op.n)), False)
         except JacobianSingularError:
             pass
     rng = np.random.default_rng(seed)

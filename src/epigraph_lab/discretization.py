@@ -166,7 +166,8 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
     count per axis). Cut-arm fractions are bisected to h * 1e-10, the arms
     of every axis and side in one batch, so the membership predicate is
     called once for the lattice mask and once per bisection step (41 times
-    whenever some arm is cut).
+    whenever some arm is cut). A predicate whose answer does not hold one
+    flag per point raises ValidationError.
     """
     contains = _membership(domain)
     box = np.asarray(box, dtype=float)
@@ -197,7 +198,7 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
     mesh = np.meshgrid(*axes, indexing="ij")
     # (N, m) stacked, then transposed: a column-contiguous (m, N) batch
     lattice_pts = np.stack([m.ravel() for m in mesh]).T
-    inside = np.asarray(contains(lattice_pts), dtype=bool).reshape(shape)
+    inside = contains(lattice_pts).reshape(shape)
 
     interior = inside.copy()
     face_artificial = np.zeros((n_axes, 2), dtype=bool)
@@ -286,9 +287,11 @@ class SparseOperator:
     the last one a Newton solve factorized, or one kept before any solve, as
     ``uniqueness_test`` keeps that of J(0) = A - diag(f'(0)). The next Newton
     solve on the operator starts from that LU as its BiCGSTAB
-    preconditioner. A solve's last bits therefore depend on what ran on the
-    operator before it; rerunning the same sequence of calls gives
-    bit-identical results."""
+    preconditioner. ``_lu`` and a kept J(0) are double precision; a Jacobian
+    LU that a Newton step factorized is single precision (float32 SuperLU
+    factors behind a float64 ``solve``), as it only preconditions. A solve's
+    last bits therefore depend on what ran on the operator before it;
+    rerunning the same sequence of calls gives bit-identical results."""
 
     matrix: sp.csr_matrix
     bc_rows: np.ndarray

@@ -16,11 +16,13 @@ one batched bisection.
 
 This module owns membership: ``_membership`` adapts a domain or a bare
 predicate, and ``_bisect`` locates membership flips in one batch, along one
-direction or one direction per flip; the cut-arm fractions of
+direction or one direction per flip (its ``contains`` is a predicate from
+``_membership``); the cut-arm fractions of
 ``discretization.build_grid`` come from both, every axis and side at once.
 A predicate receives column-contiguous (Fortran-ordered) (m, N) batches of
 points, from the scans and bisections here and from ``build_grid``'s
-lattice mask, so a user predicate must not assume C order.
+lattice mask, so a user predicate must not assume C order. Its answer must
+hold one flag per point; ``_membership`` checks that shape on every call.
 """
 
 from __future__ import annotations
@@ -434,12 +436,25 @@ def _hyperplane_basis(nu: np.ndarray) -> np.ndarray:
 
 
 def _membership(domain):
-    """The membership predicate of a domain, or the domain if it is one."""
+    """The membership predicate of a domain, or the domain if it is one,
+    coerced: each call returns one bool per point of its (m, N) batch. The
+    predicate may answer with any array-like of booleans; an answer of
+    another shape raises ValidationError."""
     if hasattr(domain, "contains"):
-        return domain.contains
-    if callable(domain):
-        return domain
-    raise ValidationError("domain must expose contains() or be callable")
+        contains = domain.contains
+    elif callable(domain):
+        contains = domain
+    else:
+        raise ValidationError("domain must expose contains() or be callable")
+
+    def flags(points):
+        inside = np.asarray(contains(points), dtype=bool)
+        if inside.shape != (len(points),):
+            raise ValidationError(
+                f"membership predicate returned shape {inside.shape} for"
+                f" {len(points)} points; it must return one flag per point")
+        return inside
+    return flags
 
 
 def _points_on_lines(base, t, nu):
@@ -464,7 +479,7 @@ def _bisect(contains, bases, nu, lo, hi, state_lo, iters=48):
     is the membership at lo."""
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        inside = np.asarray(contains(_points_on_lines(bases, mid, nu)), dtype=bool)
+        inside = contains(_points_on_lines(bases, mid, nu))
         same = inside == state_lo
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
@@ -504,7 +519,8 @@ def section_measure(domain, nu, probe_grid, line_resolution: float,
     (m, N) batches of points (each line in batches of at most
     ``_POINTS_PER_CALL`` = 16,384 points, then one batch of every line's
     crossings per bisection step), so it must not assume C order, and may
-    return any array-like of booleans. ``window`` must be finite and >= 0 and
+    return any array-like of booleans, one per point (``ValidationError``
+    for another shape). ``window`` must be finite and >= 0 and
     ``line_resolution`` finite and positive (``ValidationError`` otherwise).
     """
     if not (math.isfinite(line_resolution) and line_resolution > 0):
@@ -546,9 +562,8 @@ def section_measure(domain, nu, probe_grid, line_resolution: float,
     bases, ends, flips, states = [], [], [], []
     for xp in probes:
         base = basis @ xp
-        inside = np.concatenate([
-            np.asarray(contains(_points_on_lines(base, tc, nu)), dtype=bool)
-            for tc in chunks])
+        inside = np.concatenate([contains(_points_on_lines(base, tc, nu))
+                                 for tc in chunks])
         f = np.flatnonzero(inside[1:] != inside[:-1])
         bases.append(base)
         ends.append((inside[0], inside[-1]))

@@ -22,14 +22,15 @@ being the max-norm residuals at u_k and at the initial guess. That inexact
 Newton forcing term is O(||F(u_k)||), so it keeps the local quadratic
 convergence (Dembo, Eisenstat & Steihaug, SINUM 19, 1982) and spends few
 Krylov iterations on the early steps, whose accuracy the next step discards.
-A step refactorizes J(u_k), replaces the kept LU and is solved exactly when
-there is none yet, when BiCGSTAB fails (nonzero info or a non-finite step) or
-when its step reaches the damping floor. A caller that knows where the
-iterates will settle may keep that Jacobian's LU first: ``uniqueness_test``
-keeps the LU of J(0) = A - diag(f'(0)) (A's own LU when f'(0) = 0) before
-its restarts, all of which should end at u = 0. So a Newton solve's last
-bits depend on the Newton solves and the LU kept before it on its operator;
-the same sequence of calls reruns bit-identically.
+A step refactorizes J(u_k), replaces the kept LU and is solved directly by
+the fresh factors when there is none yet, when BiCGSTAB fails (nonzero info
+or a non-finite step) or when its step reaches the damping floor. A caller
+that knows where the iterates will settle may keep that Jacobian's LU
+first: ``uniqueness_test`` keeps the LU of J(0) = A - diag(f'(0)) (A's own
+LU when f'(0) = 0) before its restarts, all of which should end at u = 0.
+So a Newton solve's last bits depend on the Newton solves and the LU kept
+before it on its operator; the same sequence of calls reruns
+bit-identically.
 A nonlinearity that declares a derivative blowing up somewhere
 (``Nonlinearity.derivative_unbounded``: ``sqrt_saturation``,
 ``double_front_source``, ``power`` with exponent below 1) is routed to the
@@ -45,6 +46,17 @@ ConvergenceError at ``max_iter``; each method supplies only its step.
 Newton raises on a non-finite residual, Picard runs on to its cap. Every
 returned field carries a residual that was recomputed through the
 independent gather-based stencil walker, not the solver's own matrix.
+
+The precision of a factorization is fixed by its role. The Jacobian LU a
+Newton step factorizes is single precision (float32 SuperLU: half the bytes
+of its values, Buttari et al., ACM TOMS 34, 2008; Carson & Higham, SISC 40,
+2018): it only preconditions the double-precision BiCGSTAB, so the converged
+answer keeps double accuracy, and the one step solved directly by fresh
+factors is an inexact Newton step with relative error of order
+kappa(J) 2^-24. A's shared LU (the lift, Picard, f' identically zero steps
+and the shift-invert eigensolve need an exact inverse), the J(0) LU that
+``uniqueness_test`` keeps (each restart step then takes one preconditioner
+application) and every factorization outside Newton stay double precision.
 
 ``principal_eigenpair`` runs ARPACK in shift-invert mode about 0 with the
 shared factors and a fixed start vector, so reruns are bit-identical.
@@ -132,17 +144,49 @@ class SolvePolicy:
             raise ValidationError("max_iter must be >= 1")
 
 
-def factorize(matrix: sp.spmatrix):
+class _SingleLU:
+    """Float32 SuperLU factors whose ``solve`` takes and returns float64.
+
+    The right-hand side is divided by its max norm before the cast to
+    float32 and the solution multiplied back, so entries outside float32's
+    range (below about 1e-38 or above 3.4e38) neither flush to zero nor
+    overflow. Every other attribute (``L``, ``U``, ``nnz``, ...) is the
+    wrapped factors'."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        scale = float(np.abs(rhs).max())
+        if not 0.0 < scale < math.inf:
+            scale = 1.0   # a zero or non-finite rhs passes through unscaled
+        x = self._lu.solve((rhs / scale).astype(np.float32))
+        return x.astype(float) * scale
+
+
+def factorize(matrix: sp.spmatrix, single: bool = False):
     """SuperLU factors of ``matrix``, columns ordered by minimum degree on
     the pattern of A^T + A (``permc_spec="MMD_AT_PLUS_A"``).
+
+    With ``single`` the matrix is factorized in float32 and the factors'
+    ``solve`` scales and casts a float64 right-hand side (``_SingleLU``):
+    an approximate inverse, with relative error of order kappa 2^-24, for
+    Newton's Jacobian LU, which preconditions BiCGSTAB. Every other caller
+    factorizes in double precision.
 
     ``spla.splu`` is looked up at call time, so a wrapper installed on the
     module sees every factorization. A singular matrix raises
     JacobianSingularError, a NumericalError, with Newton's message."""
+    csc = matrix.tocsc()
     try:
-        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(csc.astype(np.float32) if single else csc,
+                       permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise JacobianSingularError(f"jacobian singular: {exc}") from exc
+    return _SingleLU(lu) if single else lu
 
 
 def _factors(op: SparseOperator):
@@ -152,13 +196,17 @@ def _factors(op: SparseOperator):
     return op._lu
 
 
-def _keep_jacobian_lu(op: SparseOperator, fp: np.ndarray):
+def _keep_jacobian_lu(op: SparseOperator, fp: np.ndarray, single: bool):
     """Factorize the Jacobian J = A - diag(fp), keep its LU on ``op`` as the
     Jacobian LU that preconditions later Newton steps, and return it. With fp
-    identically zero J is A, whose shared LU is kept instead. A singular J
-    raises JacobianSingularError and keeps nothing."""
+    identically zero J is A, whose shared (double) LU is kept instead. A
+    singular J raises JacobianSingularError and keeps nothing.
+
+    ``single`` is fixed by the caller's role: a Newton step's refactorization
+    passes True (float32 factors, see ``factorize``), ``uniqueness_test``'s
+    J(0), the point every restart must reach, passes False."""
     if fp.any():
-        op._jac_lu = factorize(op.matrix - sp.diags(fp))
+        op._jac_lu = factorize(op.matrix - sp.diags(fp), single)
     else:
         op._jac_lu = _factors(op)
     return op._jac_lu
@@ -266,7 +314,8 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
     residual max(1e-10, min(0.1, res_k / res_0)) (the max-norm residuals at
     the iterate and at the initial guess), and refactorizes at u only when
     there is none yet, BiCGSTAB fails or its step fails the line search
-    (then the exact step is retried once before ConvergenceError). The first
+    (then the step solved directly by the fresh float32 factors, an inexact
+    Newton step, is tried once before ConvergenceError). The first
     Newton solve on an operator therefore factorizes its first Jacobian,
     unless a Jacobian LU was kept on ``op`` before it (``uniqueness_test``
     keeps that of J(0) = A - diag(f'(0))); a later one may factorize
@@ -322,7 +371,7 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
             alpha *= 0.5
         return None
 
-    def exact_step(u, res, delta, iters):
+    def direct_step(u, res, delta, iters):
         if not np.isfinite(delta).all():
             raise JacobianSingularError("jacobian singular: non-finite step")
         step = line_search(u, res, delta)
@@ -339,7 +388,7 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         fp = eval_f_prime(f, u)
         if not fp.any():
             # with f' identically zero the Jacobian is A: reuse its factors
-            return exact_step(u, res, _factors(op).solve(-r), iters)
+            return direct_step(u, res, _factors(op).solve(-r), iters)
         lu = op._jac_lu   # the latest Jacobian LU kept on op
         if lu is not None:
             rtol = max(_FORCING_MIN, min(_FORCING_MAX, res / res0))
@@ -349,8 +398,10 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                 step = line_search(u, res, delta)
                 if step is not None:
                     return step
-        # no LU yet, or the Krylov step failed: refactorize at u, exact step
-        return exact_step(u, res, _keep_jacobian_lu(op, fp).solve(-r), iters)
+        # no LU yet, or the Krylov step failed: refactorize at u in float32
+        # and take the direct step by the fresh factors
+        return direct_step(u, res, _keep_jacobian_lu(op, fp, True).solve(-r),
+                           iters)
 
     def picard_step(u, r, res, iters):
         u = _factors(op).solve(b + eval_f(f, u))

@@ -38,5 +38,5 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def zero_krylov():
     """``zero_krylov(info)``: a stand-in for SciPy's bicgstab that returns a
     zero step with the given info (1: BiCGSTAB fails, so every Newton step
-    refactorizes its Jacobian and is an exact step)."""
+    refactorizes its Jacobian and is solved directly by the fresh factors)."""
     return lambda info: lambda matrix, rhs, **kwargs: (np.zeros_like(rhs), info)

@@ -213,6 +213,26 @@ def test_one_bisection_batch_matches_per_side_batches(domain, box, h):
     assert np.array_equal(g.arm_point[cut].view(np.uint64), arm_point[cut].view(np.uint64))
 
 
+@pytest.mark.parametrize("answer", [lambda p: np.ones(3, bool),
+                                    lambda p: True],
+                         ids=["three_flags", "scalar"])
+@pytest.mark.parametrize("phase", ["mask", "bisection"])
+def test_build_grid_rejects_a_predicate_without_one_flag_per_point(answer,
+                                                                   phase):
+    # the lattice mask's reshape raised a bare ValueError
+    calls = []
+
+    def predicate(points):
+        calls.append(len(points))
+        if phase == "mask" or len(calls) > 1:
+            return answer(points)
+        return unit_disk(points)
+
+    with pytest.raises(ValidationError, match="one flag per point"):
+        build_grid(predicate, [[-1.0, 1.0], [-1.0, 1.0]], 0.25)
+    assert len(calls) == (1 if phase == "mask" else 2)
+
+
 def quad(pts):
     return (pts ** 2).sum(axis=1)
 

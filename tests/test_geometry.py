@@ -471,6 +471,53 @@ def test_section_accepts_a_list_returning_predicate():
     assert as_list.unbounded_suspected == as_array.unbounded_suspected
 
 
+def strip_then(answer, calls):
+    """The strip |y| < 1 for its first ``calls`` calls, then ``answer``."""
+    count = []
+
+    def predicate(points):
+        count.append(1)
+        if len(count) > calls:
+            return answer(points)
+        return np.abs(points[:, 1]) < 1
+    return predicate
+
+
+@pytest.mark.parametrize("answer", [lambda p: np.ones(3, bool),
+                                    lambda p: True,
+                                    lambda p: np.ones((len(p), 1), bool)],
+                         ids=["three_flags", "scalar", "column"])
+@pytest.mark.parametrize("phase", ["sampling", "bisection"])
+def test_section_rejects_a_predicate_without_one_flag_per_point(answer,
+                                                                phase):
+    # a 21-point line read as 3 samples gave a measure of 2.0, and a scalar
+    # answer a bare ValueError from np.concatenate; the 13 lines are sampled
+    # in one call each, then their crossings are bisected
+    pred = answer if phase == "sampling" else strip_then(answer, 13)
+    with pytest.raises(ValidationError, match="one flag per point"):
+        section_measure(pred, [0.0, 1.0], np.linspace(-3, 3, 13), 0.1,
+                        window=1.0)
+
+
+def test_bisect_rejects_a_predicate_without_one_flag_per_point():
+    contains = geometry._membership(lambda p: np.ones(3, bool))
+    with pytest.raises(ValidationError, match="one flag per point"):
+        geometry._bisect(contains, np.zeros((5, 2)), np.array([0.0, 1.0]),
+                         np.zeros(5), np.ones(5), np.zeros(5, bool))
+
+
+def test_membership_checks_shape_without_another_call():
+    calls = []
+
+    def pred(points):
+        calls.append(len(points))
+        return [True] * len(points)
+
+    flags = geometry._membership(pred)(np.zeros((4, 2)))
+    assert flags.dtype == bool and flags.shape == (4,)
+    assert calls == [4]
+
+
 @pytest.mark.parametrize("domain,nu", [
     (winged_strip_set(), [0.0, 1.0]),
     (under_parabola_set(), [0.0, 1.0]),

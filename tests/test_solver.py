@@ -26,6 +26,7 @@ from epigraph_lab import (
     tanh_front,
     uniqueness_test,
 )
+from epigraph_lab import solver
 from epigraph_lab.solver import _bicgstab
 
 # smallest eigenvalue of (1/h^2) tridiag(-1, 2, -1), 3 nodes, h = 1/4:
@@ -396,7 +397,7 @@ class TestSharedFactors:
         assert sol.iterations > 1
         assert call_counts == {"splu": 1, "bicgstab": sol.iterations - 1}
         # reference: every BiCGSTAB call reports non-convergence, so each
-        # step factorizes its own Jacobian and is an exact Newton step
+        # step factorizes its own Jacobian and is solved directly by it
         monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=1))
         ref = allen_cahn_front()
         assert ref.iterations == sol.iterations
@@ -605,6 +606,58 @@ class TestForcing:
         inexact = [allen_cahn_front(op).iterations for _ in range(2)]
         monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=1))
         assert inexact == [allen_cahn_front().iterations] * 2
+
+
+class TestFactorPrecision:
+    """Newton's refactorized Jacobian LU is float32; A's LU, the J(0) LU that
+    ``uniqueness_test`` keeps and the factorizations outside Newton are
+    float64."""
+
+    def test_newton_keeps_float32_jacobian_and_float64_a(self):
+        op = arc_bump_operator()[1]
+        allen_cahn_front(op)
+        assert op._jac_lu.L.dtype == np.float32
+        principal_eigenpair(op)
+        assert op._lu.L.dtype == np.float64
+
+    def test_uniqueness_keeps_float64_jacobian_at_zero(self, call_counts,
+                                                       monkeypatch):
+        ops = []
+
+        def assemble(grid):
+            ops.append(assemble_laplacian(grid))
+            return ops[-1]
+
+        monkeypatch.setattr("epigraph_lab.comparison.assemble_laplacian",
+                            assemble)
+        uniqueness_test(restart_grid(), make_nonlinearity("allen_cahn"),
+                        n_restarts=4, amplitude=0.5)
+        # A's LU and J(0)'s, which no restart replaced
+        assert call_counts["splu"] == 2
+        assert ops[0]._jac_lu.L.dtype == np.float64
+
+    @pytest.mark.parametrize("c", [2.0 ** -140, 2.0 ** 140],
+                             ids=["2^-140", "2^140"])
+    def test_single_factors_scale_the_rhs_before_the_cast(self, c):
+        # a plain float32 cast flushes c r to zero or overflows it to inf
+        op = arc_bump_operator()[1]
+        allen_cahn_front(op)
+        lu = op._jac_lu
+        r = np.random.default_rng(1).uniform(-1e-3, 1e-3, op.n)
+        x = lu.solve(r)
+        assert x.dtype == np.float64 and np.isfinite(x).all() and x.any()
+        assert np.array_equal(lu.solve(c * r), c * x)
+
+    def test_front_matches_double_factors(self, monkeypatch):
+        sol = allen_cahn_front()
+        keep = solver._keep_jacobian_lu
+        monkeypatch.setattr(solver, "_keep_jacobian_lu",
+                            lambda op, fp, single: keep(op, fp, False))
+        op = arc_bump_operator()[1]
+        ref = allen_cahn_front(op)
+        assert op._jac_lu.L.dtype == np.float64
+        assert sol.iterations == ref.iterations
+        assert np.abs(sol.values - ref.values).max() <= 1e-12
 
 
 def test_cusp_front_converges_at_fine_h():
