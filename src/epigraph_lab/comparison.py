@@ -23,8 +23,8 @@ from .discretization import (ARM_CUT, ARM_LATTICE, as_trace, assemble_laplacian,
 from .errors import JacobianSingularError, LabError, ValidationError
 from .nonlinearity import (Nonlinearity, epsilon_bounded, eval_f_prime,
                            lipschitz_on)
-from .solver import (SolutionField, SolvePolicy, _keep_jacobian_lu, factorize,
-                     principal_eigenpair, solve_semilinear)
+from .solver import (SolutionField, SolvePolicy, _keep_jacobian_lu, _lambda1,
+                     factorize, principal_eigenpair, solve_semilinear)
 
 __all__ = [
     "ComparisonReport",
@@ -140,7 +140,11 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
     f'(0) = 0, J(0) = A shares A's LU and nothing more is factorized. A
     nonlinearity whose derivative is unbounded takes the Picard route and
     gets no J(0); a singular J(0) keeps nothing, and the first restart
-    factorizes the Jacobian at its iterate instead."""
+    factorizes the Jacobian at its iterate instead.
+
+    lambda_1 is read through the kept J(0) factors where
+    ``principal_eigenpair`` would factorize A (any operator that is not
+    tridiagonal), so A is never factorized: see ``solver._lambda1``."""
     if not math.isnan(f.f0) and f.f0 != 0.0:
         raise ValidationError("uniqueness probe needs f(0) = 0")
     if n_restarts < 1:
@@ -148,14 +152,17 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
     if not 0 < tol < math.inf:
         raise ValidationError("tol must be positive and finite")
     op = assemble_laplacian(grid)
-    lam1 = principal_eigenpair(op).lambda1
-    L = lipschitz_on(f, (-amplitude, amplitude))
-    hypothesis_ok = lam1 > L
+    jac, c = None, 0.0
     if f.f0 == 0.0 and not f.derivative_unbounded:
+        fp0 = eval_f_prime(f, np.zeros(op.n))
+        c = float(fp0[0])   # f is autonomous: f'(0) is one number
         try:
-            _keep_jacobian_lu(op, eval_f_prime(f, np.zeros(op.n)), False)
+            jac = _keep_jacobian_lu(op, fp0, False)
         except JacobianSingularError:
             pass
+    lam1 = _lambda1(op, jac, c)
+    L = lipschitz_on(f, (-amplitude, amplitude))
+    hypothesis_ok = lam1 > L
     rng = np.random.default_rng(seed)
     restarts = []
     worst = 0.0

@@ -165,9 +165,12 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
     The box must be commensurate with h (within 1e-8 of an integer cell
     count per axis). Cut-arm fractions are bisected to h * 1e-10, the arms
     of every axis and side in one batch, so the membership predicate is
-    called once for the lattice mask and once per bisection step (41 times
-    whenever some arm is cut). A predicate whose answer does not hold one
-    flag per point raises ValidationError.
+    called once for the lattice mask and once per bisection step (at most
+    41 times whenever some arm is cut). The bisection stops early once
+    every bracket lies above the snap to 1 or below the 1e-8 floor, where
+    no further step can change a fraction: 31 calls when every cut arm ends
+    on a lattice node. A predicate whose answer does not hold one flag per
+    point raises ValidationError.
     """
     contains = _membership(domain)
     box = np.asarray(box, dtype=float)
@@ -259,8 +262,12 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
         counts = [int(m.sum()) for _, _, m, _ in cuts]
         bases = np.concatenate([points[m] for _, _, m, _ in cuts])
         nus = np.repeat([nu for _, _, _, nu in cuts], counts, axis=0)
+        # a bracket above the snap ends at theta = 1, one below the floor
+        # at theta = 1e-8, whatever the later steps: 0.5 (lo + hi) stays in it
         frac = _bisect(contains, bases, nus, np.zeros(len(bases)),
-                       np.ones(len(bases)), True, iters=40)
+                       np.ones(len(bases)), True, iters=40,
+                       settled=lambda lo, hi: bool(
+                           ((lo > _THETA_SNAP) | (hi < _THETA_FLOOR)).all()))
         frac = np.maximum(np.where(frac > _THETA_SNAP, 1.0, frac), _THETA_FLOOR)
         for (k, side, m, nu), f in zip(cuts, np.split(frac, np.cumsum(counts)[:-1])):
             theta[m, k, side] = f

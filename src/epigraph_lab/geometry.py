@@ -473,11 +473,15 @@ def _points_on_lines(base, t, nu):
     return pts
 
 
-def _bisect(contains, bases, nu, lo, hi, state_lo, iters=48):
+def _bisect(contains, bases, nu, lo, hi, state_lo, iters=48, settled=None):
     """Bisect membership flips bracketed by lo < hi along each base + t nu
     (nu one direction, or one per row), all brackets in one batch; state_lo
-    is the membership at lo."""
+    is the membership at lo. ``settled(lo, hi)``, when given, ends the
+    bisection before ``iters`` steps once it returns True: the caller's
+    word that no further step can change what it makes of 0.5 (lo + hi)."""
     for _ in range(iters):
+        if settled is not None and settled(lo, hi):
+            break
         mid = 0.5 * (lo + hi)
         inside = contains(_points_on_lines(bases, mid, nu))
         same = inside == state_lo

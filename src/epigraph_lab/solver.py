@@ -9,7 +9,8 @@ A itself (f' identically zero) and the shift-invert eigensolve. The
 LU-or-Krylov rule is by dimension: one and two dimensions factorize, where
 fill stays near-linear; from three dimensions on the fill explodes and
 ``solve_linear`` runs Jacobi-preconditioned BiCGSTAB to a relative residual
-of 1e-13 instead (the cut-arm operator is not symmetric).
+of 1e-13 instead (the cut-arm operator is not symmetric). A one-dimensional
+operator's eigenpair needs no LU at all (see below).
 
 ``solve_semilinear`` is a damped Newton iteration on F(u) = A u - b - f(u)
 with the exact Jacobian J(u) = A - diag(f'(u)). The latest Jacobian LU of a
@@ -56,10 +57,19 @@ factors is an inexact Newton step with relative error of order
 kappa(J) 2^-24. A's shared LU (the lift, Picard, f' identically zero steps
 and the shift-invert eigensolve need an exact inverse), the J(0) LU that
 ``uniqueness_test`` keeps (each restart step then takes one preconditioner
-application) and every factorization outside Newton stay double precision.
+application, and lambda_1 is read through it) and every factorization
+outside Newton stay double precision.
 
-``principal_eigenpair`` runs ARPACK in shift-invert mode about 0 with the
-shared factors and a fixed start vector, so reruns are bit-identical.
+``principal_eigenpair`` solves a tridiagonal operator (one-dimensional, or
+n <= 2) by a symmetric tridiagonal eigensolve after a diagonal similarity
+(``scipy.linalg.eigh_tridiagonal``), and any other by ARPACK in
+shift-invert mode about 0 with the shared factors. The ARPACK step is one
+helper, ``_shift_invert_eigenpair(op, lu, sigma)``, which takes the LU of
+A - sigma I: ``_lambda1``, which ``uniqueness_test`` calls, runs it about
+sigma = f'(0) through the J(0) factors that test keeps anyway. Every path starts from fixed data (ARPACK from
+the ones vector), so reruns are bit-identical, and every result passes the
+same checks: Rayleigh quotient, residual at most 1e-8 lambda1, positive
+eigenfunction.
 """
 
 from __future__ import annotations
@@ -120,7 +130,8 @@ class SolutionField:
 @dataclass
 class EigenPair:
     """lambda1 with its max-normalized eigenfunction; ``iterations`` counts
-    the shift-invert solves ARPACK asked for (0 for the dense n <= 2 case)."""
+    the shift-invert solves ARPACK asked for (0 on the tridiagonal path:
+    one-dimensional operators and any with n <= 2)."""
 
     lambda1: float
     phi1: np.ndarray
@@ -424,38 +435,11 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                          iterations=iters, method=method, meta=meta)
 
 
-def principal_eigenpair(op: SparseOperator) -> EigenPair:
-    """Eigenpair of op with the eigenvalue nearest 0; phi1 max-normalized.
-
-    ARPACK in shift-invert mode about 0, applying the operator's shared LU,
-    started from the ones vector and run to machine precision; operators
-    with n <= 2 (ARPACK needs n > 2) take a dense eigendecomposition.
-    lambda1 is the Rayleigh quotient of the max-normalized eigenfunction and
-    ``residual`` its max-norm residual; one above 1e-8 lambda1 raises
-    ConvergenceError, and an eigenfunction that is not positive raises
-    NumericalError."""
-    if op.n <= 2:
-        w, vecs = la.eig(op.matrix.toarray())
-        solves = 0
-    else:
-        lu = _factors(op)
-        count = {"solves": 0}
-
-        def opinv(x):
-            count["solves"] += 1
-            return lu.solve(x)
-
-        inverse = spla.LinearOperator((op.n, op.n), matvec=opinv, dtype=float)
-        try:
-            w, vecs = spla.eigs(op.matrix, k=1, sigma=0.0, OPinv=inverse,
-                                v0=np.ones(op.n), tol=0)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError("no convergence: shift-invert arnoldi",
-                                   iterations=count["solves"]) from exc
-        except spla.ArpackError as exc:
-            raise NumericalError(f"shift-invert arnoldi failed: {exc}") from exc
-        solves = count["solves"]
-    vec = vecs[:, np.argmin(np.abs(w))].real
+def _checked_pair(op: SparseOperator, vec: np.ndarray, solves: int) -> EigenPair:
+    """The eigenpair of op from an eigenvector estimate: max-normalized, with
+    lambda1 its Rayleigh quotient and ``residual`` its max-norm residual.
+    A residual above 1e-8 lambda1 raises ConvergenceError, an eigenfunction
+    that is not positive NumericalError."""
     peak = vec[np.argmax(np.abs(vec))]
     if not np.isfinite(peak) or peak == 0.0:
         raise NumericalError("eigensolver produced a degenerate vector")
@@ -469,3 +453,102 @@ def principal_eigenpair(op: SparseOperator) -> EigenPair:
     if (v <= 0).any():
         raise NumericalError("principal eigenfunction is not positive")
     return EigenPair(lambda1=lam, phi1=v, residual=resid, iterations=solves)
+
+
+def _tridiagonal(op: SparseOperator) -> bool:
+    """Whether op is tridiagonal: one-dimensional, or of size 1 or 2."""
+    return op.grid.dimension == 1 or op.n <= 2
+
+
+def _tridiagonal_eigenpair(op: SparseOperator) -> EigenPair:
+    """The eigenpair of a tridiagonal operator with the smallest eigenvalue,
+    by a symmetric tridiagonal eigensolve.
+
+    The off-diagonals a_{i,i+1}, a_{i+1,i} are both negative or both zero
+    (no arm joins the two nodes). With D_0 = 1 and
+    D_{i+1} = D_i sqrt(a_{i,i+1} / a_{i+1,i}), T = D A D^-1 is symmetric,
+    with off-diagonal -sqrt(a_{i,i+1} a_{i+1,i}), so T y = lambda y gives
+    A v = lambda v for v = y / D. A run of coupled nodes with no Dirichlet
+    arm has zero row sums, so A is singular: JacobianSingularError, as
+    ``factorize`` raises for it."""
+    a = op.matrix
+    upper, lower = a.diagonal(1), a.diagonal(-1)
+    coupled = upper != 0.0
+    run = np.concatenate(([0], np.cumsum(~coupled)))
+    dirichlet = np.zeros(op.n, dtype=bool)
+    dirichlet[op.bc_rows] = True
+    if not np.bincount(run, weights=dirichlet).all():
+        raise JacobianSingularError(
+            "jacobian singular: coupled nodes with no Dirichlet arm")
+    ratio = np.sqrt(np.divide(upper, lower, out=np.ones(op.n - 1),
+                              where=coupled))
+    d = np.concatenate(([1.0], np.cumprod(ratio)))
+    _, y = la.eigh_tridiagonal(a.diagonal(), -np.sqrt(upper * lower),
+                               select="i", select_range=(0, 0))
+    return _checked_pair(op, y[:, 0] / d, 0)
+
+
+def _shift_invert_eigenpair(op: SparseOperator, lu, sigma: float) -> EigenPair:
+    """The eigenpair of op with the eigenvalue nearest ``sigma``, by ARPACK
+    in shift-invert mode through ``lu``, the LU of A - sigma I, started from
+    the ones vector and run to machine precision (n > 2). ARPACK failures
+    are lab errors."""
+    count = {"solves": 0}
+
+    def opinv(x):
+        count["solves"] += 1
+        return lu.solve(x)
+
+    inverse = spla.LinearOperator((op.n, op.n), matvec=opinv, dtype=float)
+    try:
+        _, vecs = spla.eigs(op.matrix, k=1, sigma=sigma, OPinv=inverse,
+                            v0=np.ones(op.n), tol=0)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError("no convergence: shift-invert arnoldi",
+                               iterations=count["solves"]) from exc
+    except spla.ArpackError as exc:
+        raise NumericalError(f"shift-invert arnoldi failed: {exc}") from exc
+    return _checked_pair(op, vecs[:, 0].real, count["solves"])
+
+
+def principal_eigenpair(op: SparseOperator) -> EigenPair:
+    """Eigenpair of op with the smallest eigenvalue (A is an M-matrix: the
+    eigenvalue nearest 0); phi1 max-normalized.
+
+    A tridiagonal operator (one-dimensional, or n <= 2) takes a symmetrized
+    tridiagonal eigensolve (``scipy.linalg.eigh_tridiagonal``) and
+    factorizes nothing. Otherwise ARPACK runs in shift-invert mode about 0,
+    applying the operator's shared LU, started from the ones vector and run
+    to machine precision. lambda1 is the Rayleigh quotient of the
+    max-normalized eigenfunction and ``residual`` its max-norm residual; one
+    above 1e-8 lambda1 raises ConvergenceError, and an eigenfunction that is
+    not positive raises NumericalError. A singular operator raises
+    JacobianSingularError."""
+    if _tridiagonal(op):
+        return _tridiagonal_eigenpair(op)
+    return _shift_invert_eigenpair(op, _factors(op), 0.0)
+
+
+def _lambda1(op: SparseOperator, jac, c: float) -> float:
+    """lambda_1 of op, by shift-invert about c = f'(0) through ``jac``, the
+    kept LU of J(0) = A - c I, when that can be trusted; by
+    ``principal_eigenpair(op)`` otherwise.
+
+    A is an M-matrix, so by Perron-Frobenius lambda_1 is real, every other
+    eigenvalue has a larger real part, and only lambda_1's eigenvector is
+    positive. When lambda_1 > c, lambda_1 is therefore the eigenvalue
+    nearest c, which shift-invert about c returns. The pair through J(0) is
+    kept only when its eigenvector is positive (the checks of
+    ``principal_eigenpair``) and its eigenvalue exceeds c. With c = 0, J(0)
+    is A and its kept LU is A's, so this is ``principal_eigenpair``'s own
+    solve. With no kept J(0) (singular, or the Picard route), a failed
+    Arnoldi run, or a tridiagonal operator (which factorizes nothing),
+    ``principal_eigenpair(op)`` answers."""
+    if jac is not None and not _tridiagonal(op):
+        try:
+            lam = _shift_invert_eigenpair(op, jac, c).lambda1
+        except (ConvergenceError, NumericalError):
+            lam = -math.inf
+        if lam > c:
+            return lam
+    return principal_eigenpair(op).lambda1

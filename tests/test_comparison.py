@@ -24,6 +24,7 @@ from epigraph_lab import (
     make_epigraph,
     make_nonlinearity,
     ordered_pair,
+    principal_eigenpair,
     revolution_set,
     solve_semilinear,
     strip_set,
@@ -31,6 +32,7 @@ from epigraph_lab import (
     threshold_scan,
     uniqueness_test,
 )
+from epigraph_lab import comparison, solver
 
 
 def interval_grid(a, b, h):
@@ -230,6 +232,55 @@ class TestUniqueness:
         monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=1))
         exact = self.allen_cahn_restarts()
         assert [it for _, it in restarts] == [it for _, it in exact]
+
+    def test_lambda1_through_jacobian_at_zero_matches_principal_eigenpair(
+            self):
+        # shift-invert about f'(0) = 1 through the kept LU of J(0) = A - I
+        g = build_grid(strip_set(0.0, 1.0), [[0.0, 2.0], [0.0, 1.0]], 0.125)
+        rep = uniqueness_test(g, make_nonlinearity("allen_cahn"), n_restarts=2,
+                              amplitude=0.5)
+        ref = principal_eigenpair(assemble_laplacian(g)).lambda1
+        assert rep.lambda1 > 1.0
+        assert abs(rep.lambda1 - ref) <= 1e-12 * ref
+
+    def test_violated_hypothesis_reports_the_lambda1_of_a(self, monkeypatch):
+        # lambda_1 ~ 0.61 < f'(0) = 1: the pair through J(0) is not trusted
+        # and the eigensolve about 0 through A's LU answers, bit for bit
+        g = build_grid(strip_set(0.0, 4.0), [[0.0, 2.0], [0.0, 4.0]], 0.25)
+        shifts = []
+        original = solver._shift_invert_eigenpair
+
+        def shift_invert(op, lu, sigma):
+            shifts.append(sigma)
+            return original(op, lu, sigma)
+
+        monkeypatch.setattr(solver, "_shift_invert_eigenpair", shift_invert)
+        rep = uniqueness_test(g, make_nonlinearity("allen_cahn"), n_restarts=2,
+                              amplitude=0.5)
+        assert shifts == [1.0, 0.0]
+        assert rep.lambda1 == principal_eigenpair(assemble_laplacian(g)).lambda1
+        assert rep.lambda1 < 1.0
+
+    def test_restarts_do_not_depend_on_how_lambda1_is_read(self, monkeypatch):
+        # criterion 5's config; the reference reads lambda_1 by ARPACK
+        # through A's LU, which it leaves on op next to J(0)'s
+        g = build_grid(strip_set(0.0, 2.0, dimension=1), [[0.0, 2.0]],
+                       1.0 / 32)
+        f = make_nonlinearity("linear", slope=1.0)
+
+        def run():
+            rep = uniqueness_test(g, f, n_restarts=20, tol=1e-8, seed=7)
+            return rep.lambda1, [(r["norm"], r["iterations"])
+                                 for r in rep.meta["restarts"]]
+
+        lam, restarts = run()
+        monkeypatch.setattr(comparison, "_lambda1", lambda op, jac, c:
+                            solver._shift_invert_eigenpair(
+                                op, solver._factors(op), 0.0).lambda1)
+        ref_lam, ref_restarts = run()
+        assert [it for _, it in restarts] == [1] * 20
+        assert restarts == ref_restarts
+        assert abs(lam - ref_lam) <= 1e-12 * ref_lam
 
     def test_requires_zero_at_origin(self):
         g = interval_grid(0.0, 1.0, 0.25)

@@ -20,6 +20,7 @@ from epigraph_lab import (
     stencil_residual,
     strip_set,
 )
+from epigraph_lab import discretization
 from epigraph_lab.discretization import _THETA_FLOOR, _THETA_SNAP
 from epigraph_lab.geometry import _bisect
 
@@ -211,6 +212,41 @@ def test_one_bisection_batch_matches_per_side_batches(domain, box, h):
     cut = g.arm_kind == ARM_CUT
     assert np.array_equal(g.theta.view(np.uint64), theta.view(np.uint64))
     assert np.array_equal(g.arm_point[cut].view(np.uint64), arm_point[cut].view(np.uint64))
+
+
+# (domain, box, h, predicate calls): every cut arm of the first four ends on
+# a lattice node (theta = 1) or within 1e-8 h of its own node (theta at the
+# floor), so the bisection stops after 30 steps; the disk's does not
+@pytest.mark.parametrize("domain,box,h,calls", [
+    (strip_set(0.0, 2.5, dimension=1), [[0.0, 2.5]], 2.5 / 64, 31),
+    (strip_set(0.0, 1.0), [[0.0, 2.0], [0.0, 1.0]], 1.0 / 8, 31),
+    (make_epigraph("half_space"), [[-1.0, 1.0], [0.0, 2.0]], 1.0 / 16, 31),
+    (strip_set(0.125 - 1e-12, 1.0, dimension=1), [[0.0, 1.0]], 1.0 / 8, 31),
+    (unit_disk, [[-1.5, 1.5], [-1.5, 1.5]], 1.0 / 16, 41),
+], ids=["interval", "strip", "half_space", "floor", "disk"])
+def test_settled_bisection_matches_forty_steps(monkeypatch, domain, box, h,
+                                               calls):
+    def build(bisect):
+        counts = []
+
+        def contains(points):
+            counts.append(len(points))
+            return getattr(domain, "contains", domain)(points)
+
+        monkeypatch.setattr(discretization, "_bisect", bisect)
+        return build_grid(contains, box, h), len(counts)
+
+    g, n_calls = build(_bisect)
+    assert n_calls == calls
+    # the reference runs all 40 steps whatever the brackets
+    ref, ref_calls = build(lambda *args, settled=None, **kwargs:
+                           _bisect(*args, **kwargs))
+    assert ref_calls == 41
+    assert np.array_equal(g.theta.view(np.uint64), ref.theta.view(np.uint64))
+    assert np.array_equal(g.arm_point.view(np.uint64),
+                          ref.arm_point.view(np.uint64))
+    snapped = set(np.unique(g.theta).tolist()) <= {1.0, _THETA_FLOOR}
+    assert snapped == (calls == 31)
 
 
 @pytest.mark.parametrize("answer", [lambda p: np.ones(3, bool),

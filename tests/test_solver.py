@@ -9,7 +9,9 @@ import scipy.sparse.linalg as spla
 
 from epigraph_lab import (
     ConvergenceError,
+    JacobianSingularError,
     LabError,
+    NumericalError,
     SolvePolicy,
     ValidationError,
     assemble_laplacian,
@@ -221,6 +223,13 @@ def test_operator_of_another_grid_is_rejected():
     assert solve_semilinear(g, f, op=assemble_laplacian(g)).grid is g
 
 
+def square_window(box, h):
+    """The whole 2-D lattice window ``box`` with step h, every face
+    Dirichlet."""
+    return build_grid(lambda p: np.ones(len(p), dtype=bool), box, h,
+                      face_policy=[["dirichlet", "dirichlet"]] * 2)
+
+
 class TestPrincipalEigenpair:
     def test_three_node_interval(self):
         op = assemble_laplacian(interval_grid(0.0, 1.0, 0.25))
@@ -280,6 +289,23 @@ class TestPrincipalEigenpair:
         assert np.all(pair.phi1 == 1.0)
         assert pair.iterations == 0
 
+    @pytest.mark.parametrize("box,n,lam", [
+        ([[0.0, 1.0], [0.0, 1.0]], 1, 16.0),
+        ([[0.0, 1.0], [0.0, 1.5]], 2, 12.0),
+    ], ids=["n1", "n2"])
+    def test_one_and_two_node_operators_in_two_dimensions(
+            self, call_counts, box, n, lam):
+        # h = 1/2: [16] on one node and [[16, -4], [-4, 16]] on two; any
+        # matrix of size 1 or 2 is tridiagonal, so no LU and no ARPACK
+        op = assemble_laplacian(square_window(box, 0.5))
+        assert op.n == n
+        pair = principal_eigenpair(op)
+        assert abs(pair.lambda1 - lam) <= 1e-12 * lam
+        # phi1 is the ones vector up to one ulp of the normalized pair
+        assert np.abs(pair.phi1 - 1.0).max() <= 1e-15
+        assert pair.iterations == 0
+        assert call_counts == {"splu": 0, "bicgstab": 0}
+
     def test_reruns_are_bit_identical(self):
         g = build_grid(make_epigraph("arc_bump"), [[-2.0, 2.0], [0.0, 3.0]],
                        1.0 / 8)
@@ -289,13 +315,77 @@ class TestPrincipalEigenpair:
         assert first.phi1.tobytes() == second.phi1.tobytes()
 
     def test_arpack_failures_are_lab_errors(self, monkeypatch):
-        op = assemble_laplacian(interval_grid(0.0, 1.0, 1.0 / 8))
+        # a 2-D operator: 1-D ones take the tridiagonal path, not ARPACK
+        op = assemble_laplacian(restart_grid())
 
         def no_convergence(*args, **kwargs):
             raise spla.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((0, 0)))
         monkeypatch.setattr(spla, "eigs", no_convergence)
         with pytest.raises(ConvergenceError):
             principal_eigenpair(op)
+
+
+def interval_window(a, b, box, h, lo_face="dirichlet"):
+    """The interval (a, b) on the lattice window ``box`` with step h; its lo
+    face Neumann or Dirichlet, its hi face Dirichlet."""
+    return build_grid(lambda p: (p[:, 0] > a) & (p[:, 0] < b), [box], h,
+                      face_policy=[[lo_face, "dirichlet"]])
+
+
+class TestTridiagonalEigenpair:
+    """One-dimensional operators take a symmetrized tridiagonal eigensolve:
+    no LU, no ARPACK."""
+
+    # cut ends off the lattice (theta < 1) and a Neumann face folded onto
+    # its neighbor make the tridiagonal matrix unsymmetric
+    @pytest.mark.parametrize("grid,n", [
+        (interval_window(0.1, 1.0, [0.0, 1.0], 0.5), 1),
+        (interval_window(0.1, 1.0, [0.0, 1.0], 1.0 / 3.0), 2),
+        (interval_window(0.1, 1.0, [0.0, 1.0], 0.25), 3),
+        (interval_window(0.03, 1.0, [0.0, 1.0], 0.125), 7),
+        (interval_window(-2.0, 0.7, [-1.0, 1.0], 0.125, "neumann"), 14),
+        (interval_window(-1.0, 7.99, [0.0, 8.0], 1.0 / 32, "neumann"), 256),
+    ], ids=["n1", "n2", "n3", "cut_end", "mirror_face", "n256"])
+    def test_matches_dense_reference(self, call_counts, grid, n):
+        op = assemble_laplacian(grid)
+        assert op.n == n
+        dense = op.matrix.toarray()
+        assert n == 1 or np.abs(dense - dense.T).max() > 1.0
+        # the dense eigenvalue carries an absolute error of order eps |A|
+        # (5e-12 relative at n = 256); the two-sided Rayleigh quotient of its
+        # left and right eigenvectors is accurate to second order
+        w, left, right = la.eig(dense, left=True, right=True)
+        i = np.argmin(np.abs(w))
+        u, v = left[:, i].real, right[:, i].real
+        lam = (u @ dense @ v) / (u @ v)
+        pair = principal_eigenpair(op)
+        assert abs(pair.lambda1 - lam) <= 1e-12 * lam
+        assert pair.phi1.min() > 0.0
+        assert np.abs(pair.phi1 - v / v[np.argmax(np.abs(v))]).max() <= 1e-8
+        assert pair.residual <= 1e-8 * pair.lambda1
+        assert pair.iterations == 0
+        assert call_counts == {"splu": 0, "bicgstab": 0}
+
+    def test_singular_operator_raises_as_factorize_does(self):
+        # both faces Neumann and no cut: every row sums to zero
+        g = build_grid(lambda p: np.ones(len(p), dtype=bool), [[0.0, 1.0]],
+                       0.125, face_policy=[["neumann", "neumann"]])
+        op = assemble_laplacian(g)
+        assert op.bc_rows.size == 0
+        with pytest.raises(JacobianSingularError):
+            principal_eigenpair(op)
+
+    # two intervals of different widths: the eigenfunction of the wider
+    # one's lambda1 vanishes on the other; of equal widths: lambda1 is
+    # double, and the eigensolve returns an eigenvector on one interval
+    @pytest.mark.parametrize("b,c", [(1.5, 3.3), (2.0, 3.0)],
+                             ids=["unequal", "equal"])
+    def test_reducible_operator_has_no_positive_eigenfunction(self, b, c):
+        g = build_grid(lambda p: ((p[:, 0] > 0.0) & (p[:, 0] < 1.0))
+                       | ((p[:, 0] > b) & (p[:, 0] < c)),
+                       [[0.0, 4.0]], 1.0 / 16)
+        with pytest.raises(NumericalError, match="not positive"):
+            principal_eigenpair(assemble_laplacian(g))
 
 
 def test_sparse_matches_dense_on_small_instance():
@@ -501,12 +591,13 @@ class TestSharedFactors:
                              ids=["allen_cahn", "linear"])
     def test_uniqueness_restarts_share_one_jacobian_lu(
             self, call_counts, krylov_log, f):
-        # one LU of A for the eigenpair and one of J(0) for all restarts
+        # one LU of J(0) for the eigenpair and all restarts; A's is never
+        # factorized
         rep = uniqueness_test(restart_grid(), f, n_restarts=4,
                               amplitude=0.5)
         restarts = rep.meta["restarts"]
         assert [r["outcome"] for r in restarts] == ["converged"] * 4
-        assert call_counts["splu"] == 2
+        assert call_counts["splu"] == 1
         newton = sum(r["iterations"] for r in restarts)
         assert len(krylov_log) == newton >= 4
         assert sum(c["applications"] for c in krylov_log) == newton
@@ -544,17 +635,18 @@ class TestSharedFactors:
         assert ops[0]._jac_lu is None
 
     def test_singular_jacobian_at_zero_keeps_nothing(self, monkeypatch):
-        # the second factorization, J(0)'s, fails: restart 0 factorizes the
-        # Jacobian at its start and preconditions the later restarts with it
+        # the first factorization, J(0)'s, fails: the eigenpair factorizes A,
+        # and restart 0 factorizes the Jacobian at its start and
+        # preconditions the later restarts with it
         splu, calls = spla.splu, []
 
-        def singular_second(*args, **kwargs):
+        def singular_first(*args, **kwargs):
             calls.append(args)
-            if len(calls) == 2:
+            if len(calls) == 1:
                 raise RuntimeError("Factor is exactly singular")
             return splu(*args, **kwargs)
 
-        monkeypatch.setattr(spla, "splu", singular_second)
+        monkeypatch.setattr(spla, "splu", singular_first)
         rep = uniqueness_test(restart_grid(),
                               make_nonlinearity("allen_cahn"), n_restarts=4,
                               amplitude=0.5)
@@ -632,8 +724,8 @@ class TestFactorPrecision:
                             assemble)
         uniqueness_test(restart_grid(), make_nonlinearity("allen_cahn"),
                         n_restarts=4, amplitude=0.5)
-        # A's LU and J(0)'s, which no restart replaced
-        assert call_counts["splu"] == 2
+        # J(0)'s LU only, which the eigenpair read and no restart replaced
+        assert call_counts["splu"] == 1
         assert ops[0]._jac_lu.L.dtype == np.float64
 
     @pytest.mark.parametrize("c", [2.0 ** -140, 2.0 ** 140],
