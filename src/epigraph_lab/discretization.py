@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 from .geometry import _bisect, _membership
@@ -333,8 +334,23 @@ def _folded_arms(grid: DomainGrid):
     return th, kind, target, point
 
 
+def _components(matrix: sp.csr_matrix):
+    """The connected components of the matrix's pattern: their count and
+    each row's label. The cut-cell pattern is symmetric (an arm is internal
+    exactly when the arm back is), so they are its strongly connected
+    components, the irreducible blocks of A, which SciPy labels without the
+    transposed copy its undirected labelling makes (12 MB at n = 174,616)."""
+    return connected_components(matrix, directed=True, connection="strong")
+
+
 def assemble_laplacian(grid: DomainGrid) -> SparseOperator:
-    """Assemble -Laplacian in CSR form; Dirichlet arms go to the rhs tables."""
+    """Assemble -Laplacian in CSR form; Dirichlet arms go to the rhs tables.
+
+    Every connected component of the operator must hold a row with a
+    Dirichlet arm (a cut arm or a lattice node on a Dirichlet face): the
+    rows of a component without one sum to zero, so A would be singular.
+    Such a window (every face Neumann and no cut arm in some component)
+    raises ValidationError naming the component's size and one node."""
     n = grid.n_interior
     ndim = grid.dimension
     h2 = grid.h * grid.h
@@ -386,6 +402,16 @@ def assemble_laplacian(grid: DomainGrid) -> SparseOperator:
         bc_rows = np.zeros(0, dtype=np.int64)
         bc_coeffs = np.zeros(0)
         bc_points = np.zeros((0, ndim))
+    count, labels = _components(matrix)
+    grounded = np.zeros(count, dtype=bool)
+    grounded[labels[bc_rows]] = True
+    if not grounded.all():
+        members = np.flatnonzero(labels == np.flatnonzero(~grounded)[0])
+        node = members[0]
+        raise ValidationError(
+            f"operator is singular: a component of {members.size} interior"
+            f" nodes has no Dirichlet arm (node {node} at"
+            f" {grid.points[node].tolist()}); make a face Dirichlet")
     return SparseOperator(matrix=matrix, bc_rows=bc_rows, bc_coeffs=bc_coeffs,
                           bc_points=bc_points, grid=grid)
 

@@ -1,8 +1,11 @@
 """Linear, semilinear and eigenvalue solves on masked grids.
 
-Each operator is factorized at most once. ``factorize`` orders SuperLU's
-columns on the pattern of A^T + A (the cut-cell pattern is symmetric, only
-the values are not), and the LU of an operator's matrix is kept on the
+Each operator is factorized at most once. ``factorize`` is the package's
+one SuperLU call: it orders the columns on the pattern of A^T + A (the
+cut-cell pattern is symmetric, only the values are not) and factors one
+column per panel with no relaxed supernodes, which on these small-supernode
+stencils needs less memory and fill than SuperLU's dense panels and
+zero-padded supernodes. The LU of an operator's matrix is kept on the
 ``SparseOperator`` and shared by every solve with that matrix: the linear
 solve in one and two dimensions, Picard, each Newton step whose Jacobian is
 A itself (f' identically zero) and the shift-invert eigensolve. The
@@ -60,16 +63,21 @@ and the shift-invert eigensolve need an exact inverse), the J(0) LU that
 application, and lambda_1 is read through it) and every factorization
 outside Newton stay double precision.
 
-``principal_eigenpair`` solves a tridiagonal operator (one-dimensional, or
+``principal_eigenpair`` rejects a reducible operator (more than one
+connected component, so no positive eigenfunction is unique) with
+NumericalError, then solves a tridiagonal operator (one-dimensional, or
 n <= 2) by a symmetric tridiagonal eigensolve after a diagonal similarity
 (``scipy.linalg.eigh_tridiagonal``), and any other by ARPACK in
 shift-invert mode about 0 with the shared factors. The ARPACK step is one
 helper, ``_shift_invert_eigenpair(op, lu, sigma)``, which takes the LU of
-A - sigma I: ``_lambda1``, which ``uniqueness_test`` calls, runs it about
-sigma = f'(0) through the J(0) factors that test keeps anyway. Every path starts from fixed data (ARPACK from
-the ones vector), so reruns are bit-identical, and every result passes the
-same checks: Rayleigh quotient, residual at most 1e-8 lambda1, positive
-eigenfunction.
+A - sigma I, keeps ARPACK's Krylov basis to 10 vectors and ends with one
+inverse-iteration step through the same factors, which makes the
+eigenfunction positive where it falls below ARPACK's rounding (next to a
+cusp): ``_lambda1``, which ``uniqueness_test`` calls, runs it about
+sigma = f'(0) through the J(0) factors that test keeps anyway. Every path
+starts from fixed data (ARPACK from the ones vector), so reruns are
+bit-identical, and every result passes the same checks: Rayleigh quotient,
+residual at most 1e-8 lambda1, positive eigenfunction.
 """
 
 from __future__ import annotations
@@ -82,8 +90,8 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretization import (DomainGrid, SparseOperator, as_trace,
-                             assemble_laplacian, boundary_rhs,
+from .discretization import (DomainGrid, SparseOperator, _components,
+                             as_trace, assemble_laplacian, boundary_rhs,
                              stencil_residual)
 from .errors import (ConvergenceError, JacobianSingularError, NumericalError,
                      ValidationError)
@@ -130,8 +138,9 @@ class SolutionField:
 @dataclass
 class EigenPair:
     """lambda1 with its max-normalized eigenfunction; ``iterations`` counts
-    the shift-invert solves ARPACK asked for (0 on the tridiagonal path:
-    one-dimensional operators and any with n <= 2)."""
+    the shift-invert solves: those ARPACK asked for plus the one
+    inverse-iteration step that polishes its vector (0 on the tridiagonal
+    path: one-dimensional operators and any with n <= 2)."""
 
     lambda1: float
     phi1: np.ndarray
@@ -180,7 +189,20 @@ class _SingleLU:
 
 def factorize(matrix: sp.spmatrix, single: bool = False):
     """SuperLU factors of ``matrix``, columns ordered by minimum degree on
-    the pattern of A^T + A (``permc_spec="MMD_AT_PLUS_A"``).
+    the pattern of A^T + A (``permc_spec="MMD_AT_PLUS_A"``), one column per
+    panel and no relaxed supernodes (``panel_size=1, relax=1``).
+
+    SuperLU (Demmel et al., SIMAX 20, 1999) by default factors columns in
+    dense panels of 10 and merges small subtrees of the elimination tree
+    into "relaxed" supernodes padded with explicit zeros. The supernodes of
+    these 2N+1-point operators are small, so both cost more than they save.
+    Measured on a 2-vCPU machine: the n = 174,616 arc_bump box needs 111 MB
+    above its input while it factorizes instead of 165 MB (float32: 74
+    instead of 114 MB), with fill 9.69M instead of 9.92M; the 3-D
+    Weierstrass window [-1.5,1.5]^2 x [0,4] at h = 1/16 (n = 83,104) takes
+    10 s, fill 28.9M and a 351 MB peak instead of 33 s, 66.9M and 837 MB.
+    Ten-column panels with ``relax=1`` take 5 s there, but hold 31 MB of
+    panel workspace on the 2-D box.
 
     With ``single`` the matrix is factorized in float32 and the factors'
     ``solve`` scales and casts a float64 right-hand side (``_SingleLU``):
@@ -194,7 +216,7 @@ def factorize(matrix: sp.spmatrix, single: bool = False):
     csc = matrix.tocsc()
     try:
         lu = spla.splu(csc.astype(np.float32) if single else csc,
-                       permc_spec="MMD_AT_PLUS_A")
+                       permc_spec="MMD_AT_PLUS_A", panel_size=1, relax=1)
     except RuntimeError as exc:
         raise JacobianSingularError(f"jacobian singular: {exc}") from exc
     return _SingleLU(lu) if single else lu
@@ -468,18 +490,10 @@ def _tridiagonal_eigenpair(op: SparseOperator) -> EigenPair:
     (no arm joins the two nodes). With D_0 = 1 and
     D_{i+1} = D_i sqrt(a_{i,i+1} / a_{i+1,i}), T = D A D^-1 is symmetric,
     with off-diagonal -sqrt(a_{i,i+1} a_{i+1,i}), so T y = lambda y gives
-    A v = lambda v for v = y / D. A run of coupled nodes with no Dirichlet
-    arm has zero row sums, so A is singular: JacobianSingularError, as
-    ``factorize`` raises for it."""
+    A v = lambda v for v = y / D."""
     a = op.matrix
     upper, lower = a.diagonal(1), a.diagonal(-1)
     coupled = upper != 0.0
-    run = np.concatenate(([0], np.cumsum(~coupled)))
-    dirichlet = np.zeros(op.n, dtype=bool)
-    dirichlet[op.bc_rows] = True
-    if not np.bincount(run, weights=dirichlet).all():
-        raise JacobianSingularError(
-            "jacobian singular: coupled nodes with no Dirichlet arm")
     ratio = np.sqrt(np.divide(upper, lower, out=np.ones(op.n - 1),
                               where=coupled))
     d = np.concatenate(([1.0], np.cumprod(ratio)))
@@ -491,8 +505,17 @@ def _tridiagonal_eigenpair(op: SparseOperator) -> EigenPair:
 def _shift_invert_eigenpair(op: SparseOperator, lu, sigma: float) -> EigenPair:
     """The eigenpair of op with the eigenvalue nearest ``sigma``, by ARPACK
     in shift-invert mode through ``lu``, the LU of A - sigma I, started from
-    the ones vector and run to machine precision (n > 2). ARPACK failures
-    are lab errors."""
+    the ones vector, with a Krylov basis of at most 10 vectors, and run to
+    machine precision (n > 2); then one inverse-iteration step through the
+    same factors: v <- lu.solve(max(v / peak, 0)).
+
+    That step is what makes the eigenfunction's sign certain. Next to a
+    cusp phi1 falls to about 1e-25 while ARPACK's vector carries rounding
+    of about 1e-21, which can be negative. For sigma < lambda_1, A - sigma I
+    is a nonsingular M-matrix, so its inverse is entrywise positive on an
+    irreducible A (Berman & Plemmons, ch. 6): the solve maps the clipped,
+    nonnegative and nonzero vector to a positive one, moving lambda_1 at
+    the rounding level. ARPACK failures are lab errors."""
     count = {"solves": 0}
 
     def opinv(x):
@@ -502,28 +525,46 @@ def _shift_invert_eigenpair(op: SparseOperator, lu, sigma: float) -> EigenPair:
     inverse = spla.LinearOperator((op.n, op.n), matvec=opinv, dtype=float)
     try:
         _, vecs = spla.eigs(op.matrix, k=1, sigma=sigma, OPinv=inverse,
-                            v0=np.ones(op.n), tol=0)
+                            v0=np.ones(op.n), ncv=min(op.n, 10), tol=0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError("no convergence: shift-invert arnoldi",
                                iterations=count["solves"]) from exc
     except spla.ArpackError as exc:
         raise NumericalError(f"shift-invert arnoldi failed: {exc}") from exc
-    return _checked_pair(op, vecs[:, 0].real, count["solves"])
+    v = vecs[:, 0].real
+    v = opinv(np.maximum(v / v[np.argmax(np.abs(v))], 0.0))
+    return _checked_pair(op, v, count["solves"])
+
+
+def _require_irreducible(op: SparseOperator):
+    """Raise NumericalError when op's pattern has more than one connected
+    component. Then lambda_1 is the least of the components' own, and
+    no positive eigenfunction belongs to it uniquely: it vanishes on the
+    other components, or (equal components, a double lambda_1) every
+    positive mix of their eigenfunctions is one."""
+    count, _ = _components(op.matrix)
+    if count > 1:
+        raise NumericalError(
+            f"reducible operator: {count} connected components, so lambda1"
+            " has no unique positive eigenfunction")
 
 
 def principal_eigenpair(op: SparseOperator) -> EigenPair:
     """Eigenpair of op with the smallest eigenvalue (A is an M-matrix: the
     eigenvalue nearest 0); phi1 max-normalized.
 
-    A tridiagonal operator (one-dimensional, or n <= 2) takes a symmetrized
-    tridiagonal eigensolve (``scipy.linalg.eigh_tridiagonal``) and
-    factorizes nothing. Otherwise ARPACK runs in shift-invert mode about 0,
-    applying the operator's shared LU, started from the ones vector and run
-    to machine precision. lambda1 is the Rayleigh quotient of the
+    A reducible operator (its pattern has more than one connected
+    component) raises NumericalError before any solve. A tridiagonal
+    operator (one-dimensional, or n <= 2) takes a symmetrized tridiagonal
+    eigensolve (``scipy.linalg.eigh_tridiagonal``) and factorizes nothing.
+    Otherwise ARPACK runs in shift-invert mode about 0, applying the
+    operator's shared LU, started from the ones vector and run to machine
+    precision, and one inverse-iteration step through the same factors
+    polishes its vector. lambda1 is the Rayleigh quotient of the
     max-normalized eigenfunction and ``residual`` its max-norm residual; one
     above 1e-8 lambda1 raises ConvergenceError, and an eigenfunction that is
-    not positive raises NumericalError. A singular operator raises
-    JacobianSingularError."""
+    not positive raises NumericalError."""
+    _require_irreducible(op)
     if _tridiagonal(op):
         return _tridiagonal_eigenpair(op)
     return _shift_invert_eigenpair(op, _factors(op), 0.0)
@@ -543,8 +584,10 @@ def _lambda1(op: SparseOperator, jac, c: float) -> float:
     is A and its kept LU is A's, so this is ``principal_eigenpair``'s own
     solve. With no kept J(0) (singular, or the Picard route), a failed
     Arnoldi run, or a tridiagonal operator (which factorizes nothing),
-    ``principal_eigenpair(op)`` answers."""
+    ``principal_eigenpair(op)`` answers. A reducible operator raises
+    NumericalError, as ``principal_eigenpair`` does."""
     if jac is not None and not _tridiagonal(op):
+        _require_irreducible(op)
         try:
             lam = _shift_invert_eigenpair(op, jac, c).lambda1
         except (ConvergenceError, NumericalError):

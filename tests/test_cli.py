@@ -590,6 +590,12 @@ REJECTED_CONFIGS = {
                                   "base must be an integer in [2, 2^32)"),
     "weierstrass_tol_zero": (_weierstrass(tol=0.0),
                              "tolerance must be positive"),
+    # the strip covers the box and every face is Neumann: A is singular
+    "window_without_dirichlet_arm": (_with(
+        torsion_config, domain={"kind": "strip", "a": -1.0, "b": 1.0},
+        grid={"box": [[0.0, 2.0], [0.25, 0.75]], "h": 0.125,
+              "face_policy": [["neumann", "neumann"]] * 2}),
+        "has no Dirichlet arm"),
     "csv_missing": (_table_solve("epigraph", None), "cannot read"),
     "csv_one_row": (_table_solve("epigraph", "x,g\n0,0\n"),
                     "needs a header and >= 2 rows"),

@@ -311,6 +311,22 @@ def test_single_interior_node_operator():
     assert (op.matrix @ np.array([1.0]) - b) == pytest.approx([0.0], abs=1e-13)
 
 
+@pytest.mark.parametrize("dimension,box,n", [
+    (1, [[0.0, 1.0]], 9),
+    (2, [[0.0, 2.0], [0.25, 0.75]], 85),
+], ids=["1d", "2d"])
+def test_window_without_dirichlet_arm_rejected(dimension, box, n):
+    # the strip covers the box and every face is Neumann: no cut arm and no
+    # Dirichlet face, so every row sums to zero and A is singular
+    g = build_grid(strip_set(-1.0, 2.0, dimension=dimension), box, 0.125,
+                   face_policy=[["neumann", "neumann"]] * dimension)
+    assert g.n_interior == n
+    with pytest.raises(ValidationError,
+                       match=f"a component of {n} interior nodes has no"
+                             " Dirichlet arm"):
+        assemble_laplacian(g)
+
+
 def test_operator_linearity(disk_grid):
     op = assemble_laplacian(disk_grid)
     rng = np.random.default_rng(11)

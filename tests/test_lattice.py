@@ -9,8 +9,8 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from epigraph_lab import (ARM_MIRROR, ValidationError, assemble_laplacian,
-                          build_grid)
+from epigraph_lab import (ARM_CUT, ARM_INTERNAL, ARM_LATTICE, ARM_MIRROR,
+                          ValidationError, assemble_laplacian, build_grid)
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -119,11 +119,44 @@ def test_plane_buffer_is_the_lateral_buffer_lattice(grid, depth):
     assert (got == ref).all()
 
 
+def ungrounded(grid):
+    """Whether some set of interior nodes joined by internal arms has no cut
+    arm and no arm to a Dirichlet lattice node: min-label propagation over
+    the grid's arm tables."""
+    kind = grid.arm_kind
+    internal = kind == ARM_INTERNAL
+    rows = np.broadcast_to(np.arange(grid.n_interior)[:, None, None],
+                           kind.shape)[internal]
+    cols = grid.arm_target[internal]
+    label = np.arange(grid.n_interior)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        if (new == label).all():
+            break
+        label = new
+    dirichlet = ((kind == ARM_CUT) | (kind == ARM_LATTICE)).any(axis=(1, 2))
+    return not np.isin(label, label[dirichlet]).all()
+
+
+@SETTINGS
+@given(grids())
+def test_assembly_rejects_exactly_the_ungrounded_grids(grid):
+    try:
+        assemble_laplacian(grid)
+    except ValidationError as exc:
+        assert "no Dirichlet arm" in str(exc)
+        assert ungrounded(grid)
+    else:
+        assert not ungrounded(grid)
+
+
 @SETTINGS
 @given(grids())
 def test_no_double_mirror_and_m_matrix_sign_pattern(grid):
     mirror = grid.arm_kind == ARM_MIRROR
     assert not (mirror[:, :, 0] & mirror[:, :, 1]).any()
+    assume(not ungrounded(grid))
     a = assemble_laplacian(grid).matrix.tocoo()
     on_diag = a.row == a.col
     assert on_diag.sum() == grid.n_interior

@@ -9,7 +9,6 @@ import scipy.sparse.linalg as spla
 
 from epigraph_lab import (
     ConvergenceError,
-    JacobianSingularError,
     LabError,
     NumericalError,
     SolvePolicy,
@@ -230,6 +229,12 @@ def square_window(box, h):
                       face_policy=[["dirichlet", "dirichlet"]] * 2)
 
 
+def cusp_window():
+    """arc_bump on [-1,1]x[0,2] at h = 1/32, around the cusp at x = 0."""
+    return build_grid(make_epigraph("arc_bump"), [[-1.0, 1.0], [0.0, 2.0]],
+                      1.0 / 32)
+
+
 class TestPrincipalEigenpair:
     def test_three_node_interval(self):
         op = assemble_laplacian(interval_grid(0.0, 1.0, 0.25))
@@ -314,6 +319,43 @@ class TestPrincipalEigenpair:
         assert first.lambda1 == second.lambda1
         assert first.phi1.tobytes() == second.phi1.tobytes()
 
+    def test_cusp_window_eigenfunction_is_positive(self):
+        # phi1 falls to about 1e-25 next to the cusp at x = 0, below the
+        # rounding of ARPACK's vector: the inverse-iteration step through
+        # the same factors makes it positive
+        op = assemble_laplacian(cusp_window())
+        assert op.n == 1561
+        pair = principal_eigenpair(op)
+        assert pair.phi1.min() > 0.0
+        assert pair.phi1.min() < 1e-20
+        assert pair.residual <= 1e-8 * pair.lambda1
+
+    def test_polish_step_makes_rounding_negatives_positive(self,
+                                                            monkeypatch):
+        ref = principal_eigenpair(assemble_laplacian(cusp_window()))
+        tiny = ref.phi1 < 1e-20
+        assert tiny.sum() > 0
+        flipped = np.where(tiny, -ref.phi1, ref.phi1)
+        monkeypatch.setattr(spla, "eigs", lambda *args, **kwargs: (
+            np.array([ref.lambda1]), flipped[:, None].astype(complex)))
+        pair = principal_eigenpair(assemble_laplacian(cusp_window()))
+        assert pair.phi1.min() > 0.0
+        assert np.abs(pair.phi1 - ref.phi1).max() <= 1e-12
+        assert pair.iterations == 1
+
+    def test_reducible_operator_is_rejected_in_two_dimensions(self):
+        # two congruent unit squares: lambda1 is double, and ARPACK would
+        # return a positive mix of the two squares' eigenfunctions
+        def squares(p):
+            x = p[:, 0]
+            return (((x > 0.0) & (x < 1.0)) | ((x > 1.5) & (x < 2.5))) \
+                & (p[:, 1] > 0.0) & (p[:, 1] < 1.0)
+
+        g = build_grid(squares, [[0.0, 2.5], [0.0, 1.0]], 1.0 / 16,
+                       face_policy=[["dirichlet", "dirichlet"]] * 2)
+        with pytest.raises(NumericalError, match="2 connected components"):
+            principal_eigenpair(assemble_laplacian(g))
+
     def test_arpack_failures_are_lab_errors(self, monkeypatch):
         # a 2-D operator: 1-D ones take the tridiagonal path, not ARPACK
         op = assemble_laplacian(restart_grid())
@@ -366,25 +408,16 @@ class TestTridiagonalEigenpair:
         assert pair.iterations == 0
         assert call_counts == {"splu": 0, "bicgstab": 0}
 
-    def test_singular_operator_raises_as_factorize_does(self):
-        # both faces Neumann and no cut: every row sums to zero
-        g = build_grid(lambda p: np.ones(len(p), dtype=bool), [[0.0, 1.0]],
-                       0.125, face_policy=[["neumann", "neumann"]])
-        op = assemble_laplacian(g)
-        assert op.bc_rows.size == 0
-        with pytest.raises(JacobianSingularError):
-            principal_eigenpair(op)
-
     # two intervals of different widths: the eigenfunction of the wider
     # one's lambda1 vanishes on the other; of equal widths: lambda1 is
-    # double, and the eigensolve returns an eigenvector on one interval
+    # double, and every positive mix of the two eigenfunctions is one
     @pytest.mark.parametrize("b,c", [(1.5, 3.3), (2.0, 3.0)],
                              ids=["unequal", "equal"])
     def test_reducible_operator_has_no_positive_eigenfunction(self, b, c):
         g = build_grid(lambda p: ((p[:, 0] > 0.0) & (p[:, 0] < 1.0))
                        | ((p[:, 0] > b) & (p[:, 0] < c)),
                        [[0.0, 4.0]], 1.0 / 16)
-        with pytest.raises(NumericalError, match="not positive"):
+        with pytest.raises(NumericalError, match="2 connected components"):
             principal_eigenpair(assemble_laplacian(g))
 
 
@@ -750,6 +783,16 @@ class TestFactorPrecision:
         assert op._jac_lu.L.dtype == np.float64
         assert sol.iterations == ref.iterations
         assert np.abs(sol.values - ref.values).max() <= 1e-12
+
+
+def test_three_dimensional_factors_pad_no_supernode():
+    # one-column panels and no relaxed supernodes: SuperLU's defaults give
+    # 1,443,352 factor entries on this operator
+    g = build_grid(make_epigraph("weierstrass", dimension=3),
+                   [[-1.5, 1.5], [-1.5, 1.5], [0.0, 4.0]], 1.0 / 8)
+    op = assemble_laplacian(g)
+    assert op.n == 9425
+    assert solver.factorize(op.matrix).nnz <= 1.0e6
 
 
 def test_cusp_front_converges_at_fine_h():
