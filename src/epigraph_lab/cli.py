@@ -316,11 +316,9 @@ def _run_solve(cfg):
         "solver_meta": {k: v for k, v in sol.meta.items()
                         if isinstance(v, (str, int, float, bool))},
     }
-    checks = {
-        "converged": True,
-        "residual_small": sol.residual_norm <=
-        max(cfg["tolerances"]["solve"] * 1e3, 1e-7),
-    }
+    # a solve that misses its stop raises: only the residual is checked
+    checks = {"residual_small": sol.residual_norm <=
+              max(cfg["tolerances"]["solve"] * 1e3, 1e-7)}
     svg = None
     series = _midline_series(sol)
     if series is not None:

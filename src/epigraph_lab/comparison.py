@@ -18,8 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import closed_forms
-from .discretization import (ARM_CUT, ARM_LATTICE, as_trace, assemble_laplacian,
-                             build_grid, stencil_residual)
+from .discretization import (_axis_arms, as_trace, assemble_laplacian, build_grid,
+                             stencil_residual)
 from .errors import JacobianSingularError, LabError, ValidationError
 from .nonlinearity import (Nonlinearity, epsilon_bounded, eval_f_prime,
                            lipschitz_on)
@@ -50,8 +50,9 @@ class ComparisonReport:
 
 
 def _boundary_points(grid):
-    sel = (grid.arm_kind == ARM_CUT) | (grid.arm_kind == ARM_LATTICE)
-    return grid.arm_point[sel]
+    """Every Dirichlet arm endpoint (a folded mirror arm repeats one)."""
+    return np.concatenate([end for _, _, sides in _axis_arms(grid)
+                           for *_, end in sides])
 
 
 def comparison_test(u: SolutionField, v: SolutionField) -> ComparisonReport:

@@ -13,6 +13,12 @@ interior node:
 * ``ARM_MIRROR``    the arm leaves the box through a Neumann truncation face;
   assembly folds it onto the opposite arm (even reflection).
 
+The grid stores each arm once, as its kind and its fraction theta (1 on
+every arm but a cut one). An internal arm's neighbour is read off
+``node_index`` one lattice stride away, and a Dirichlet arm's endpoint is
+the node moved by (step * h) * theta along the arm's axis; assembly, the
+residual and ``comparison`` derive both from the same helper.
+
 By default the two faces of the last axis are Dirichlet and all other faces
 are Neumann, which suits domains unbounded in the lateral directions.
 
@@ -26,6 +32,7 @@ gather-based loop for post-hoc residual checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +78,11 @@ def _flat_index(idx, shape):
 
 @dataclass
 class DomainGrid:
-    """Uniform lattice restricted to a domain, with stencil arm metadata."""
+    """Uniform lattice restricted to a domain, with stencil arm metadata.
+
+    Each arm (node, axis k, side) is stored once, as ``arm_kind`` and
+    ``theta``; neighbours and Dirichlet endpoints are derived from them,
+    ``points`` and ``node_index`` (see the module docstring)."""
 
     box: np.ndarray               # (N, 2) lo/hi per axis
     h: float
@@ -83,8 +94,6 @@ class DomainGrid:
     points: np.ndarray            # (n_interior, N) coordinates
     theta: np.ndarray             # (n_interior, N, 2) arm fractions in (0,1]
     arm_kind: np.ndarray          # (n_interior, N, 2) int8 ARM_* codes
-    arm_target: np.ndarray        # (n_interior, N, 2) interior index or -1
-    arm_point: np.ndarray         # (n_interior, N, 2, N) Dirichlet arm endpoint
     face_policy: tuple            # per axis ("dirichlet"|"neumann") x (lo, hi)
     face_artificial: np.ndarray   # (N, 2) bool: domain reaches this box face
 
@@ -222,9 +231,8 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
     points = np.stack([axes[k][lattice_idx[:, k]] for k in range(n_axes)], axis=1)
 
     theta = np.ones((n_int, n_axes, 2))
+    # zero is ARM_INTERNAL: only the other kinds are written
     arm_kind = np.zeros((n_int, n_axes, 2), dtype=np.int8)
-    arm_target = np.full((n_int, n_axes, 2), -1, dtype=np.int64)
-    arm_point = np.zeros((n_int, n_axes, 2, n_axes))
 
     cuts = []
     for k in range(n_axes):
@@ -235,21 +243,9 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
             nb_interior = interior.ravel()[flat] & ~off_lattice
             nb_inside = inside.ravel()[flat] & ~off_lattice
 
-            m = nb_interior
-            arm_kind[m, k, side] = ARM_INTERNAL
-            arm_target[m, k, side] = node_index.ravel()[flat[m]]
-
-            m = off_lattice
-            if m.any():
-                # interior node sits on a Neumann truncation face
-                arm_kind[m, k, side] = ARM_MIRROR
-
-            m = ~off_lattice & nb_inside & ~nb_interior
-            if m.any():
-                arm_kind[m, k, side] = ARM_LATTICE
-                pts = points[m].copy()
-                pts[:, k] += step * h
-                arm_point[m, k, side, :] = pts
+            # an interior node on a Neumann truncation face
+            arm_kind[off_lattice, k, side] = ARM_MIRROR
+            arm_kind[~off_lattice & nb_inside & ~nb_interior, k, side] = ARM_LATTICE
 
             m = ~off_lattice & ~nb_inside
             if m.any():
@@ -270,17 +266,13 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
                        settled=lambda lo, hi: bool(
                            ((lo > _THETA_SNAP) | (hi < _THETA_FLOOR)).all()))
         frac = np.maximum(np.where(frac > _THETA_SNAP, 1.0, frac), _THETA_FLOOR)
-        for (k, side, m, nu), f in zip(cuts, np.split(frac, np.cumsum(counts)[:-1])):
+        for (k, side, m, _), f in zip(cuts, np.split(frac, np.cumsum(counts)[:-1])):
             theta[m, k, side] = f
             arm_kind[m, k, side] = ARM_CUT
-            pts = points[m].copy()
-            pts[:, k] += nu[k] * f
-            arm_point[m, k, side, :] = pts
 
     return DomainGrid(box=box, h=float(h), shape=shape, axes=axes, inside=inside,
                       interior=interior, node_index=node_index, points=points,
-                      theta=theta, arm_kind=arm_kind, arm_target=arm_target,
-                      arm_point=arm_point, face_policy=policy,
+                      theta=theta, arm_kind=arm_kind, face_policy=policy,
                       face_artificial=face_artificial)
 
 
@@ -314,24 +306,36 @@ class SparseOperator:
         return self.matrix.shape[0]
 
 
-def _folded_arms(grid: DomainGrid):
-    """Resolve mirror arms onto their opposite side.
+def _axis_arms(grid: DomainGrid):
+    """The stencil arms of each axis k, mirror arms folded onto the opposite
+    side (even reflection).
 
-    Returns effective (theta, kinds, targets, points) arm arrays in which a
-    mirror arm carries a copy of the opposite arm's data.
+    Yields per axis the folded fractions (tm, tp) of its two sides and, per
+    side, (rows, neighbours, bc_rows, endpoints): the nodes whose arm is
+    internal with the neighbour's interior index, read off ``node_index``
+    one lattice stride along axis k, then the nodes whose arm is a Dirichlet
+    arm (cut, or to a Dirichlet-face lattice node) with the arm's endpoint,
+    the node moved by (step * h) * theta along axis k.
     """
-    th = grid.theta.copy()
-    kind = grid.arm_kind.copy()
-    target = grid.arm_target.copy()
-    point = grid.arm_point.copy()
-    # build_grid rejects an axis of fewer than one cell: no node mirrors both sides
-    for side, opp in ((0, 1), (1, 0)):
-        m = kind[:, :, side] == ARM_MIRROR
-        th[:, :, side][m] = th[:, :, opp][m]
-        kind[:, :, side][m] = kind[:, :, opp][m]
-        target[:, :, side][m] = target[:, :, opp][m]
-        point[m, side, :] = point[m, opp, :]
-    return th, kind, target, point
+    offset = np.flatnonzero(grid.interior)  # each node's flat lattice offset
+    nodes = grid.node_index.ravel()
+    for k in range(grid.dimension):
+        stride = math.prod(grid.shape[k + 1:])
+        # build_grid rejects an axis of fewer than one cell: no node mirrors both sides
+        mirror = grid.arm_kind[:, k] == ARM_MIRROR
+        theta = [np.where(mirror[:, s], grid.theta[:, k, 1 - s], grid.theta[:, k, s])
+                 for s in (0, 1)]
+        sides = []
+        for s in (0, 1):
+            kind = np.where(mirror[:, s], grid.arm_kind[:, k, 1 - s],
+                            grid.arm_kind[:, k, s])
+            step = np.where(mirror[:, s], 1 - 2 * s, 2 * s - 1)
+            rows = np.flatnonzero(kind == ARM_INTERNAL)
+            bc = np.flatnonzero((kind == ARM_CUT) | (kind == ARM_LATTICE))
+            end = grid.points[bc]
+            end[:, k] += step[bc] * grid.h * theta[s][bc]
+            sides.append((rows, nodes[offset[rows] + step[rows] * stride], bc, end))
+        yield theta[0], theta[1], sides
 
 
 def _components(matrix: sp.csr_matrix):
@@ -352,38 +356,21 @@ def assemble_laplacian(grid: DomainGrid) -> SparseOperator:
     Such a window (every face Neumann and no cut arm in some component)
     raises ValidationError naming the component's size and one node."""
     n = grid.n_interior
-    ndim = grid.dimension
     h2 = grid.h * grid.h
-    th, kind, target, point = _folded_arms(grid)
-
-    rows_list = []
-    cols_list = []
-    vals_list = []
-    bc_rows = []
-    bc_coeffs = []
-    bc_points = []
-
     all_rows = np.arange(n, dtype=np.int64)
     diag = np.zeros(n)
-    for k in range(ndim):
-        # every node keeps every axis: no arm pair is mirrored on both sides
-        tm = th[:, k, 0]
-        tp = th[:, k, 1]
+    rows_list, cols_list, vals_list = [], [], []
+    bc_rows, bc_coeffs, bc_points = [], [], []
+    for tm, tp, sides in _axis_arms(grid):
         diag += 2.0 / (h2 * tm * tp)
-        for side in (0, 1):
-            ts = th[:, k, side]
+        for ts, (rows, nbrs, bc, end) in zip((tm, tp), sides):
             coeff = 2.0 / (h2 * ts * (tm + tp))
-            ks = kind[:, k, side]
-            m = ks == ARM_INTERNAL
-            if m.any():
-                rows_list.append(all_rows[m])
-                cols_list.append(target[:, k, side][m])
-                vals_list.append(-coeff[m])
-            m = (ks == ARM_CUT) | (ks == ARM_LATTICE)
-            if m.any():
-                bc_rows.append(all_rows[m])
-                bc_coeffs.append(coeff[m])
-                bc_points.append(point[m, k, side, :])
+            rows_list.append(rows)
+            cols_list.append(nbrs)
+            vals_list.append(-coeff[rows])
+            bc_rows.append(bc)
+            bc_coeffs.append(coeff[bc])
+            bc_points.append(end)
 
     rows_list.append(all_rows)
     cols_list.append(all_rows)
@@ -394,14 +381,9 @@ def assemble_laplacian(grid: DomainGrid) -> SparseOperator:
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     matrix.sum_duplicates()
 
-    if bc_rows:
-        bc_rows = np.concatenate(bc_rows)
-        bc_coeffs = np.concatenate(bc_coeffs)
-        bc_points = np.concatenate(bc_points)
-    else:
-        bc_rows = np.zeros(0, dtype=np.int64)
-        bc_coeffs = np.zeros(0)
-        bc_points = np.zeros((0, ndim))
+    bc_rows = np.concatenate(bc_rows)
+    bc_coeffs = np.concatenate(bc_coeffs)
+    bc_points = np.concatenate(bc_points)
     count, labels = _components(matrix)
     grounded = np.zeros(count, dtype=bool)
     grounded[labels[bc_rows]] = True
@@ -448,21 +430,13 @@ def stencil_residual(grid: DomainGrid, u: np.ndarray, trace=0.0) -> np.ndarray:
     if u.shape != (grid.n_interior,):
         raise ValidationError("field length does not match grid")
     h2 = grid.h * grid.h
-    th, kind, target, point = _folded_arms(grid)
     trace_fn = as_trace(trace)
     out = np.zeros(grid.n_interior)
-    for k in range(grid.dimension):
-        # every node keeps every axis: no arm pair is mirrored on both sides
-        tm = th[:, k, 0]
-        tp = th[:, k, 1]
+    for tm, tp, sides in _axis_arms(grid):
         out += 2.0 / (h2 * tm * tp) * u
-        for side in (0, 1):
-            coeff = 2.0 / (h2 * th[:, k, side] * (tm + tp))
-            ks = kind[:, k, side]
-            m = ks == ARM_INTERNAL
-            if m.any():
-                out[m] -= coeff[m] * u[target[:, k, side][m]]
-            m = (ks == ARM_CUT) | (ks == ARM_LATTICE)
-            if m.any():
-                out[m] -= coeff[m] * trace_fn(point[m, k, side, :])
+        for ts, (rows, nbrs, bc, end) in zip((tm, tp), sides):
+            coeff = 2.0 / (h2 * ts * (tm + tp))
+            out[rows] -= coeff[rows] * u[nbrs]
+            if bc.size:
+                out[bc] -= coeff[bc] * trace_fn(end)
     return out

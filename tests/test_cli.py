@@ -32,7 +32,7 @@ class TestRunSolve:
         code, _ = run_cli(tmp_path, cfg)
         assert code == 0
         out = capsys.readouterr().out
-        assert "[PASS] converged" in out
+        assert "[PASS] residual_small" in out
         assert "outcome: success" in out
         outdir = tmp_path / "out"
         for name in ("solution.csv", "summary.json", "run_record.json"):
@@ -205,7 +205,7 @@ class TestReportAndCatalog:
         assert main(["report", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         assert "outcome: success" in out
-        assert "[PASS] converged" in out
+        assert "[PASS] residual_small" in out
         assert "solution.csv" in out
 
     def test_solver_failure_is_recorded_and_reported(self, tmp_path, capsys):

@@ -72,6 +72,32 @@ def test_boundary_ordering_is_a_precondition():
         comparison_test(hi, lo)
 
 
+@pytest.mark.parametrize("kind", ["cut", "lattice"])
+def test_boundary_ordering_is_checked_at_every_dirichlet_endpoint(kind):
+    # u's trace lies below v's at every Dirichlet arm endpoint but one: a
+    # cut arm's endpoint between lattice nodes, or a lattice node on the
+    # Dirichlet top face; each such endpoint in turn must be caught
+    g = build_grid(make_epigraph("arc_bump"), [[-2.0, 2.0], [0.0, 2.0]], 0.25)
+    ends = assemble_laplacian(g).bc_points
+    pick = ends[:, 1] == 2.0 if kind == "lattice" else g.snap(ends)[1] > 1e-6
+    assert pick.sum() >= 5
+    n = g.n_interior
+    v = SolutionField(grid=g, values=np.zeros(n), trace=0.0, method="x")
+
+    def below_but(point):
+        def trace(pts):
+            t = np.full(len(pts), -1.0)
+            if point is not None:
+                t[(pts == point).all(axis=1)] = 1.0
+            return t
+        return SolutionField(grid=g, values=-np.ones(n), trace=trace, method="x")
+
+    assert comparison_test(below_but(None), v).comparison_holds
+    for point in ends[pick]:
+        with pytest.raises(ValidationError, match="boundary ordering"):
+            comparison_test(below_but(point), v)
+
+
 def test_mismatched_grids_rejected():
     u = SolutionField(grid=interval_grid(0.0, 1.0, 0.25),
                       values=np.zeros(3), trace=0.0, method="x")

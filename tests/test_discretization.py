@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from test_lattice import SETTINGS, grids
 
 from epigraph_lab import (
     ARM_CUT,
@@ -68,7 +71,8 @@ class TestMasking:
         assert g.arm_kind[i_edge, 1, 0] == ARM_CUT
         i_top = int(g.node_index[2, 3])         # (0.5, 0.75)
         assert g.arm_kind[i_top, 1, 1] == ARM_LATTICE
-        assert np.allclose(g.arm_point[i_top, 1, 1], [0.5, 1.0])
+        op = assemble_laplacian(g)
+        assert op.bc_points[op.bc_rows == i_top].tolist() == [[0.5, 1.0]]
 
     def test_natural_face_is_not_artificial(self, half_space_grid):
         g = half_space_grid
@@ -131,6 +135,16 @@ def arm_fraction_reference(contains, base, axis, step, h):
     return max(1.0 if frac > 1.0 - 1e-9 else frac, 1e-8)
 
 
+def arm_endpoints(grid):
+    """(n_interior, N, 2, N) endpoint of every Dirichlet arm, mirror arms
+    folded onto the opposite side, as assembly reads them; NaN elsewhere."""
+    out = np.full(grid.theta.shape + (grid.dimension,), np.nan)
+    for k, (_, _, sides) in enumerate(discretization._axis_arms(grid)):
+        for side, (_, _, rows, end) in enumerate(sides):
+            out[rows, k, side] = end
+    return out
+
+
 @pytest.mark.parametrize("domain,box,h", [
     (make_epigraph("arc_bump"), [[-5.0, 3.0], [0.0, 3.0]], 1.0 / 16),
     (make_epigraph("weierstrass"), [[-0.25, 0.25], [0.0, 2.0]], 1.0 / 32),
@@ -145,13 +159,14 @@ def test_cut_fractions_match_one_arm_at_a_time(domain, box, h):
     contains = getattr(domain, "contains", domain)
     node, axis, side = np.nonzero(g.arm_kind == ARM_CUT)
     assert node.size > 20
+    endpoints = arm_endpoints(g)
     for i, k, sd in list(zip(node, axis, side))[::5]:
         step = 2 * sd - 1
         frac = arm_fraction_reference(contains, g.points[i], k, step, h)
         assert g.theta[i, k, sd] == frac
         end = g.points[i].copy()
         end[k] += step * h * frac
-        assert (g.arm_point[i, k, sd] == end).all()
+        assert (endpoints[i, k, sd] == end).all()
 
 
 def unit_ball_3d(points):
@@ -165,10 +180,10 @@ def weierstrass_slab(points, _spec=make_epigraph("weierstrass")):
 
 
 def per_side_arms_reference(grid, contains):
-    """theta and arm_point of every cut arm, one 40-step batched bisection
+    """theta and endpoint of every cut arm, one 40-step batched bisection
     per (axis, side), snapped and floored as build_grid does."""
     theta = np.ones_like(grid.theta)
-    arm_point = np.zeros_like(grid.arm_point)
+    ends = np.zeros(grid.theta.shape + (grid.dimension,))
     for k in range(grid.dimension):
         for side, step in ((0, -1), (1, +1)):
             m = grid.arm_kind[:, k, side] == ARM_CUT
@@ -182,8 +197,8 @@ def per_side_arms_reference(grid, contains):
             theta[m, k, side] = frac
             pts = base.copy()
             pts[:, k] += step * grid.h * frac
-            arm_point[m, k, side] = pts
-    return theta, arm_point
+            ends[m, k, side] = pts
+    return theta, ends
 
 
 @pytest.mark.parametrize("domain,box,h", [
@@ -208,10 +223,11 @@ def test_one_bisection_batch_matches_per_side_batches(domain, box, h):
     # one lattice mask, then one call per bisection step
     assert len(calls) == 41
     assert calls[1] == int((g.arm_kind == ARM_CUT).sum())
-    theta, arm_point = per_side_arms_reference(g, getattr(domain, "contains", domain))
+    theta, ends = per_side_arms_reference(g, getattr(domain, "contains", domain))
     cut = g.arm_kind == ARM_CUT
     assert np.array_equal(g.theta.view(np.uint64), theta.view(np.uint64))
-    assert np.array_equal(g.arm_point[cut].view(np.uint64), arm_point[cut].view(np.uint64))
+    assert np.array_equal(arm_endpoints(g)[cut].view(np.uint64),
+                          ends[cut].view(np.uint64))
 
 
 # (domain, box, h, predicate calls): every cut arm of the first four ends on
@@ -243,8 +259,8 @@ def test_settled_bisection_matches_forty_steps(monkeypatch, domain, box, h,
                            _bisect(*args, **kwargs))
     assert ref_calls == 41
     assert np.array_equal(g.theta.view(np.uint64), ref.theta.view(np.uint64))
-    assert np.array_equal(g.arm_point.view(np.uint64),
-                          ref.arm_point.view(np.uint64))
+    assert np.array_equal(arm_endpoints(g).view(np.uint64),
+                          arm_endpoints(ref).view(np.uint64))
     snapped = set(np.unique(g.theta).tolist()) <= {1.0, _THETA_FLOOR}
     assert snapped == (calls == 31)
 
@@ -292,13 +308,28 @@ class TestStencilExactness:
         res = stencil_residual(disk_grid, aff(disk_grid.points), trace=aff)
         assert np.max(np.abs(res)) <= 1e-11
 
-    def test_matrix_and_gather_paths_agree(self, disk_grid):
-        op = assemble_laplacian(disk_grid)
-        rng = np.random.default_rng(3)
-        u = rng.normal(size=disk_grid.n_interior)
-        direct = op.matrix @ u - boundary_rhs(op, trace=0.7)
-        gathered = stencil_residual(disk_grid, u, trace=0.7)
-        assert np.max(np.abs(direct - gathered)) <= 1e-10
+    @SETTINGS
+    @given(grids(), st.integers(0, 2 ** 32 - 1))
+    def test_matrix_and_gather_paths_agree(self, grid, seed):
+        # internal, cut, lattice and mirror arms, each against its term in
+        # the CSR matrix or the boundary tables
+        try:
+            op = assemble_laplacian(grid)
+        except ValidationError:  # ungrounded
+            assume(False)
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=grid.n_interior)
+        a = rng.normal(size=grid.dimension)
+
+        def trace(p):
+            return np.sin(p @ a) + 0.7
+
+        direct = op.matrix @ u - boundary_rhs(op, trace=trace)
+        gathered = stencil_residual(grid, u, trace=trace)
+        # each row against the sum of its terms' magnitudes
+        scale = abs(op.matrix) @ np.abs(u) + boundary_rhs(
+            op, trace=lambda p: np.abs(trace(p)))
+        assert (np.abs(direct - gathered) <= 1e-10 * scale).all()
 
 
 def test_single_interior_node_operator():

@@ -1,7 +1,8 @@
 """Property tests for the lattice lookups of ``DomainGrid``: ``snap``,
-``node``, ``buffer_lattice`` and ``buffer_mask``, and for the arm and sign
-invariants assembly relies on, on random 1-, 2- and 3-D grids (boxes one
-cell wide included), ball domains and face policies."""
+``node``, ``buffer_lattice`` and ``buffer_mask``, for the arm and sign
+invariants assembly relies on, and for the operator's exactness on
+quadratics and inverse positivity, on random 1-, 2- and 3-D grids (boxes
+one cell wide included), ball domains and face policies."""
 
 import itertools
 
@@ -10,7 +11,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from epigraph_lab import (ARM_CUT, ARM_INTERNAL, ARM_LATTICE, ARM_MIRROR,
-                          ValidationError, assemble_laplacian, build_grid)
+                          ValidationError, assemble_laplacian, build_grid,
+                          stencil_residual)
+from epigraph_lab.solver import factorize
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -122,12 +125,20 @@ def test_plane_buffer_is_the_lateral_buffer_lattice(grid, depth):
 def ungrounded(grid):
     """Whether some set of interior nodes joined by internal arms has no cut
     arm and no arm to a Dirichlet lattice node: min-label propagation over
-    the grid's arm tables."""
+    the grid's arm kinds, each internal arm's neighbour looked up by
+    ``node`` one lattice step away."""
     kind = grid.arm_kind
-    internal = kind == ARM_INTERNAL
-    rows = np.broadcast_to(np.arange(grid.n_interior)[:, None, None],
-                           kind.shape)[internal]
-    cols = grid.arm_target[internal]
+    idx = np.argwhere(grid.interior)
+    rows, cols = [], []
+    for k in range(grid.dimension):
+        for side, step in ((0, -1), (1, 1)):
+            internal = np.flatnonzero(kind[:, k, side] == ARM_INTERNAL)
+            nb = idx[internal]
+            nb[:, k] += step
+            rows.append(internal)
+            cols.append(grid.node(nb))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    assert (cols >= 0).all()
     label = np.arange(grid.n_interior)
     while True:
         new = label.copy()
@@ -162,3 +173,39 @@ def test_no_double_mirror_and_m_matrix_sign_pattern(grid):
     assert on_diag.sum() == grid.n_interior
     assert (a.data[on_diag] > 0).all()
     assert (a.data[~on_diag] <= 0).all()
+
+
+@SETTINGS
+@given(grids(), st.data())
+def test_stencil_is_exact_on_quadratics(grid, data):
+    # -Laplacian of (x - c)^T D (x - c) + 1/2 is -2 tr D; the fractional
+    # arms are exact on it whatever theta, a mirror arm (an even reflection)
+    # is not
+    n = grid.dimension
+    unit = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    c = grid.box[:, 0] + np.array(data.draw(unit)) * (grid.box[:, 1] - grid.box[:, 0])
+    d = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
+                                    max_size=n * n))).reshape(n, n)
+    d = d + d.T
+
+    def quadratic(p):
+        x = p - c
+        return np.einsum("ij,jk,ik->i", x, d, x) + 0.5
+
+    u = quadratic(grid.points)
+    res = stencil_residual(grid, u, trace=quadratic)
+    no_mirror = ~(grid.arm_kind == ARM_MIRROR).any(axis=(1, 2))
+    # rounding in a difference over an arm of fraction theta grows as
+    # 1 / (theta h^2)
+    err = np.abs(res + 2.0 * np.trace(d)) * grid.h ** 2 * grid.theta.min(axis=(1, 2))
+    assert (err[no_mirror] <= 1e-13 * (1.0 + np.abs(u).max())).all()
+
+
+@SETTINGS
+@given(grids())
+def test_inverse_positivity(grid):
+    # every irreducible block of the M-matrix holds a Dirichlet row, so its
+    # inverse is entrywise positive: A u = 1 has u > 0 at every node
+    assume(not ungrounded(grid))
+    op = assemble_laplacian(grid)
+    assert (factorize(op.matrix).solve(np.ones(op.n)) > 0.0).all()
