@@ -98,8 +98,14 @@ def ordered_pair(grid, op, L: float, rng) -> tuple:
 
 
 def _interval_eigen(S: float, cells: int) -> float:
-    grid = build_grid(lambda p: (p[:, 0] > 0) & (p[:, 0] < S),
-                      [[0.0, S]], S / cells)
+    """Discrete lambda_1 of (0, S) with Dirichlet ends, on ``cells`` cells.
+
+    The window is the box [0, S] under an always-true predicate, so both
+    ends are Dirichlet-face lattice nodes (``ARM_LATTICE``, theta = 1) and
+    no arm is bisected. The open interval's predicate gives the same
+    operator after about 30 bisection steps that snap its cut end arms to
+    theta = 1."""
+    grid = build_grid(lambda p: np.ones(len(p), dtype=bool), [[0.0, S]], S / cells)
     op = assemble_laplacian(grid)
     return principal_eigenpair(op).lambda1
 

@@ -519,6 +519,11 @@ def section_measure(domain, nu, probe_grid, line_resolution: float,
     not by the sampling step. Lines whose occupied part reaches the probe
     window are flagged ``unbounded_suspected``.
 
+    The sample offsets t nu do not depend on the line: they are formed once
+    per call, chunk by chunk, and each line's sample points are its base
+    point plus those, the same IEEE multiply-then-add per coordinate as
+    ``_points_on_lines``, which builds the bisection's points.
+
     ``domain`` is a domain or a bare predicate; it receives column-contiguous
     (m, N) batches of points (each line in batches of at most
     ``_POINTS_PER_CALL`` = 16,384 points, then one batch of every line's
@@ -562,12 +567,14 @@ def section_measure(domain, nu, probe_grid, line_resolution: float,
                               " line_resolution")
     nsamp = int(math.ceil(samples)) + 1
     t = np.linspace(-window, window, nsamp)
-    chunks = [t[i:i + _POINTS_PER_CALL] for i in range(0, nsamp, _POINTS_PER_CALL)]
+    # t nu of each chunk, formed once and column-contiguous: a line's points
+    # are its base plus these, the multiply-then-add of _points_on_lines
+    steps = [(nu[:, None] * t[i:i + _POINTS_PER_CALL]).T
+             for i in range(0, nsamp, _POINTS_PER_CALL)]
     bases, ends, flips, states = [], [], [], []
     for xp in probes:
         base = basis @ xp
-        inside = np.concatenate([contains(_points_on_lines(base, tc, nu))
-                                 for tc in chunks])
+        inside = np.concatenate([contains(step + base) for step in steps])
         f = np.flatnonzero(inside[1:] != inside[:-1])
         bases.append(base)
         ends.append((inside[0], inside[-1]))

@@ -75,42 +75,60 @@ def _fourth_difference_bound(full: np.ndarray) -> float:
     return float(np.abs(d4[good]).max())
 
 
-def _columns(grid):
-    """Column number and x_N index of every interior node: interior node i
-    sits at ``full.reshape(-1, nj)[col[i], j[i]]`` of a lattice array."""
-    return np.divmod(np.flatnonzero(grid.interior), grid.shape[-1])
+def _by_height(grid, mask: np.ndarray):
+    """Interior index, column number and x_N index of the nodes of a lattice
+    mask of interior nodes, ordered by height, then by column: the nonzeros
+    of the mask's (x_N, column) transpose. Node (col, j) sits at
+    ``full.reshape(-1, nj)[col, j]`` of a lattice array."""
+    nj = grid.shape[-1]
+    j, col = np.nonzero(mask.reshape(-1, nj).T)
+    return grid.node_index.ravel()[col * nj + j], col, j
 
 
-def _reflected_values(full: np.ndarray, grid, lam: float, col: np.ndarray,
-                      j: np.ndarray):
-    """u(x', 2 lam - x_N) for the nodes at columns col, heights j.
+def _reflector(full: np.ndarray, grid, col: np.ndarray, j: np.ndarray):
+    """The reflection u(x', 2 lam - x_N) at the nodes of columns col and
+    heights j, j nondecreasing, as ``reflect(lam, m)``: the values at the
+    first m of those nodes and the interpolation bound.
 
-    Returns (values, interp_bound). NaN lookups mean the reflection left the
-    window of known values.
+    On a lattice plane (2 (lam - lo) / h an integer k2) node (col, j)
+    reflects onto the node at flat offset col nj - j + k2, whose col nj - j
+    part is formed once, and the first and the m-th heights decide whether
+    every reflection stays in the window. Off the lattice the value is
+    cubic-interpolated along x_N from the four nodes around the reflected
+    height, and the bound, which does not depend on lam, is the lattice's
+    fourth-difference bound / 16, computed on first use. NaN values mean the
+    reflection left the window of known values.
     """
     h = grid.h
     lo = grid.box[-1, 0]
-    k2 = _reflection_index(grid, lam)
     nj = grid.shape[-1]
-    columns = full.reshape(-1, nj)
-    if k2 is not None:
-        jr = k2 - j
-        if (jr < 0).any() or (jr > nj - 1).any():
+    flat = full.ravel()
+    mirror = col * nj - j
+    bound = None
+
+    def reflect(lam: float, m: int):
+        nonlocal bound
+        k2 = _reflection_index(grid, lam)
+        if k2 is not None:
+            if j[m - 1] > k2 or k2 - j[0] > nj - 1:
+                raise NumericalError("reflection leaves window")
+            return flat[mirror[:m] + k2], 0.0
+        yr = 2.0 * lam - (lo + j[:m] * h)
+        s = (yr - lo) / h
+        j0 = np.floor(s).astype(int)
+        t = s - j0
+        if (j0 - 1 < 0).any() or (j0 + 2 > nj - 1).any():
             raise NumericalError("reflection leaves window")
-        return columns[col, jr], 0.0
-    yr = 2.0 * lam - (lo + j * h)
-    s = (yr - lo) / h
-    j0 = np.floor(s).astype(int)
-    t = s - j0
-    if (j0 - 1 < 0).any() or (j0 + 2 > nj - 1).any():
-        raise NumericalError("reflection leaves window")
-    weights = _cubic_weights_vec(t)
-    vals = np.zeros(len(j))
-    for off in range(4):
-        vals += weights[:, off] * columns[col, j0 + off - 1]
-    bound = _fourth_difference_bound(full)
-    bound = 0.0 if math.isnan(bound) else bound / 16.0
-    return vals, bound
+        weights = _cubic_weights_vec(t)
+        at = col[:m] * nj + j0
+        vals = np.zeros(m)
+        for off in range(4):
+            vals += weights[:, off] * flat[at + (off - 1)]
+        if bound is None:
+            d4 = _fourth_difference_bound(full)
+            bound = 0.0 if math.isnan(d4) else d4 / 16.0
+        return vals, bound
+    return reflect
 
 
 def _cubic_weights_vec(t: np.ndarray) -> np.ndarray:
@@ -125,7 +143,9 @@ def _cubic_weights_vec(t: np.ndarray) -> np.ndarray:
 def reflect_field(u: SolutionField, lam: float) -> SolutionField:
     """Field of reflected values u_lambda at every interior node."""
     grid = u.grid
-    vals, bound = _reflected_values(_lattice(u), grid, lam, *_columns(grid))
+    nodes, col, j = _by_height(grid, grid.interior)
+    vals = np.empty(grid.n_interior)
+    vals[nodes], bound = _reflector(_lattice(u), grid, col, j)(lam, nodes.size)
     if not np.isfinite(vals).all():
         raise NumericalError("reflection leaves window")
     meta = dict(u.meta)
@@ -142,19 +162,16 @@ def vertical_derivative(u: SolutionField, buffer: int = 3):
     Returns (dn array over interior nodes, mask of buffer-interior nodes)."""
     grid = u.grid
     h = grid.h
-    nj = grid.shape[-1]
-    columns = _lattice(u).reshape(-1, nj)
-    col, j = _columns(grid)
+    full = _lattice(u)
+    # the lattice shifted one node along x_N each way, NaN past the window
+    up = np.full(grid.shape, np.nan)
+    up[..., :-1] = full[..., 1:]
+    down = np.full(grid.shape, np.nan)
+    down[..., 1:] = full[..., :-1]
+    up = up[grid.interior]
+    down = down[grid.interior]
     here = u.values
-
-    def peek(offset):
-        jj = j + offset
-        ok = (jj >= 0) & (jj <= nj - 1)
-        return np.where(ok, columns[col, np.clip(jj, 0, nj - 1)], np.nan)
-
-    up = peek(+1)
-    down = peek(-1)
-    dn = np.full(len(j), np.nan)
+    dn = np.full(grid.n_interior, np.nan)
     both = np.isfinite(up) & np.isfinite(down)
     dn[both] = (up[both] - down[both]) / (2.0 * h)
     only_up = np.isfinite(up) & ~np.isfinite(down)
@@ -166,7 +183,15 @@ def vertical_derivative(u: SolutionField, buffer: int = 3):
 
 def cap_sweep(u: SolutionField, spec, lambda_grid=None, tol: float = 1e-8,
               buffer: int = 3) -> MovingPlaneReport:
-    """Minimum of (u_lambda - u) over each cap, plus vertical-slope data."""
+    """Minimum of (u_lambda - u) over each cap, plus vertical-slope data.
+
+    Interior nodes already satisfy x_N > g(x'), so the cap of plane lam is
+    the set of buffered nodes with x_N < lam - 1e-12 (``spec`` only labels
+    the report). The buffered nodes are put in order of height once per
+    call (see ``_by_height``; no sort is needed), so every cap is a prefix
+    of that order, its length found by ``searchsorted``, and each plane
+    gathers the reflected values of that prefix alone (see ``_reflector``).
+    ``lambda_grid`` must be finite and increasing."""
     grid = u.grid
     if not 0 < tol < math.inf:
         raise ValidationError("tol must be positive and finite")
@@ -178,32 +203,11 @@ def cap_sweep(u: SolutionField, spec, lambda_grid=None, tol: float = 1e-8,
         ks = np.arange(2, int(round((top - lo) / h)) + 1)
         lambda_grid = lo + ks * h
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.size == 0 or (np.diff(lambda_grid) <= 0).any():
-        raise ValidationError("lambda_grid must be nonempty and increasing")
+    if lambda_grid.size == 0 or not np.isfinite(lambda_grid).all() \
+            or (np.diff(lambda_grid) <= 0).any():
+        raise ValidationError("lambda_grid must be nonempty, finite and increasing")
 
-    full = _lattice(u)
-    col, j = _columns(grid)
-    y = grid.points[:, -1]
-    buf = grid.buffer_mask(buffer)
-
-    kept_lams = []
-    mins = []
-    bounds = []
-    skipped = []
-    # interior nodes already satisfy x_N > g(x'), so each cap is just the
-    # buffered window below the plane; spec is kept for report labeling
-    for lam in lambda_grid:
-        cap = buf & (y < lam - 1e-12)
-        if not cap.any():
-            skipped.append(float(lam))
-            continue
-        vals, bound = _reflected_values(full, grid, lam, col[cap], j[cap])
-        if not np.isfinite(vals).all():
-            raise NumericalError("reflection leaves window")
-        kept_lams.append(float(lam))
-        mins.append(float((vals - u.values[cap]).min()))
-        bounds.append(bound)
-
+    kept_lams, mins, bounds, skipped = _cap_minima(u, lambda_grid, buffer)
     if not kept_lams:
         raise ValidationError("no lambda produced a nonempty cap")
     kept_lams = np.asarray(kept_lams)
@@ -231,6 +235,31 @@ def cap_sweep(u: SolutionField, spec, lambda_grid=None, tol: float = 1e-8,
                              monotone_up_to=float(monotone_up_to),
                              dn_u_min=dn_u_min,
                              sign_change_cells=sign_change_cells, meta=meta)
+
+
+def _cap_minima(u: SolutionField, lambda_grid: np.ndarray, buffer: int):
+    """The planes of lambda_grid with a nonempty cap, each cap's minimum of
+    (u_lambda - u) and interpolation bound, and the planes skipped for an
+    empty cap; the sweep's index arrays are freed on return."""
+    grid = u.grid
+    nodes, col, j = _by_height(grid, grid.buffer_lattice(buffer) & grid.interior)
+    here = u.values[nodes]
+    reflect = _reflector(_lattice(u), grid, col, j)
+    # a cap's nodes are those of the levels below the plane
+    sizes = np.searchsorted(j, np.searchsorted(grid.axes[-1], lambda_grid - 1e-12))
+
+    kept_lams, mins, bounds, skipped = [], [], [], []
+    for lam, m in zip(lambda_grid, sizes.tolist()):
+        if m == 0:
+            skipped.append(float(lam))
+            continue
+        vals, bound = reflect(lam, m)
+        if not np.isfinite(vals).all():
+            raise NumericalError("reflection leaves window")
+        kept_lams.append(float(lam))
+        mins.append(float(np.subtract(vals, here[:m], out=vals).min()))
+        bounds.append(bound)
+    return kept_lams, mins, bounds, skipped
 
 
 def _sign_changes(grid, dn: np.ndarray, valid: np.ndarray, tol: float) -> list:

@@ -250,9 +250,10 @@ def _jacobi(matrix: sp.csr_matrix):
     return sp.diags(1.0 / matrix.diagonal())
 
 
-def _bicgstab(matrix, rhs: np.ndarray, psolve, rtol: float, maxiter: int):
-    """BiCGSTAB for matrix x = rhs from x = 0 to the relative residual
-    ``rtol``, preconditioned by ``psolve`` (x -> an approximate inverse
+def _bicgstab(matrix, rhs: np.ndarray, psolve, rtol: float, maxiter: int,
+              x0: np.ndarray = None):
+    """BiCGSTAB for matrix x = rhs from x0 (default 0) to the residual
+    rtol ||rhs||, preconditioned by ``psolve`` (x -> an approximate inverse
     applied to x). Returns the solution, SciPy's info code and the iteration
     count ceil(applications / 2): BiCGSTAB applies the preconditioner once
     per half step, and a call that stops at a half step, which SciPy's
@@ -265,14 +266,18 @@ def _bicgstab(matrix, rhs: np.ndarray, psolve, rtol: float, maxiter: int):
         return psolve(x)
 
     pre = spla.LinearOperator(matrix.shape, matvec=counted, dtype=float)
-    x, info = spla.bicgstab(matrix, rhs, rtol=rtol, atol=0.0, maxiter=maxiter,
-                            M=pre)
+    x, info = spla.bicgstab(matrix, rhs, x0=x0, rtol=rtol, atol=0.0,
+                            maxiter=maxiter, M=pre)
     return x, info, -(-applications // 2)
 
 
 def solve_linear(op: SparseOperator, rhs: np.ndarray) -> SolutionField:
     """Solve op u = rhs: by the operator's shared LU in one and two
     dimensions, by Jacobi-preconditioned BiCGSTAB in three or more.
+
+    A BiCGSTAB breakdown (SciPy's info < 0) with a finite iterate restarts
+    once from that iterate, to the same absolute target rtol ||rhs||;
+    ``ConvergenceError`` is raised only if the restart fails too.
 
     ``meta["path"]`` says which ran: "lu", "bicgstab", or "trivial" for a
     zero right-hand side."""
@@ -290,8 +295,13 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> SolutionField:
         u = _factors(op).solve(rhs)
     else:
         path = "bicgstab"
-        u, info, iters = _bicgstab(op.matrix, rhs, _jacobi(op.matrix).dot,
-                                   _KRYLOV_TOL, min(40 * op.n + 100, 200000))
+        jacobi = _jacobi(op.matrix).dot
+        maxiter = min(40 * op.n + 100, 200000)
+        u, info, iters = _bicgstab(op.matrix, rhs, jacobi, _KRYLOV_TOL, maxiter)
+        if info < 0 and np.isfinite(u).all():
+            u, info, more = _bicgstab(op.matrix, rhs, jacobi, _KRYLOV_TOL,
+                                      maxiter, x0=u)
+            iters += more
     resid = float(np.abs(op.matrix @ u - rhs).max())
     if info != 0:
         raise ConvergenceError(f"no convergence: bicgstab after {iters} iterations",

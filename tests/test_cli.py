@@ -3,9 +3,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import epigraph_lab
 from epigraph_lab.cli import main
 from epigraph_lab.reporting import config_hash, read_json, write_csv
 
@@ -440,6 +443,38 @@ def test_every_experiment_reruns_byte_identical(tmp_path, experiment):
     assert run_cli(tmp_path, cfg)[0] == 0
     for n, data in before.items():
         assert (out / n).read_bytes() == data, n
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # one solved moving-plane config (a Newton front, its cap sweep and Hopf
+    # slopes) in two processes, on one and on two BLAS threads, into one
+    # output_dir, which the config hash covers
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "experiment": "moving_plane", "output_dir": str(out),
+        "domain": {"kind": "epigraph", "profile": "arc_bump"},
+        "nonlinearity": {"kind": "allen_cahn"},
+        "grid": {"box": [[-2.0, 2.0], [0.0, 6.0]], "h": 0.0625},
+        "params": {"trace": 1.0, "init": "front_lift",
+                   "hopf_lambdas": [2.0, 3.0]}}))
+    src = os.path.dirname(os.path.dirname(epigraph_lab.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from epigraph_lab.cli import main;"
+             " sys.exit(main(sys.argv[1:]))", "run", str(path)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                     if p.name != "run_record.json"})
+    assert sorted(runs[0]) == ["cap_sweep.csv", "summary.json"]
+    assert runs[0] == runs[1]
 
 
 def _with(base, **changes):

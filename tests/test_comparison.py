@@ -155,6 +155,22 @@ class TestThresholdScan:
         for S, lam in rep.table:
             assert abs(lam * S * S - math.pi**2) <= 1e-3 * math.pi**2
 
+    @pytest.mark.parametrize("widths, cells", [
+        (np.linspace(0.5, 4.0, 36), 256),          # the benchmark's scans
+        (np.linspace(2.0, 3.6, 17), 64),           # the CLI's scan configs
+        ([1.0, 1.5, 2.0, 2.5], 32),
+        (np.arange(2.0, 3.6001, 0.1), 128),        # acceptance criterion 5
+    ], ids=["benchmark", "cli", "cli_rerun", "criterion"])
+    def test_closed_window_matches_the_open_interval(self, widths, cells):
+        # the closed box's Dirichlet-face ends give the operator and the
+        # lambda_1 the open interval's cut arms snap to, bit for bit
+        def open_interval(S):
+            g = build_grid(lambda p: (p[:, 0] > 0) & (p[:, 0] < S),
+                           [[0.0, S]], S / cells)
+            return principal_eigenpair(assemble_laplacian(g)).lambda1
+        rep = threshold_scan(1.0, widths, cells=cells)
+        assert [lam for _, lam in rep.table] == [open_interval(S) for S in widths]
+
     def test_scan_validation(self):
         with pytest.raises(ValidationError):
             threshold_scan(0.0, [1.0, 2.0])

@@ -1,8 +1,9 @@
 """Property tests for the lattice lookups of ``DomainGrid``: ``snap``,
 ``node``, ``buffer_lattice`` and ``buffer_mask``, for the arm and sign
-invariants assembly relies on, and for the operator's exactness on
-quadratics and inverse positivity, on random 1-, 2- and 3-D grids (boxes
-one cell wide included), ball domains and face policies."""
+invariants assembly relies on, for the operator's exactness on quadratics
+and inverse positivity, and for the moving-plane reflection's index flip,
+on random 1-, 2- and 3-D grids (boxes one cell wide included), ball domains
+and face policies."""
 
 import itertools
 
@@ -11,9 +12,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from epigraph_lab import (ARM_CUT, ARM_INTERNAL, ARM_LATTICE, ARM_MIRROR,
-                          ValidationError, assemble_laplacian, build_grid,
-                          stencil_residual)
-from epigraph_lab.solver import factorize
+                          NumericalError, SolutionField, ValidationError,
+                          assemble_laplacian, build_grid, cap_sweep,
+                          solve_linear, stencil_residual)
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -208,4 +209,37 @@ def test_inverse_positivity(grid):
     # inverse is entrywise positive: A u = 1 has u > 0 at every node
     assume(not ungrounded(grid))
     op = assemble_laplacian(grid)
-    assert (factorize(op.matrix).solve(np.ones(op.n)) > 0.0).all()
+    assert (solve_linear(op, np.ones(op.n)).values > 0.0).all()
+
+
+@SETTINGS
+@given(grids(), st.integers(0, 2 ** 32 - 1))
+def test_even_field_has_zero_cap_difference_at_its_plane(grid, seed):
+    # a field that is a function of the column and of the index distance
+    # |2 j - k2| to the plane k2 half-cells above the box bottom is exactly
+    # even about it: each reflected value is the compared value, bit for bit
+    nj = grid.shape[-1]
+    table = np.random.default_rng(seed).standard_normal((grid.inside.size // nj,
+                                                         2 * nj))
+    col, j = np.divmod(np.flatnonzero(grid.interior), nj)
+    swept = 0
+    for k2 in range(1, 2 * nj - 2):
+        def even(col, j, k2=k2):
+            return table[col, np.abs(2 * j - k2)]
+
+        def trace(p, even=even):  # read at Dirichlet-face lattice nodes
+            return even(*np.divmod(np.ravel_multi_index(grid.snap(p)[0].T,
+                                                        grid.shape), nj))
+
+        u = SolutionField(grid=grid, values=even(col, j), trace=trace,
+                          method="constructed")
+        lam = grid.box[-1, 0] + 0.5 * k2 * grid.h
+        try:
+            rep = cap_sweep(u, None, lambda_grid=[lam], buffer=0)
+        except NumericalError:   # the reflection leaves the known values
+            continue
+        except ValidationError:  # no node below the plane
+            continue
+        assert rep.cap_min_diff.tolist() == [0.0]
+        swept += 1
+    assume(swept)

@@ -704,6 +704,50 @@ class TestSharedFactors:
         assert call_counts == {"splu": 0, "bicgstab": 1}
 
 
+class TestKrylovBreakdown:
+    """A BiCGSTAB breakdown with a finite iterate restarts once from it."""
+
+    @staticmethod
+    def breakdown_operator():
+        # a grounded 8-node operator on which SciPy's BiCGSTAB breaks down
+        # (info -10) at a relative residual of 2.4e-12, above the 1e-13 target
+        c = np.array([-0.01303, 0.67410, 1.11120])
+        g = build_grid(lambda p: ((p - c) ** 2).sum(axis=1) < 2.20072 ** 2,
+                       [[-0.25, 1.0], [0.5, 1.0], [1.0, 1.5]], 0.25,
+                       face_policy=[("dirichlet", "dirichlet"),
+                                    ("dirichlet", "dirichlet"),
+                                    ("neumann", "dirichlet")])
+        return assemble_laplacian(g)
+
+    def test_restart_from_the_breakdown_iterate(self, call_counts):
+        op = self.breakdown_operator()
+        assert op.n == 8
+        sol = solve_linear(op, np.ones(op.n))
+        assert sol.meta["path"] == "bicgstab"
+        assert call_counts["bicgstab"] == 2
+        dense = la.solve(op.matrix.toarray(), np.ones(op.n))
+        # equal to rounding: the restart lands within 1.1e-14 relative
+        assert np.abs(sol.values - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("iterate", [0.5, math.nan], ids=["finite", "nan"])
+    def test_failed_restart_or_non_finite_iterate_raises(self, monkeypatch,
+                                                         iterate):
+        calls = []
+
+        def broken(matrix, rhs, **kwargs):
+            calls.append(kwargs["x0"])
+            return np.full_like(rhs, iterate), -10
+        monkeypatch.setattr(spla, "bicgstab", broken)
+        with pytest.raises(ConvergenceError, match="bicgstab"):
+            solve_linear(self.breakdown_operator(), np.ones(8))
+        # a finite iterate is the restart's start; a NaN one is not restarted
+        assert calls[0] is None
+        if math.isnan(iterate):
+            assert len(calls) == 1
+        else:
+            assert len(calls) == 2 and (calls[1] == iterate).all()
+
+
 class TestForcing:
     """Each Newton step's BiCGSTAB runs to the relative residual
     max(1e-10, min(0.1, res_k / res_0)) (Dembo, Eisenstat & Steihaug,
