@@ -88,6 +88,20 @@ def _weierstrass_term_count(b: int, alpha: float, tol: float) -> int:
     return n
 
 
+def _vanishing_order(m: np.ndarray, bits: np.ndarray, b: int, nterms: int):
+    """The points sorted by their count of nonzero phases R_n = b^n m mod
+    2^bits, n = 1..nterms, most first, and for each term n the number of
+    sorted points whose R_n is nonzero: all n with n v2(b) + v2(m) < bits."""
+    nonzero = np.where(m > 0, nterms, 0)
+    v2b = (b & -b).bit_length() - 1
+    if v2b:
+        v2m = np.frexp((m & (~m + np.uint64(1))).astype(float))[1] - 1
+        np.minimum(nonzero, (bits - 1 - v2m) // v2b, out=nonzero, where=m > 0)
+    order = np.argsort(-nonzero, kind="stable")
+    ends = np.searchsorted(-nonzero[order], -np.arange(1, nterms + 1), side="right")
+    return order, ends
+
+
 def _weierstrass_profile(t: np.ndarray, b: int, alpha: float, tol: float) -> np.ndarray:
     # sum_{n=1..nterms} b^{-n alpha} cos(pi b^n t) with every phase reduced
     # exactly. The series is even and 2-periodic, so x = fmod(|t|, 2), which
@@ -102,39 +116,58 @@ def _weierstrass_profile(t: np.ndarray, b: int, alpha: float, tol: float) -> np.
     # given double, and the sum within about 1e-15 of the declared partial
     # sum, whose tail is below tol.
     #
+    # The phase vanishes for good: R_n = 0 exactly when b^n M is a multiple
+    # of 2^(1-e), i.e. from the first n with n v2(b) + v2(M) >= 1 - e on
+    # (v2 the power of 2 dividing; never for odd b unless M = 0), and a zero
+    # phase adds amp cos(0) = amp exactly. So the points are sorted by their
+    # count of nonzero phases, and each term reduces phases and takes cosines
+    # only on the prefix that still has one, while the rest add amp in the
+    # same term order: every output has the bits of the full loop. (A
+    # bisection midpoint after j steps on the h = 2^-6 lattice has 6 + j
+    # fractional bits, so for b = 2 its phase is zero from term j + 7 on.)
+    #
     # Terms are added one at a time and a point's limbs above its own
     # modulus stay zero, so its value does not depend on the batch it comes
     # in; the series is summed once per distinct x and gathered back (a
     # lattice holds few distinct x', a vertical probe line one).
     t = np.asarray(t, dtype=float)
-    distinct, back = np.unique(np.fmod(np.abs(t), 2.0), return_inverse=True)
+    with np.errstate(invalid="ignore"):  # fmod(inf, 2) is NaN, as for NaN t
+        distinct, back = np.unique(np.fmod(np.abs(t), 2.0), return_inverse=True)
     undefined = np.isnan(distinct)   # t was NaN or infinite
     x = np.where(undefined, 0.0, distinct)
     e = np.maximum(np.frexp(x)[1] - 53, -1074)
+    m = np.ldexp(x, -e).astype(np.uint64)
+    nterms = _weierstrass_term_count(b, alpha, tol)
+    order, ends = _vanishing_order(m, 1 - e, b, nterms)
+    e, m = e[order], m[order]
     bits = 1 - e                     # R_n lives modulo 2^bits, bits >= 53
     offset = np.arange(0, int(bits.max(initial=53)), _LIMB_BITS)[:, None]  # limb k: bit 32k
     masks = (np.uint64(1) << np.clip(bits - offset, 0, _LIMB_BITS).astype(np.uint64)) \
         - np.uint64(1)
     scales = np.ldexp(1.0, offset + e)
     limbs = np.zeros(masks.shape, np.uint64)
-    limbs[0] = np.ldexp(x, -e).astype(np.uint64)
+    limbs[0] = m
     limbs[1] = limbs[0] >> _LIMB_BITS
     limbs &= masks
-    nterms = _weierstrass_term_count(b, alpha, tol)
     amps = float(b) ** (-alpha * np.arange(1, nterms + 1, dtype=float))
     out = np.zeros(distinct.shape)
-    for amp in amps:
-        limbs *= np.uint64(b)
-        for k in range(1, len(limbs)):
-            limbs[k] += limbs[k - 1] >> _LIMB_BITS
-        limbs &= masks
-        y = limbs[-1] * scales[-1]
-        for k in range(len(limbs) - 2, -1, -1):
-            y += limbs[k] * scales[k]
-        np.minimum(y, 2.0 - y, out=y)
-        out += amp * np.cos(np.pi * y)
-    out[undefined] = np.nan
-    return out[back].reshape(t.shape)
+    for amp, p in zip(amps, ends):
+        if p:
+            live, mask, scale = limbs[:, :p], masks[:, :p], scales[:, :p]
+            live *= np.uint64(b)
+            for k in range(1, len(live)):
+                live[k] += live[k - 1] >> _LIMB_BITS
+            live &= mask
+            y = live[-1] * scale[-1]
+            for k in range(len(live) - 2, -1, -1):
+                y += live[k] * scale[k]
+            np.minimum(y, 2.0 - y, out=y)
+            out[:p] += amp * np.cos(np.pi * y)
+        out[p:] += amp
+    value = np.empty_like(out)
+    value[order] = out
+    value[undefined] = np.nan
+    return value[back].reshape(t.shape)
 
 
 def _coercive_quadratic(xp: np.ndarray) -> np.ndarray:

@@ -115,6 +115,93 @@ def test_weierstrass_matches_an_mpmath_partial_sum(b):
     assert _weierstrass_profile(np.array([]), b, 0.5, 1e-12).shape == (0,)
 
 
+def _weierstrass_full_loop(t, b, alpha, tol):
+    """The series with every term's limb reduction and cosine at every
+    distinct abscissa: the loop before terms stopped at a vanishing phase."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore"):
+        distinct, back = np.unique(np.fmod(np.abs(t), 2.0), return_inverse=True)
+    undefined = np.isnan(distinct)
+    x = np.where(undefined, 0.0, distinct)
+    e = np.maximum(np.frexp(x)[1] - 53, -1074)
+    bits = 1 - e
+    offset = np.arange(0, int(bits.max(initial=53)), 32)[:, None]
+    masks = (np.uint64(1) << np.clip(bits - offset, 0, 32).astype(np.uint64)) \
+        - np.uint64(1)
+    scales = np.ldexp(1.0, offset + e)
+    limbs = np.zeros(masks.shape, np.uint64)
+    limbs[0] = np.ldexp(x, -e).astype(np.uint64)
+    limbs[1] = limbs[0] >> 32
+    limbs &= masks
+    nterms = _weierstrass_term_count(b, alpha, tol)
+    amps = float(b) ** (-alpha * np.arange(1, nterms + 1, dtype=float))
+    out = np.zeros(distinct.shape)
+    for amp in amps:
+        limbs *= np.uint64(b)
+        for k in range(1, len(limbs)):
+            limbs[k] += limbs[k - 1] >> 32
+        limbs &= masks
+        y = limbs[-1] * scales[-1]
+        for k in range(len(limbs) - 2, -1, -1):
+            y += limbs[k] * scales[k]
+        np.minimum(y, 2.0 - y, out=y)
+        out += amp * np.cos(np.pi * y)
+    out[undefined] = np.nan
+    return out[back].reshape(t.shape)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# a bisection midpoint k/2^6 + m/2^(6+j), with j up to 46 steps
+_midpoints = st.builds(lambda k, j, m: k / 64 + (m % 2**j) / 2.0 ** (6 + j),
+                       st.integers(-256, 256), st.integers(1, 46),
+                       st.integers(0, 2**46))
+_abscissae = st.one_of(
+    _midpoints,
+    st.floats(-3.0, 3.0, allow_nan=False),
+    st.floats(-2.0**-11, 2.0**-11, allow_nan=False),
+    st.floats(-2.0**-1022, 2.0**-1022, allow_nan=False, allow_subnormal=True),
+    st.sampled_from([0.0, 2.0, -2.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_abscissae, min_size=1, max_size=40),
+       st.sampled_from([2, 3, 4, 6, 7, 2**31, 2**32 - 1]),
+       st.sampled_from([0.3, 0.5, 0.9]))
+def test_weierstrass_profile_matches_the_full_loop(xs, b, alpha):
+    # a term whose phase has vanished adds amp exactly, so stopping the limb
+    # reduction there keeps every bit, for odd, even and power-of-two bases
+    xs = np.array(xs)
+    assert _same_bits(_weierstrass_profile(xs, b, alpha, 1e-12),
+                      _weierstrass_full_loop(xs, b, alpha, 1e-12))
+
+
+def test_weierstrass_batch_with_a_tiny_abscissa():
+    # one tiny |x| widens every limb of the batch; each point still has the
+    # bits of the full loop and of a one-point batch
+    xs = np.append(np.linspace(-2.0, 2.0, 2540), 1e-300)
+    for b in (3, 6, 2):
+        values = _weierstrass_profile(xs, b, 0.5, 1e-12)
+        assert _same_bits(values, _weierstrass_full_loop(xs, b, 0.5, 1e-12))
+    alone = np.array([_weierstrass_profile(np.array([x]), 2, 0.5, 1e-12)[0]
+                      for x in xs])
+    assert _same_bits(values, alone)
+
+
+def test_weierstrass_non_finite_abscissae_give_nan():
+    # runs under the error::RuntimeWarning filter: an infinite t reduces to
+    # NaN without a warning, and the finite neighbours keep their bits
+    spec = make_epigraph("weierstrass")
+    xs = np.array([-0.75, math.inf, 0.3, -math.inf, math.nan, 1.25])
+    got = eval_g(spec, xs)
+    finite = np.isfinite(xs)
+    assert np.isnan(got[~finite]).all()
+    assert _same_bits(got[finite], eval_g(spec, xs[finite]))
+    assert math.isnan(eval_g(spec, [[math.inf]])[0])
+
+
 def test_custom_sampled_interpolates_and_clamps():
     spec = make_epigraph("custom_sampled", dimension=2,
                          axes=[np.array([0.0, 1.0, 2.0])],
@@ -432,7 +519,7 @@ def test_points_on_lines_match_broadcast_bit_for_bit(n, per_row, nu_per_row, m, 
 @given(st.lists(st.one_of(st.floats(-50.0, 50.0, allow_nan=False),
                           st.floats(-1e-6, 1e-6, allow_nan=False)),
                 min_size=1, max_size=20),
-       st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+       st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 6]))
 def test_weierstrass_value_does_not_depend_on_batch(xs, seed, b):
     # the profile sums the series once per distinct abscissa: a shuffled
     # batch with repeats gives each point the bits of a one-point batch,

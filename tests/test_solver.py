@@ -748,6 +748,41 @@ class TestKrylovBreakdown:
             assert len(calls) == 2 and (calls[1] == iterate).all()
 
 
+class TestKrylovMissedTarget:
+    """SciPy's BiCGSTAB can return info 0 with a true residual far above its
+    target; solve_linear restarts once from that iterate."""
+
+    @staticmethod
+    def drifting_operator():
+        # info 0 after 23 iterations with max|A u - 1| = 0.145, 4 % off
+        c = np.array([0.11885, -1.62981, 6.92481])
+        g = build_grid(lambda p: ((p - c) ** 2).sum(axis=1) < 7.38693 ** 2,
+                       [[0.0, 1.0], [-2.0, -1.0], [4.0, 9.0]], 1.0,
+                       face_policy=[("neumann", "neumann"),
+                                    ("neumann", "neumann"),
+                                    ("dirichlet", "neumann")])
+        return assemble_laplacian(g)
+
+    def test_restart_reaches_the_dense_solve(self, call_counts):
+        op = self.drifting_operator()
+        assert op.n == 20
+        sol = solve_linear(op, np.ones(op.n))
+        assert call_counts["bicgstab"] == 2
+        dense = la.solve(op.matrix.toarray(), np.ones(op.n))
+        assert np.abs(sol.values - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_missed_restart_raises(self, monkeypatch):
+        calls = []
+
+        def drifting(matrix, rhs, **kwargs):
+            calls.append(kwargs["x0"])
+            return np.zeros_like(rhs), 0
+        monkeypatch.setattr(spla, "bicgstab", drifting)
+        with pytest.raises(ConvergenceError, match="bicgstab"):
+            solve_linear(self.drifting_operator(), np.ones(20))
+        assert len(calls) == 2 and (calls[1] == 0.0).all()
+
+
 class TestForcing:
     """Each Newton step's BiCGSTAB runs to the relative residual
     max(1e-10, min(0.1, res_k / res_0)) (Dembo, Eisenstat & Steihaug,
