@@ -190,7 +190,7 @@ _COMMON = {
                     "check": ("number > 0", 1e-8)}, {}),
 }
 _SOLVE_KEYS = {
-    "trace": ("number", 0.0), "method": ("auto|newton|picard", "auto"),
+    "trace": ("number", 0.0), "method": ("auto|picard", "auto"),
     "init": (Either(_NUMBERS, "torsion_lift|front_lift|zero"),
              "torsion_lift"),
     "max_iter": ("integer >= 1", 80),
@@ -494,7 +494,7 @@ def _run_symmetry(cfg):
                               tol=1e-6, solution=sol)
         obs["periodicity_defect"] = shift.meta["defect"]
         obs["periodicity_overlap_nodes"] = shift.meta["n_matched"]
-        checks["periodic"] = shift.meta["defect"] <= 1e-6
+        checks["periodic"] = shift.comparison_holds
     header, rows = _solution_rows(sol)
     return _Result({"observations": obs}, checks,
                    {"solution.csv": (header, rows)})
@@ -691,7 +691,7 @@ _EXPERIMENTS = {
           or len(c["params"]["widths"]) >= 2,
           "params.widths needs at least 2 entries"),)),
     "uniqueness": (_run_uniqueness, {**_ALL_SECTIONS, "params": (
-        {"n_restarts": ("integer >= 1", 20), "amplitude": ("number", 1.0)},
+        {"n_restarts": ("integer >= 1", 20), "amplitude": ("number >= 0", 1.0)},
         {})}, ()),
     "symmetry": (_run_symmetry, {
         "nonlinearity": _SECTIONS["nonlinearity"], "params": (Kinds("case", {

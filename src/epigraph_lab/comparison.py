@@ -20,11 +20,10 @@ import scipy.sparse as sp
 from . import closed_forms
 from .discretization import (_axis_arms, as_trace, assemble_laplacian, build_grid,
                              stencil_residual)
-from .errors import JacobianSingularError, LabError, ValidationError
-from .nonlinearity import (Nonlinearity, epsilon_bounded, eval_f_prime,
-                           lipschitz_on)
-from .solver import (SolutionField, SolvePolicy, _keep_jacobian_lu, _lambda1,
-                     factorize, principal_eigenpair, solve_semilinear)
+from .errors import LabError, ValidationError
+from .nonlinearity import Nonlinearity, epsilon_bounded, lipschitz_on
+from .solver import (SolutionField, SolvePolicy, _lambda1, factorize,
+                     principal_eigenpair, solve_semilinear)
 
 __all__ = [
     "ComparisonReport",
@@ -134,40 +133,33 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
                     amplitude: float = 1.0) -> ComparisonReport:
     """Random-restart probe that the zero solution is the only one.
 
-    The operative hypothesis lambda_1 > L is checked first (L taken on the
-    declared working range [-amplitude, amplitude]); when it fails the report
-    carries a "hypothesis violated" status instead of asserting, and restart
-    outcomes are recorded as-is.
+    f must be defined at 0 with f(0) = 0, and ``amplitude`` finite and
+    >= 0; otherwise ValidationError. The operative hypothesis lambda_1 > L
+    is checked first (L taken on the declared working range
+    [-amplitude, amplitude]); when it fails the report carries a
+    "hypothesis violated" status instead of asserting, and restart outcomes
+    are recorded as-is.
 
-    Every restart is a Newton solve on one shared operator, linearized once
-    at the solution under test: the double-precision LU of
-    J(0) = A - diag(f'(0)) is kept on the operator before the first restart
-    and preconditions every restart's BiCGSTAB steps, which run near u = 0
-    once the iterates settle, one preconditioner application each. With
-    f'(0) = 0, J(0) = A shares A's LU and nothing more is factorized. A
-    nonlinearity whose derivative is unbounded takes the Picard route and
-    gets no J(0); a singular J(0) keeps nothing, and the first restart
-    factorizes the Jacobian at its iterate instead.
-
-    lambda_1 is read through the kept J(0) factors where
-    ``principal_eigenpair`` would factorize A (any operator that is not
-    tridiagonal), so A is never factorized: see ``solver._lambda1``."""
-    if not math.isnan(f.f0) and f.f0 != 0.0:
+    lambda_1 comes from one solver call, ``solver._lambda1(op, f)``, which
+    linearizes once at the solution under test: on the Newton route it
+    keeps the double-precision LU of J(0) = A - diag(f'(0)) on the shared
+    operator (A's own LU when f'(0) = 0) and reads lambda_1 through it, so
+    A is factorized only when that read cannot be trusted. Every restart is
+    a solve on that operator; its Newton steps run BiCGSTAB preconditioned
+    by the kept J(0), one preconditioner application each once the iterates
+    settle near u = 0. On the Picard route, or for a singular J(0), nothing
+    is kept, and the first Newton restart factorizes the Jacobian at its
+    iterate instead."""
+    if f.f0 != 0.0:
         raise ValidationError("uniqueness probe needs f(0) = 0")
     if n_restarts < 1:
         raise ValidationError("n_restarts must be >= 1")
     if not 0 < tol < math.inf:
         raise ValidationError("tol must be positive and finite")
+    if not 0 <= amplitude < math.inf:
+        raise ValidationError("amplitude must be finite and >= 0")
     op = assemble_laplacian(grid)
-    jac, c = None, 0.0
-    if f.f0 == 0.0 and not f.derivative_unbounded:
-        fp0 = eval_f_prime(f, np.zeros(op.n))
-        c = float(fp0[0])   # f is autonomous: f'(0) is one number
-        try:
-            jac = _keep_jacobian_lu(op, fp0, False)
-        except JacobianSingularError:
-            pass
-    lam1 = _lambda1(op, jac, c)
+    lam1 = _lambda1(op, f)
     L = lipschitz_on(f, (-amplitude, amplitude))
     hypothesis_ok = lam1 > L
     rng = np.random.default_rng(seed)

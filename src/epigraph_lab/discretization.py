@@ -285,19 +285,24 @@ class SparseOperator:
     operator (``_lu``) and every solve with this operator reuses them. Next
     to them sits the latest Jacobian LU kept on this operator (``_jac_lu``):
     the last one a Newton solve factorized, or one kept before any solve, as
-    ``uniqueness_test`` keeps that of J(0) = A - diag(f'(0)). The next Newton
+    ``solver._lambda1`` keeps that of J(0) = A - diag(f'(0)). The next Newton
     solve on the operator starts from that LU as its BiCGSTAB
     preconditioner. ``_lu`` and a kept J(0) are double precision; a Jacobian
     LU that a Newton step factorized is single precision (float32 SuperLU
     factors behind a float64 ``solve``), as it only preconditions. A solve's
     last bits therefore depend on what ran on the operator before it;
-    rerunning the same sequence of calls gives bit-identical results."""
+    rerunning the same sequence of calls gives bit-identical results.
+
+    ``components`` is the number of connected components of the matrix's
+    pattern, which assembly labels once; ``solver`` reads it before every
+    eigensolve. The n-long labels are not kept."""
 
     matrix: sp.csr_matrix
     bc_rows: np.ndarray
     bc_coeffs: np.ndarray
     bc_points: np.ndarray
     grid: DomainGrid = field(repr=False)
+    components: int
     _lu: object = field(default=None, init=False, repr=False, compare=False)
     _jac_lu: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -395,7 +400,7 @@ def assemble_laplacian(grid: DomainGrid) -> SparseOperator:
             f" nodes has no Dirichlet arm (node {node} at"
             f" {grid.points[node].tolist()}); make a face Dirichlet")
     return SparseOperator(matrix=matrix, bc_rows=bc_rows, bc_coeffs=bc_coeffs,
-                          bc_points=bc_points, grid=grid)
+                          bc_points=bc_points, grid=grid, components=count)
 
 
 def as_trace(trace):

@@ -28,19 +28,15 @@ convergence (Dembo, Eisenstat & Steihaug, SINUM 19, 1982) and spends few
 Krylov iterations on the early steps, whose accuracy the next step discards.
 A step refactorizes J(u_k), replaces the kept LU and is solved directly by
 the fresh factors when there is none yet, when BiCGSTAB fails (nonzero info
-or a non-finite step) or when its step reaches the damping floor. A caller
-that knows where the iterates will settle may keep that Jacobian's LU
-first: ``uniqueness_test`` keeps the LU of J(0) = A - diag(f'(0)) (A's own
-LU when f'(0) = 0) before its restarts, all of which should end at u = 0.
-So a Newton solve's last bits depend on the Newton solves and the LU kept
-before it on its operator; the same sequence of calls reruns
-bit-identically.
-A nonlinearity that declares a derivative blowing up somewhere
-(``Nonlinearity.derivative_unbounded``: ``sqrt_saturation``,
-``double_front_source``, ``power`` with exponent below 1) is routed to the
-Picard iteration u <- A^{-1} (b + f(u)) whatever the working range. Both
-run in one loop that stops once the max-norm residual is at most ``tol``, or
-once every row meets the componentwise backward-error test
+or a non-finite step) or when its step reaches the damping floor. So a
+Newton solve's last bits depend on the Newton solves and the LU kept before
+it on its operator; the same sequence of calls reruns bit-identically.
+One rule, ``_route``, picks the iteration: the Picard iteration
+u <- A^{-1} (b + f(u)) when the policy asks for it or when the
+nonlinearity declares that f' blows up somewhere (``sqrt_saturation``,
+``double_front_source``, ``power`` with exponent below 1), Newton
+otherwise. Both run in one loop that stops once the max-norm residual is
+at most ``tol``, or every row meets the componentwise backward-error test
 |r_i| <= max(tol, 4 eps s_i) with s = |A||u| + |b| + |f(u)| (Oettli &
 Prager, Numer. Math. 6, 1964): near a cusp the cut-cell diagonal reaches
 1e8 and the rounding of (A u)_i alone exceeds ``tol``, so a normwise test
@@ -59,25 +55,28 @@ answer keeps double accuracy, and the one step solved directly by fresh
 factors is an inexact Newton step with relative error of order
 kappa(J) 2^-24. A's shared LU (the lift, Picard, f' identically zero steps
 and the shift-invert eigensolve need an exact inverse), the J(0) LU that
-``uniqueness_test`` keeps (each restart step then takes one preconditioner
-application, and lambda_1 is read through it) and every factorization
-outside Newton stay double precision.
+``_lambda1`` keeps and every factorization outside Newton stay double
+precision.
 
 ``principal_eigenpair`` rejects a reducible operator (more than one
-connected component, so no positive eigenfunction is unique) with
-NumericalError, then solves a tridiagonal operator (one-dimensional, or
-n <= 2) by a symmetric tridiagonal eigensolve after a diagonal similarity
+connected component, a count assembly keeps on the operator; then no
+positive eigenfunction is unique) with NumericalError, then solves a
+tridiagonal operator (one-dimensional, or n <= 2) by a symmetric
+tridiagonal eigensolve after a diagonal similarity
 (``scipy.linalg.eigh_tridiagonal``), and any other by ARPACK in
 shift-invert mode about 0 with the shared factors. The ARPACK step is one
 helper, ``_shift_invert_eigenpair(op, lu, sigma)``, which takes the LU of
 A - sigma I, keeps ARPACK's Krylov basis to 10 vectors and ends with one
 inverse-iteration step through the same factors, which makes the
 eigenfunction positive where it falls below ARPACK's rounding (next to a
-cusp): ``_lambda1``, which ``uniqueness_test`` calls, runs it about
-sigma = f'(0) through the J(0) factors that test keeps anyway. Every path
-starts from fixed data (ARPACK from the ones vector), so reruns are
-bit-identical, and every result passes the same checks: Rayleigh quotient,
-residual at most 1e-8 lambda1, positive eigenfunction.
+cusp). ``_lambda1(op, f)`` is ``uniqueness_test``'s one solver call: it
+keeps the double-precision LU of J(0) = A - diag(f'(0)) on the operator
+(A's own when f'(0) = 0), which preconditions the probe's restarts, all of
+which should end at u = 0, and runs that helper about sigma = f'(0)
+through it. Every path starts from fixed data (ARPACK from the ones
+vector), so reruns are bit-identical, and every result passes the same
+checks: Rayleigh quotient, residual at most 1e-8 lambda1, positive
+eigenfunction.
 """
 
 from __future__ import annotations
@@ -90,8 +89,8 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretization import (DomainGrid, SparseOperator, _components,
-                             as_trace, assemble_laplacian, boundary_rhs,
+from .discretization import (DomainGrid, SparseOperator, as_trace,
+                             assemble_laplacian, boundary_rhs,
                              stencil_residual)
 from .errors import (ConvergenceError, JacobianSingularError, NumericalError,
                      ValidationError)
@@ -155,14 +154,14 @@ class EigenPair:
 
 @dataclass
 class SolvePolicy:
-    method: str = "auto"            # auto | newton | picard
+    method: str = "auto"            # auto | picard
     tol: float = 1e-10
     max_iter: int = 80
     init: object = "torsion_lift"   # torsion_lift | front_lift | zero | array
 
     def validate(self):
-        if self.method not in ("auto", "newton", "picard"):
-            raise ValidationError("policy method must be auto, newton or picard")
+        if self.method not in ("auto", "picard"):
+            raise ValidationError("policy method must be auto or picard")
         if not 0 < self.tol < math.inf:
             raise ValidationError("tolerances must be positive and finite")
         if self.max_iter < 1:
@@ -241,8 +240,8 @@ def _keep_jacobian_lu(op: SparseOperator, fp: np.ndarray, single: bool):
     singular J raises JacobianSingularError and keeps nothing.
 
     ``single`` is fixed by the caller's role: a Newton step's refactorization
-    passes True (float32 factors, see ``factorize``), ``uniqueness_test``'s
-    J(0), the point every restart must reach, passes False."""
+    passes True (float32 factors, see ``factorize``), ``_lambda1``'s J(0),
+    the point every uniqueness restart must reach, passes False."""
     if fp.any():
         op._jac_lu = factorize(op.matrix - sp.diags(fp), single)
     else:
@@ -276,6 +275,34 @@ def _bicgstab(matrix, rhs: np.ndarray, psolve, rtol: float, maxiter: int,
     return x, info, -(-applications // 2)
 
 
+def _linear_core(op: SparseOperator, rhs: np.ndarray) -> tuple:
+    """(u, path, iterations) with op u = rhs, no residual recomputed: see
+    ``solve_linear``, which checks the answer; the torsion lift does not."""
+    if not rhs.any():
+        return np.zeros(op.n), "trivial", 0
+    if op.grid.dimension <= _LU_MAX_DIMENSION:
+        return _factors(op).solve(rhs), "lu", 0
+    jacobi = _jacobi(op.matrix).dot
+    maxiter = min(40 * op.n + 100, 200000)
+    bound = _KRYLOV_MARGIN * _KRYLOV_TOL * np.linalg.norm(rhs)
+
+    def stands(u, info):
+        return info == 0 and np.linalg.norm(op.matrix @ u - rhs) <= bound
+
+    u, info, iters = _bicgstab(op.matrix, rhs, jacobi, _KRYLOV_TOL, maxiter)
+    converged = stands(u, info)
+    if not converged and info <= 0 and np.isfinite(u).all():
+        u, info, more = _bicgstab(op.matrix, rhs, jacobi, _KRYLOV_TOL,
+                                  maxiter, x0=u)
+        iters += more
+        converged = stands(u, info)
+    if not converged:
+        raise ConvergenceError(
+            f"no convergence: bicgstab after {iters} iterations",
+            iterations=iters, residual=float(np.abs(op.matrix @ u - rhs).max()))
+    return u, "bicgstab", iters
+
+
 def solve_linear(op: SparseOperator, rhs: np.ndarray) -> SolutionField:
     """Solve op u = rhs: by the operator's shared LU in one and two
     dimensions, by Jacobi-preconditioned BiCGSTAB in three or more.
@@ -292,35 +319,11 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> SolutionField:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (op.n,):
         raise ValidationError("rhs length does not match operator dimension")
-    if not rhs.any():
-        u = np.zeros(op.n)
+    u, path, iters = _linear_core(op, rhs)
+    if path == "trivial":
         return SolutionField(grid=op.grid, values=u, residual_norm=0.0,
-                             iterations=0, method="linear",
-                             meta={"path": "trivial"})
-
-    if op.grid.dimension <= _LU_MAX_DIMENSION:
-        path, iters, converged = "lu", 0, True
-        u = _factors(op).solve(rhs)
-    else:
-        path = "bicgstab"
-        jacobi = _jacobi(op.matrix).dot
-        maxiter = min(40 * op.n + 100, 200000)
-        bound = _KRYLOV_MARGIN * _KRYLOV_TOL * np.linalg.norm(rhs)
-
-        def stands(u, info):
-            return info == 0 and np.linalg.norm(op.matrix @ u - rhs) <= bound
-
-        u, info, iters = _bicgstab(op.matrix, rhs, jacobi, _KRYLOV_TOL, maxiter)
-        converged = stands(u, info)
-        if not converged and info <= 0 and np.isfinite(u).all():
-            u, info, more = _bicgstab(op.matrix, rhs, jacobi, _KRYLOV_TOL,
-                                      maxiter, x0=u)
-            iters += more
-            converged = stands(u, info)
+                             iterations=0, method="linear", meta={"path": path})
     resid = float(np.abs(op.matrix @ u - rhs).max())
-    if not converged:
-        raise ConvergenceError(f"no convergence: bicgstab after {iters} iterations",
-                               iterations=iters, residual=resid)
     indep = float(np.abs(stencil_residual(op.grid, u, trace=0.0) - rhs).max())
     return SolutionField(grid=op.grid, values=u, residual_norm=indep,
                          iterations=iters, method="linear",
@@ -330,7 +333,8 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> SolutionField:
 def _initial_guess(op: SparseOperator, f: Nonlinearity, b: np.ndarray,
                    init, trace_vals: np.ndarray, meta: dict) -> np.ndarray:
     """The starting field; records ``meta["init"]``, and ``meta["lift"]``
-    (``solve_linear``'s path) for the torsion lift."""
+    (``solve_linear``'s path) for the torsion lift, which runs the linear
+    solve alone: the Newton or Picard loop checks the residual anyway."""
     if isinstance(init, (np.ndarray, list, tuple)):
         u0 = np.asarray(init, dtype=float)
         if u0.shape != (op.n,):
@@ -342,9 +346,9 @@ def _initial_guess(op: SparseOperator, f: Nonlinearity, b: np.ndarray,
         return np.zeros(op.n)
     if init == "torsion_lift":
         rhs = b + f.f0 * np.ones(op.n) if not math.isnan(f.f0) else b.copy()
-        lift = solve_linear(op, rhs)
-        meta["init"], meta["lift"] = "torsion_lift", lift.meta["path"]
-        return lift.values
+        meta["init"] = "torsion_lift"
+        u0, meta["lift"], _ = _linear_core(op, rhs)
+        return u0
     if init == "front_lift":
         # 1-D front heuristic: ramp along the last axis with the energy slope
         # sqrt(2 * integral of f over the unit range), capped at the trace top
@@ -361,6 +365,12 @@ def _initial_guess(op: SparseOperator, f: Nonlinearity, b: np.ndarray,
     raise ValidationError(f"unknown init policy {init!r}")
 
 
+def _route(f: Nonlinearity, method: str = "auto") -> str:
+    """The iteration that runs: Picard when ``method`` asks for it or when f
+    declares that f' blows up somewhere, Newton otherwise."""
+    return "picard" if method == "picard" or f.derivative_unbounded else "newton"
+
+
 def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                      policy: SolvePolicy = None,
                      op: SparseOperator = None) -> SolutionField:
@@ -375,8 +385,8 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
     (then the step solved directly by the fresh float32 factors, an inexact
     Newton step, is tried once before ConvergenceError). The first
     Newton solve on an operator therefore factorizes its first Jacobian,
-    unless a Jacobian LU was kept on ``op`` before it (``uniqueness_test``
-    keeps that of J(0) = A - diag(f'(0))); a later one may factorize
+    unless a Jacobian LU was kept on ``op`` before it (``_lambda1`` keeps
+    that of J(0) = A - diag(f'(0))); a later one may factorize
     nothing, and its last bits depend on the Newton solves and the LU kept
     before it on ``op``. Steps with f' identically zero and Picard use the
     operator's shared LU of A."""
@@ -389,16 +399,8 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
     b = boundary_rhs(op, trace)
     trace_vals = as_trace(trace)(op.bc_points) if op.bc_rows.size else np.zeros(0)
 
-    method = policy.method
+    method = _route(f, policy.method)
     meta = {}
-    if method != "picard" and f.derivative_unbounded:
-        if method == "newton":
-            meta["fallback"] = "picard"
-            meta["fallback_reason"] = "f not differentiable on range"
-        method = "picard"
-    elif method == "auto":
-        method = "newton"
-
     u = _initial_guess(op, f, b, policy.init, trace_vals, meta)
 
     def residual(u):
@@ -502,11 +504,6 @@ def _checked_pair(op: SparseOperator, vec: np.ndarray, solves: int) -> EigenPair
     return EigenPair(lambda1=lam, phi1=v, residual=resid, iterations=solves)
 
 
-def _tridiagonal(op: SparseOperator) -> bool:
-    """Whether op is tridiagonal: one-dimensional, or of size 1 or 2."""
-    return op.grid.dimension == 1 or op.n <= 2
-
-
 def _tridiagonal_eigenpair(op: SparseOperator) -> EigenPair:
     """The eigenpair of a tridiagonal operator with the smallest eigenvalue,
     by a symmetric tridiagonal eigensolve.
@@ -561,17 +558,28 @@ def _shift_invert_eigenpair(op: SparseOperator, lu, sigma: float) -> EigenPair:
     return _checked_pair(op, v, count["solves"])
 
 
-def _require_irreducible(op: SparseOperator):
-    """Raise NumericalError when op's pattern has more than one connected
-    component. Then lambda_1 is the least of the components' own, and
-    no positive eigenfunction belongs to it uniquely: it vanishes on the
-    other components, or (equal components, a double lambda_1) every
-    positive mix of their eigenfunctions is one."""
-    count, _ = _components(op.matrix)
-    if count > 1:
+def _eigenpair(op: SparseOperator, jac=None, c: float = 0.0) -> EigenPair:
+    """``principal_eigenpair(op)``, tried first by shift-invert about c
+    through ``jac``, the LU of A - c I, when one is given (``_lambda1``).
+
+    An operator with more than one connected component raises
+    NumericalError: lambda_1 is then the least of the components' own, and
+    no positive eigenfunction belongs to it uniquely (it vanishes on the
+    other components, or, for equal ones, every positive mix is one)."""
+    if op.components > 1:
         raise NumericalError(
-            f"reducible operator: {count} connected components, so lambda1"
-            " has no unique positive eigenfunction")
+            f"reducible operator: {op.components} connected components, so"
+            " lambda1 has no unique positive eigenfunction")
+    if op.grid.dimension == 1 or op.n <= 2:   # tridiagonal
+        return _tridiagonal_eigenpair(op)
+    if jac is not None:
+        try:
+            pair = _shift_invert_eigenpair(op, jac, c)
+            if pair.lambda1 > c:
+                return pair
+        except (ConvergenceError, NumericalError):
+            pass
+    return _shift_invert_eigenpair(op, _factors(op), 0.0)
 
 
 def principal_eigenpair(op: SparseOperator) -> EigenPair:
@@ -589,34 +597,28 @@ def principal_eigenpair(op: SparseOperator) -> EigenPair:
     max-normalized eigenfunction and ``residual`` its max-norm residual; one
     above 1e-8 lambda1 raises ConvergenceError, and an eigenfunction that is
     not positive raises NumericalError."""
-    _require_irreducible(op)
-    if _tridiagonal(op):
-        return _tridiagonal_eigenpair(op)
-    return _shift_invert_eigenpair(op, _factors(op), 0.0)
+    return _eigenpair(op)
 
 
-def _lambda1(op: SparseOperator, jac, c: float) -> float:
-    """lambda_1 of op, by shift-invert about c = f'(0) through ``jac``, the
-    kept LU of J(0) = A - c I, when that can be trusted; by
-    ``principal_eigenpair(op)`` otherwise.
+def _lambda1(op: SparseOperator, f: Nonlinearity) -> float:
+    """lambda_1 of op for the uniqueness probe of f, which has f(0) = 0.
 
-    A is an M-matrix, so by Perron-Frobenius lambda_1 is real, every other
-    eigenvalue has a larger real part, and only lambda_1's eigenvector is
-    positive. When lambda_1 > c, lambda_1 is therefore the eigenvalue
-    nearest c, which shift-invert about c returns. The pair through J(0) is
-    kept only when its eigenvector is positive (the checks of
-    ``principal_eigenpair``) and its eigenvalue exceeds c. With c = 0, J(0)
-    is A and its kept LU is A's, so this is ``principal_eigenpair``'s own
-    solve. With no kept J(0) (singular, or the Picard route), a failed
-    Arnoldi run, or a tridiagonal operator (which factorizes nothing),
-    ``principal_eigenpair(op)`` answers. A reducible operator raises
-    NumericalError, as ``principal_eigenpair`` does."""
-    if jac is not None and not _tridiagonal(op):
-        _require_irreducible(op)
+    On the Newton route (``_route``) this keeps the double-precision LU of
+    J(0) = A - c I, c = f'(0) (f is autonomous: one number), on ``op`` as
+    its Jacobian LU for the probe's restarts (A's own LU when c = 0), and
+    reads lambda_1 by shift-invert about c through it. A is an M-matrix, so
+    by Perron-Frobenius lambda_1 is real, every other eigenvalue has a
+    larger real part and only lambda_1's eigenvector is positive: when
+    lambda_1 > c it is the eigenvalue nearest c. The pair is kept when its
+    eigenvector is positive and its eigenvalue exceeds c. Otherwise, on the
+    Picard route, for a singular J(0) (both keep nothing) and for a
+    tridiagonal operator, ``principal_eigenpair(op)`` answers."""
+    jac, c = None, 0.0
+    if _route(f) == "newton":
+        fp0 = eval_f_prime(f, np.zeros(op.n))
+        c = float(fp0[0])
         try:
-            lam = _shift_invert_eigenpair(op, jac, c).lambda1
-        except (ConvergenceError, NumericalError):
-            lam = -math.inf
-        if lam > c:
-            return lam
-    return principal_eigenpair(op).lambda1
+            jac = _keep_jacobian_lu(op, fp0, False)
+        except JacobianSingularError:
+            pass
+    return _eigenpair(op, jac, c).lambda1

@@ -582,9 +582,11 @@ MISAPPLIED_CONFIGS = {
     "unknown_weierstrass_param": _with(_section, domain={
         "kind": "epigraph", "profile": "weierstrass",
         "params": {"b": 2, "gamma": 1.0}}),
-    # removed keys: eig had no effect, the sweep's tol repeated tolerances.check
+    # removed keys: eig had no effect, the sweep's tol repeated
+    # tolerances.check, and method newton did what auto does
     "tolerances_eig": _with(_scan, tolerances__eig=1e-10),
     "moving_plane_tol": _with(_profile_mp, params__tol=1e-8),
+    "method_newton": _with(torsion_config, params__method="newton"),
 }
 
 
@@ -608,8 +610,8 @@ def _weierstrass(**params):
 
 
 # values each rejected by one schema, library or loader check, with the
-# message that names the cause; the last three are tables np.interp would
-# misread
+# message that names the cause; custom_sampled_unsorted and the two
+# revolution entries are tables np.interp would misread
 REJECTED_CONFIGS = {
     "method_unknown": (_with(torsion_config, params__method="fast"),
                        "params.method"),
@@ -644,6 +646,9 @@ REJECTED_CONFIGS = {
     "revolution_nan_radius": (_table_solve("revolution",
                                            "x,phi\n-10,1\n10,1\n20,nan\n"),
                               "phis must be finite"),
+    # the working range [-amplitude, amplitude] needs amplitude >= 0
+    "amplitude_negative": (_with(uniqueness_config, params__amplitude=-0.5),
+                           "params.amplitude must be a number >= 0"),
 }
 
 
@@ -660,7 +665,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, make):
 
 @pytest.mark.parametrize("name, message", [
     ("tolerances_eig", "unknown key 'eig' in tolerances"),
-    ("moving_plane_tol", "unknown key 'tol' in params")])
+    ("moving_plane_tol", "unknown key 'tol' in params"),
+    ("method_newton", "params.method must be one of auto|picard")])
 def test_removed_keys_are_named(tmp_path, capsys, name, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(MISAPPLIED_CONFIGS[name](tmp_path)))

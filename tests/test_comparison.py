@@ -304,8 +304,9 @@ class TestUniqueness:
         assert rep.lambda1 < 1.0
 
     def test_restarts_do_not_depend_on_how_lambda1_is_read(self, monkeypatch):
-        # criterion 5's config; the reference reads lambda_1 by ARPACK
-        # through A's LU, which it leaves on op next to J(0)'s
+        # criterion 5's config; the reference keeps J(0)'s LU as _lambda1
+        # does but reads lambda_1 by ARPACK through A's LU, which it leaves
+        # on op next to J(0)'s
         g = build_grid(strip_set(0.0, 2.0, dimension=1), [[0.0, 2.0]],
                        1.0 / 32)
         f = make_nonlinearity("linear", slope=1.0)
@@ -316,9 +317,9 @@ class TestUniqueness:
                                  for r in rep.meta["restarts"]]
 
         lam, restarts = run()
-        monkeypatch.setattr(comparison, "_lambda1", lambda op, jac, c:
+        monkeypatch.setattr(solver, "_eigenpair", lambda op, jac, c:
                             solver._shift_invert_eigenpair(
-                                op, solver._factors(op), 0.0).lambda1)
+                                op, solver._factors(op), 0.0))
         ref_lam, ref_restarts = run()
         assert [it for _, it in restarts] == [1] * 20
         assert restarts == ref_restarts
@@ -328,9 +329,31 @@ class TestUniqueness:
         g = interval_grid(0.0, 1.0, 0.25)
         with pytest.raises(ValidationError):
             uniqueness_test(g, make_nonlinearity("constant", value=1.0))
+        # a table that does not reach 0 has no f(0) at all: every restart
+        # would leave its range
+        table = make_nonlinearity("custom_table", ts=[0.5, 1.0, 2.0],
+                                  fs=[0.5, 1.0, 2.0])
+        with pytest.raises(ValidationError, match="f\\(0\\) = 0"):
+            uniqueness_test(g, table)
         with pytest.raises(ValidationError):
             uniqueness_test(g, make_nonlinearity("linear", slope=1.0),
                             n_restarts=0)
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -0.5])
+def test_uniqueness_amplitude_must_be_finite_and_nonnegative(amplitude):
+    g = interval_grid(0.0, 1.0, 0.25)
+    with pytest.raises(ValidationError, match="amplitude"):
+        uniqueness_test(g, make_nonlinearity("allen_cahn"), n_restarts=1,
+                        amplitude=amplitude)
+
+
+def test_uniqueness_at_zero_amplitude_restarts_from_zero():
+    g = interval_grid(0.0, 1.0, 0.25)
+    rep = uniqueness_test(g, make_nonlinearity("allen_cahn"), n_restarts=2,
+                          amplitude=0.0)
+    assert rep.comparison_holds
+    assert [r["norm"] for r in rep.meta["restarts"]] == [0.0, 0.0]
 
 
 def test_shifted_supersolutions_hold():

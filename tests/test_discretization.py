@@ -39,6 +39,29 @@ def half_space_grid():
     return build_grid(dom, [[0.0, 1.0], [0.0, 1.0]], 0.25)
 
 
+@pytest.mark.parametrize("box, h, message", [
+    ([0.0, 1.0], 0.25, "box must be an"),
+    ([[0.0, 1.0, 2.0]], 0.25, "box must be an"),
+    ([[0.0, math.inf]], 0.25, "box must be finite"),
+    ([[math.nan, 1.0]], 0.25, "box must be finite"),
+    ([[0.0, 1.0]], 0.0, "h must be positive"),
+    ([[0.0, 1.0]], -0.25, "h must be positive"),
+    ([[0.0, 1.0], [1.0, 1.0]], 0.25, "hi > lo"),
+    ([[1.0, 0.0]], 0.25, "hi > lo"),
+], ids=["flat", "three_columns", "infinite", "nan", "h_zero", "h_negative",
+        "empty_axis", "reversed_axis"])
+def test_build_grid_rejects_bad_box_or_step(box, h, message):
+    with pytest.raises(ValidationError, match=message):
+        build_grid(lambda p: np.ones(len(p), dtype=bool), box, h)
+
+
+def test_stencil_residual_rejects_wrong_length(half_space_grid):
+    n = half_space_grid.n_interior
+    for length in (n - 1, n + 1):
+        with pytest.raises(ValidationError, match="field length"):
+            stencil_residual(half_space_grid, np.zeros(length))
+
+
 @pytest.fixture
 def disk_grid():
     policy = [["dirichlet", "dirichlet"], ["dirichlet", "dirichlet"]]

@@ -36,6 +36,50 @@ def test_epigraph_kinds_rejected():
         make_epigraph("no_such_profile")
 
 
+def test_spec_dimension_and_kind_checks():
+    with pytest.raises(ValidationError, match="dimension must be >= 2"):
+        geometry.EpigraphSpec(1, "half_space")
+    with pytest.raises(ValidationError, match="unknown epigraph kind"):
+        geometry.EpigraphSpec(2, "no_such_profile")
+    # epigraph is an open-set kind with no predicate of its own
+    for kind in ("no_such_set", "epigraph"):
+        with pytest.raises(ValidationError, match="unknown open set kind"):
+            geometry.GeneralOpenSet(kind)
+    for dom in (make_epigraph("half_space", dimension=2), strip_set(0.0, 1.0)):
+        with pytest.raises(ValidationError, match="point dimension mismatch"):
+            dom.contains(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("b", [0.0, -1.0])
+def test_strip_needs_b_above_a(b):
+    with pytest.raises(ValidationError, match="b > a"):
+        strip_set(0.0, b)
+
+
+def test_membership_needs_a_domain_or_a_callable():
+    with pytest.raises(ValidationError, match="contains\\(\\) or be callable"):
+        geometry._membership(42)
+
+
+def test_section_probe_grid_shapes():
+    # a 0-D probe is one line; a 1-D one is a line per entry in the plane
+    # and one point in higher dimensions; an empty grid has no line
+    planar, solid = strip_set(0.0, 1.0), strip_set(0.0, 1.0, dimension=3)
+
+    def lines(dom, nu, probes):
+        rep = section_measure(dom, nu, probes, 0.0625, window=4.0)
+        assert [m for _, m in rep.per_line] == pytest.approx(
+            [1.0] * len(rep.per_line), abs=1e-12)
+        return [list(q) for q, _ in rep.per_line]
+
+    assert lines(planar, [0.0, 1.0], 0.5) == [[0.5]]
+    assert lines(planar, [0.0, 1.0], [-1.0, 2.0]) == [[-1.0], [2.0]]
+    assert lines(solid, [0.0, 0.0, 1.0], [0.5, -0.5]) == [[0.5, -0.5]]
+    for empty in ([], np.zeros((0, 1))):
+        with pytest.raises(ValidationError, match="nonempty"):
+            section_measure(planar, [0.0, 1.0], empty, 0.0625, window=4.0)
+
+
 def test_half_space_is_flat():
     spec = make_epigraph("half_space", dimension=2)
     xs = np.linspace(-5, 5, 11)

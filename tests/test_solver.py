@@ -25,9 +25,10 @@ from epigraph_lab import (
     stencil_residual,
     strip_set,
     tanh_front,
+    threshold_scan,
     uniqueness_test,
 )
-from epigraph_lab import solver
+from epigraph_lab import discretization, solver
 from epigraph_lab.solver import _bicgstab
 
 # smallest eigenvalue of (1/h^2) tridiag(-1, 2, -1), 3 nodes, h = 1/4:
@@ -124,14 +125,6 @@ def test_nonsmooth_source_routes_to_picard():
     assert sol.max_norm < 1.0
 
 
-def test_newton_request_on_nonsmooth_falls_back():
-    g = interval_grid(0.0, 0.5, 1.0 / 32)
-    f = make_nonlinearity("sqrt_saturation")
-    sol = solve_semilinear(g, f, policy=SolvePolicy(method="newton"))
-    assert sol.method == "picard"
-    assert sol.meta["fallback"] == "picard"
-
-
 def test_explicit_picard_on_linear_source():
     g = interval_grid(0.0, 2.0, 1.0 / 16)
     f = make_nonlinearity("linear", slope=1.0)
@@ -158,8 +151,10 @@ def test_init_variants():
 
 
 def test_policy_validation():
-    with pytest.raises(ValidationError):
-        SolvePolicy(method="gradient_flow").validate()
+    # auto already runs Newton wherever f' is bounded: newton is no method
+    for method in ("gradient_flow", "newton"):
+        with pytest.raises(ValidationError, match="auto or picard"):
+            SolvePolicy(method=method).validate()
     with pytest.raises(ValidationError):
         SolvePolicy(tol=-1.0).validate()
     with pytest.raises(ValidationError):
@@ -176,7 +171,8 @@ def test_non_finite_tol_is_rejected(tol):
                          policy=SolvePolicy(tol=tol))
 
 
-@pytest.mark.parametrize("method", ["newton", "picard"])
+# ids name the route that runs: auto is Newton on allen_cahn
+@pytest.mark.parametrize("method", ["auto", "picard"], ids=["newton", "picard"])
 def test_nan_residual_is_not_converged(method):
     # NaN > tol is false, so a NaN residual must never read as converged
     g = interval_grid(0.0, 1.0, 1.0 / 8)
@@ -687,6 +683,28 @@ class TestSharedFactors:
         assert rep.comparison_holds
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("error", [ConvergenceError, NumericalError])
+    def test_lambda1_falls_back_when_the_read_through_j0_fails(
+            self, monkeypatch, error):
+        # an Arnoldi failure about f'(0) = 1 is not final: the eigensolve
+        # about 0 through A's LU answers, bit for bit, and J(0) stays kept
+        original, shifts = solver._shift_invert_eigenpair, []
+
+        def failing(op, lu, sigma):
+            shifts.append(sigma)
+            if sigma != 0.0:
+                raise error("stub")
+            return original(op, lu, sigma)
+
+        monkeypatch.setattr(solver, "_shift_invert_eigenpair", failing)
+        op = assemble_laplacian(restart_grid())
+        lam = solver._lambda1(op, make_nonlinearity("allen_cahn"))
+        assert shifts == [1.0, 0.0]
+        assert op._jac_lu is not op._lu
+        assert op._jac_lu.L.dtype == np.float64
+        ref = principal_eigenpair(assemble_laplacian(restart_grid()))
+        assert lam == ref.lambda1
+
     def test_half_step_return_counts_one_iteration(self):
         # preconditioned by A's own LU, BiCGSTAB stops at its first half step
         op = arc_bump_operator()[1]
@@ -702,6 +720,34 @@ class TestSharedFactors:
         assert sol.meta["lift"] == "bicgstab"
         assert sol.iterations == 0
         assert call_counts == {"splu": 0, "bicgstab": 1}
+
+
+def test_components_are_labelled_once_per_operator(monkeypatch):
+    # assembly labels the components and keeps their count; eigensolves,
+    # the uniqueness probe and the threshold scan only read it
+    calls = []
+    label = discretization.connected_components
+
+    def counted(matrix, **kwargs):
+        calls.append(matrix.shape[0])
+        return label(matrix, **kwargs)
+
+    monkeypatch.setattr(discretization, "connected_components", counted)
+    op = assemble_laplacian(restart_grid())
+    principal_eigenpair(op)
+    principal_eigenpair(op)
+    assert calls == [op.n] and op.components == 1
+    # one operator per probe, whether lambda_1 > L holds (width 1) or not
+    for width, holds in ((1.0, True), (4.0, False)):
+        calls.clear()
+        g = build_grid(strip_set(0.0, width), [[0.0, 2.0], [0.0, width]], 0.25)
+        rep = uniqueness_test(g, make_nonlinearity("allen_cahn"), n_restarts=2,
+                              amplitude=0.5)
+        assert ("status" not in rep.meta) == holds
+        assert calls == [g.n_interior]
+    calls.clear()
+    threshold_scan(1.0, [2.0, 3.0, 4.0], cells=16)
+    assert calls == [15] * 3
 
 
 class TestKrylovBreakdown:
