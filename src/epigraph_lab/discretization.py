@@ -27,7 +27,8 @@ one-sided fractional-arm (Shortley-Weller) form on cut arms; the stencil is
 exact on per-axis quadratics for any arm fractions. Dirichlet arm
 coefficients are kept out of the matrix and consumed by ``boundary_rhs``.
 ``stencil_residual`` recomputes the operator action with an independent
-gather-based loop for post-hoc residual checks.
+gather-based loop for post-hoc residual checks, one vector subtraction per
+axis and side.
 """
 
 from __future__ import annotations
@@ -295,7 +296,14 @@ class SparseOperator:
 
     ``components`` is the number of connected components of the matrix's
     pattern, which assembly labels once; ``solver`` reads it before every
-    eigensolve. The n-long labels are not kept."""
+    eigensolve. The n-long labels are not kept.
+
+    ``_diag_pos`` holds the positions of A's diagonal entries in
+    ``matrix.data``, which ``solver._jacobian`` finds on first use: each
+    Newton Jacobian A - diag(f') is a copy of A's values with f' subtracted
+    there, on ``matrix``'s own ``indices`` and ``indptr``. Those are shared,
+    not copied, and nothing sorts or writes them: ``matrix`` is still never
+    written."""
 
     matrix: sp.csr_matrix
     bc_rows: np.ndarray
@@ -305,6 +313,7 @@ class SparseOperator:
     components: int
     _lu: object = field(default=None, init=False, repr=False, compare=False)
     _jac_lu: object = field(default=None, init=False, repr=False, compare=False)
+    _diag_pos: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -429,7 +438,13 @@ def stencil_residual(grid: DomainGrid, u: np.ndarray, trace=0.0) -> np.ndarray:
     """Recompute (A u - boundary terms) by per-arm gathers.
 
     Independent of the CSR path: accumulates arm by arm instead of building a
-    matrix, for post-hoc residual verification.
+    matrix, for post-hoc residual verification. Per axis and side, one
+    vector v gathers each node's far value, u at its internal neighbour or
+    the trace at its Dirichlet endpoint (one trace call per side, as the
+    boundary tables batch them), and out -= coeff * v subtracts the whole
+    side at once: every node is in exactly one of the two sets, so each gets
+    the multiply and subtraction that a scatter per arm kind gave, bit for
+    bit.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n_interior,):
@@ -437,11 +452,14 @@ def stencil_residual(grid: DomainGrid, u: np.ndarray, trace=0.0) -> np.ndarray:
     h2 = grid.h * grid.h
     trace_fn = as_trace(trace)
     out = np.zeros(grid.n_interior)
+    # each node's arm on a side is internal or Dirichlet (a mirror arm is
+    # folded onto the opposite one): rows and bc fill every entry of v
+    v = np.empty(grid.n_interior)
     for tm, tp, sides in _axis_arms(grid):
         out += 2.0 / (h2 * tm * tp) * u
         for ts, (rows, nbrs, bc, end) in zip((tm, tp), sides):
-            coeff = 2.0 / (h2 * ts * (tm + tp))
-            out[rows] -= coeff[rows] * u[nbrs]
+            v[rows] = u[nbrs]
             if bc.size:
-                out[bc] -= coeff[bc] * trace_fn(end)
+                v[bc] = trace_fn(end)
+            out -= 2.0 / (h2 * ts * (tm + tp)) * v
     return out

@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from test_lattice import SETTINGS, grids
 
 from epigraph_lab import (
     ConvergenceError,
+    JacobianSingularError,
     LabError,
     NumericalError,
     SolvePolicy,
@@ -929,3 +934,82 @@ def test_cusp_front_converges_at_fine_h():
     sol = solve_semilinear(g, make_nonlinearity("allen_cahn"), trace=tanh_trace,
                            policy=SolvePolicy(init="front_lift", tol=1e-10))
     assert sol.residual_norm <= 1e-9
+
+
+class TestJacobianMatrix:
+    """Newton's J = A - diag(f'(u)) is A's values with f' subtracted at A's
+    diagonal positions, which each operator keeps (``solver._jacobian``),
+    instead of a sparse diagonal and a sparse subtraction."""
+
+    @SETTINGS
+    @given(grids(), st.integers(0, 2 ** 32 - 1))
+    def test_jacobian_matches_the_sparse_subtraction(self, grid, seed):
+        # J x and J's LU solves, double and float32, bit for bit, for two
+        # Jacobians on one operator; A's own arrays never change
+        try:
+            op = assemble_laplacian(grid)
+        except ValidationError:  # ungrounded
+            assume(False)
+        a = op.matrix
+        frozen = a.data.copy(), a.indices.copy(), a.indptr.copy()
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=op.n)
+        for _ in range(2):
+            fp = rng.uniform(-0.5, 0.5, op.n) * a.diagonal()
+            ref = a - sp.diags(fp)
+            jac = solver._jacobian(op, fp)
+            assert (jac @ x).tobytes() == (ref @ x).tobytes()
+            for single in (False, True):
+                try:
+                    want = solver.factorize(ref, single).solve(x)
+                except JacobianSingularError:
+                    with pytest.raises(JacobianSingularError):
+                        solver.factorize(jac, single)
+                    continue
+                got = solver.factorize(jac, single).solve(x)
+                assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(jac.indices, a.indices)
+        assert np.shares_memory(jac.indptr, a.indptr)
+        for kept, now in zip(frozen, (a.data, a.indices, a.indptr)):
+            assert kept.tobytes() == now.tobytes()
+
+    def test_a_diagonal_that_cancels_stays_stored(self):
+        # linear f with slope 2 on a 1-D h = 1 grid: A_ii = 2, so every J_ii
+        # is exactly 0, which _jacobian keeps stored and the sparse
+        # subtraction drops; the Newton solve still converges to the dense
+        # solution of (A - 2 I) u = b
+        g = build_grid(lambda p: np.ones(len(p), dtype=bool), [[0.0, 5.0]], 1.0)
+        op = assemble_laplacian(g)
+        fp = np.full(op.n, 2.0)
+        assert (op.matrix - sp.diags(fp)).nnz == op.matrix.nnz - op.n
+        jac = solver._jacobian(op, fp)
+        assert jac.nnz == op.matrix.nnz and not jac.diagonal().any()
+        sol = solve_semilinear(g, make_nonlinearity("linear", slope=2.0),
+                               trace=1.0, op=op)
+        assert sol.meta["residual_internal"] <= SolvePolicy().tol
+        dense = la.solve(op.matrix.toarray() - 2.0 * np.eye(op.n),
+                         boundary_rhs(op, 1.0))
+        assert np.abs(sol.values - dense).max() <= 1e-12
+
+    def test_uniqueness_restarts_build_no_jacobian_matrix(self, monkeypatch):
+        # no DIA matrix and no sparse subtraction, in the probe's J(0) or in
+        # any Newton step of its restarts
+        calls = {"diags": 0, "subtract": 0}
+        diags, subtract = sp.diags, sp.csr_matrix.__sub__
+
+        def counted_diags(*args, **kwargs):
+            calls["diags"] += 1
+            return diags(*args, **kwargs)
+
+        def counted_subtract(self, other):
+            calls["subtract"] += 1
+            return subtract(self, other)
+
+        monkeypatch.setattr(sp, "diags", counted_diags)
+        monkeypatch.setattr(sp.csr_matrix, "__sub__", counted_subtract)
+        rep = uniqueness_test(restart_grid(), make_nonlinearity("allen_cahn"),
+                              n_restarts=4, amplitude=0.5)
+        restarts = rep.meta["restarts"]
+        assert [r["outcome"] for r in restarts] == ["converged"] * 4
+        assert sum(r["iterations"] for r in restarts) >= 4
+        assert calls == {"diags": 0, "subtract": 0}
