@@ -12,8 +12,12 @@ A itself (f' identically zero) and the shift-invert eigensolve. The
 LU-or-Krylov rule is by dimension: one and two dimensions factorize, where
 fill stays near-linear; from three dimensions on the fill explodes and
 ``solve_linear`` runs Jacobi-preconditioned BiCGSTAB to a relative residual
-of 1e-13 instead (the cut-arm operator is not symmetric). A one-dimensional
-operator's eigenpair needs no LU at all (see below).
+of 1e-13 instead (the cut-arm operator is not symmetric). BiCGSTAB is
+SciPy's algorithm in a loop of this module's own (``_bicgstab``), whose
+inner products and norms ``np.einsum`` sums: BLAS ``ddot`` splits vectors
+above about 10,000 entries over its threads, so a result summed by it would
+change with the BLAS thread count. A one-dimensional operator's eigenpair
+needs no LU at all (see below).
 
 ``solve_semilinear`` is a damped Newton iteration on F(u) = A u - b - f(u)
 with the exact Jacobian J(u) = A - diag(f'(u)), which ``_jacobian`` builds
@@ -280,25 +284,72 @@ def _jacobi(matrix: sp.csr_matrix):
     return sp.diags(1.0 / matrix.diagonal())
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y summed by ``np.einsum``'s own loop. BLAS ``ddot`` (numpy's
+    ``dot`` and ``linalg.norm``) splits vectors above about 10,000 entries
+    over its threads, so its rounding would follow the thread count."""
+    return np.einsum("i,i", x, y)
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of x through ``_dot``."""
+    return math.sqrt(_dot(x, x))
+
+
 def _bicgstab(matrix, rhs: np.ndarray, psolve, rtol: float, maxiter: int,
               x0: np.ndarray = None):
     """BiCGSTAB for matrix x = rhs from x0 (default 0) to the residual
     rtol ||rhs||, preconditioned by ``psolve`` (x -> an approximate inverse
-    applied to x). Returns the solution, SciPy's info code and the iteration
-    count ceil(applications / 2): BiCGSTAB applies the preconditioner once
-    per half step, and a call that stops at a half step, which SciPy's
-    callback never sees, still counts that iteration."""
-    applications = 0
+    applied to x).
 
-    def counted(x):
-        nonlocal applications
-        applications += 1
-        return psolve(x)
-
-    pre = spla.LinearOperator(matrix.shape, matvec=counted, dtype=float)
-    x, info = spla.bicgstab(matrix, rhs, x0=x0, rtol=rtol, atol=0.0,
-                            maxiter=maxiter, M=pre)
-    return x, info, -(-applications // 2)
+    SciPy's algorithm (``scipy.sparse.linalg.bicgstab``: the same updates,
+    stopping tests and breakdown tolerances) in a loop of its own, so that
+    every inner product and norm goes through ``_dot`` and a result does not
+    depend on the BLAS thread count. Returns the solution, SciPy's info code
+    (0 converged, ``maxiter`` when the iterations run out, -10 when
+    (r~, r) vanishes, -11 when omega or (r~, v) does) and the iterations
+    run: those that applied the preconditioner, a return at the half step
+    included."""
+    bnorm = _norm(rhs)
+    if bnorm == 0.0:   # SciPy returns a zero right-hand side as its solution
+        return rhs.copy(), 0, 0
+    bound = rtol * bnorm
+    x = np.zeros(len(rhs)) if x0 is None else np.array(x0, dtype=float)
+    r = rhs - matrix @ x if x.any() else rhs.copy()
+    rtilde = r.copy()
+    breakdown = np.finfo(float).eps ** 2
+    for it in range(maxiter):
+        if _norm(r) < bound:
+            return x, 0, it
+        rho = _dot(rtilde, r)
+        if abs(rho) < breakdown:
+            return x, -10, it
+        if it == 0:
+            p = r.copy()
+        elif abs(omega) < breakdown:
+            return x, -11, it
+        else:
+            p -= omega * v
+            p *= (rho / rho_prev) * (alpha / omega)
+            p += r
+        phat = psolve(p)
+        v = matrix @ phat
+        rv = _dot(rtilde, v)
+        if rv == 0:
+            return x, -11, it + 1
+        alpha = rho / rv
+        r -= alpha * v
+        if _norm(r) < bound:
+            x += alpha * phat
+            return x, 0, it + 1
+        shat = psolve(r)
+        t = matrix @ shat
+        omega = _dot(t, r) / _dot(t, t)
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+    return x, maxiter, maxiter
 
 
 def _linear_core(op: SparseOperator, rhs: np.ndarray) -> tuple:
@@ -310,10 +361,10 @@ def _linear_core(op: SparseOperator, rhs: np.ndarray) -> tuple:
         return _factors(op).solve(rhs), "lu", 0
     jacobi = _jacobi(op.matrix).dot
     maxiter = min(40 * op.n + 100, 200000)
-    bound = _KRYLOV_MARGIN * _KRYLOV_TOL * np.linalg.norm(rhs)
+    bound = _KRYLOV_MARGIN * _KRYLOV_TOL * _norm(rhs)
 
     def stands(u, info):
-        return info == 0 and np.linalg.norm(op.matrix @ u - rhs) <= bound
+        return info == 0 and _norm(op.matrix @ u - rhs) <= bound
 
     u, info, iters = _bicgstab(op.matrix, rhs, jacobi, _KRYLOV_TOL, maxiter)
     converged = stands(u, info)
@@ -334,9 +385,9 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> SolutionField:
     dimensions, by Jacobi-preconditioned BiCGSTAB in three or more.
 
     A finite iterate restarts once from itself, to the same absolute target
-    rtol ||rhs||, after a BiCGSTAB breakdown (SciPy's info < 0) or when
-    SciPy reports convergence (info 0) but the true residual ||A u - rhs||
-    misses that target by more than a rounding margin of 10: SciPy's
+    rtol ||rhs||, after a BiCGSTAB breakdown (info < 0) or when BiCGSTAB
+    reports convergence (info 0) but the true residual ||A u - rhs||
+    misses that target by more than a rounding margin of 10: the
     recursively updated residual can drift from the true one.
     ``ConvergenceError`` is raised if the restart fails or misses too.
 
@@ -514,7 +565,9 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
 
 def _checked_pair(op: SparseOperator, vec: np.ndarray, solves: int) -> EigenPair:
     """The eigenpair of op from an eigenvector estimate: max-normalized, with
-    lambda1 its Rayleigh quotient and ``residual`` its max-norm residual.
+    lambda1 its Rayleigh quotient (inner products by ``_dot``, so that it
+    does not follow the BLAS thread count) and ``residual`` its max-norm
+    residual.
     A residual above 1e-8 lambda1 raises ConvergenceError, an eigenfunction
     that is not positive NumericalError."""
     peak = vec[np.argmax(np.abs(vec))]
@@ -522,7 +575,7 @@ def _checked_pair(op: SparseOperator, vec: np.ndarray, solves: int) -> EigenPair
         raise NumericalError("eigensolver produced a degenerate vector")
     v = vec / peak
     av = op.matrix @ v
-    lam = float(v @ av) / float(v @ v)
+    lam = float(_dot(v, av)) / float(_dot(v, v))
     resid = float(np.abs(av - lam * v).max())
     if not resid <= 1e-8 * abs(lam):
         raise ConvergenceError("no convergence: eigen residual above 1e-8 lambda1",

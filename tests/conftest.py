@@ -1,5 +1,5 @@
 """Shared pytest plumbing: acceptance verdict lines in the final summary,
-and a stand-in for SciPy's BiCGSTAB."""
+and a stand-in for the solver's BiCGSTAB."""
 
 import numpy as np
 import pytest
@@ -36,7 +36,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def zero_krylov():
-    """``zero_krylov(info)``: a stand-in for SciPy's bicgstab that returns a
-    zero step with the given info (1: BiCGSTAB fails, so every Newton step
-    refactorizes its Jacobian and is solved directly by the fresh factors)."""
-    return lambda info: lambda matrix, rhs, **kwargs: (np.zeros_like(rhs), info)
+    """``zero_krylov(info)``: a stand-in for ``solver._bicgstab`` that returns
+    a zero step with the given info after no iteration (1: BiCGSTAB fails,
+    so every Newton step refactorizes its Jacobian and is solved directly by
+    the fresh factors)."""
+    return lambda info: lambda matrix, rhs, *args, **kwargs: (
+        np.zeros_like(rhs), info, 0)

@@ -445,19 +445,13 @@ def test_every_experiment_reruns_byte_identical(tmp_path, experiment):
         assert (out / n).read_bytes() == data, n
 
 
-def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # one solved moving-plane config (a Newton front, its cap sweep and Hopf
-    # slopes) in two processes, on one and on two BLAS threads, into one
-    # output_dir, which the config hash covers
+def run_on_one_and_two_blas_threads(tmp_path, config):
+    """The artifacts but ``run_record.json`` of ``config`` run in two
+    processes, on one and on two BLAS threads, into one output_dir, which
+    the config hash covers."""
     out = tmp_path / "out"
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({
-        "experiment": "moving_plane", "output_dir": str(out),
-        "domain": {"kind": "epigraph", "profile": "arc_bump"},
-        "nonlinearity": {"kind": "allen_cahn"},
-        "grid": {"box": [[-2.0, 2.0], [0.0, 6.0]], "h": 0.0625},
-        "params": {"trace": 1.0, "init": "front_lift",
-                   "hopf_lambdas": [2.0, 3.0]}}))
+    path.write_text(json.dumps({**config, "output_dir": str(out)}))
     src = os.path.dirname(os.path.dirname(epigraph_lab.__file__))
     runs = []
     for threads in ("1", "2"):
@@ -473,7 +467,35 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
                      if p.name != "run_record.json"})
+    return runs
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # one solved moving-plane config: a Newton front, its cap sweep and Hopf
+    # slopes
+    runs = run_on_one_and_two_blas_threads(tmp_path, {
+        "experiment": "moving_plane",
+        "domain": {"kind": "epigraph", "profile": "arc_bump"},
+        "nonlinearity": {"kind": "allen_cahn"},
+        "grid": {"box": [[-2.0, 2.0], [0.0, 6.0]], "h": 0.0625},
+        "params": {"trace": 1.0, "init": "front_lift",
+                   "hopf_lambdas": [2.0, 3.0]}})
     assert sorted(runs[0]) == ["cap_sweep.csv", "summary.json"]
+    assert runs[0] == runs[1]
+
+
+def test_uniqueness_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the same on n = 18,335 nodes: BLAS splits dot products of vectors
+    # above about 10,000 entries over its threads, so the restarts'
+    # BiCGSTAB inner products and lambda1's Rayleigh quotient must not go
+    # through it
+    runs = run_on_one_and_two_blas_threads(tmp_path, {
+        "experiment": "uniqueness", "seed": 3,
+        "domain": {"kind": "strip", "a": 0.0, "b": 2.0},
+        "nonlinearity": {"kind": "allen_cahn"},
+        "grid": {"box": [[0.0, 4.0], [0.0, 2.0]], "h": 1.0 / 48},
+        "params": {"n_restarts": 5}})
+    assert sorted(runs[0]) == ["restarts.csv", "summary.json"]
     assert runs[0] == runs[1]
 
 

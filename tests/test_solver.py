@@ -1,6 +1,9 @@
 """Linear, Newton/Picard and eigenvalue solves against closed-form targets."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -437,36 +440,36 @@ def test_sparse_matches_dense_on_small_instance():
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Count calls of SciPy's splu and bicgstab, which the solver looks up
-    at call time."""
+    """Count calls of SciPy's splu and of the solver's BiCGSTAB, both looked
+    up at call time."""
     counts = {"splu": 0, "bicgstab": 0}
-    for name in counts:
-        def counted(*args, _name=name, _fn=getattr(spla, name), **kwargs):
-            counts[_name] += 1
+    for owner, name, key in ((spla, "splu", "splu"),
+                             (solver, "_bicgstab", "bicgstab")):
+        def counted(*args, _key=key, _fn=getattr(owner, name), **kwargs):
+            counts[_key] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(spla, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return counts
 
 
 @pytest.fixture
 def krylov_log(monkeypatch):
-    """Record each call of SciPy's bicgstab: its ``rtol``, the max norm of its
+    """Record each BiCGSTAB call: its ``rtol``, the max norm of its
     right-hand side (the Newton residual at the iterate) and its
     preconditioner applications (one per half step, so a call that returns
     at the first half step counts 1)."""
-    log, bicgstab = [], spla.bicgstab
+    log, bicgstab = [], solver._bicgstab
 
-    def logged(matrix, rhs, M, **kwargs):
-        entry = {"rtol": kwargs["rtol"], "rhs": float(np.abs(rhs).max()),
+    def logged(matrix, rhs, psolve, rtol, maxiter, x0=None):
+        entry = {"rtol": rtol, "rhs": float(np.abs(rhs).max()),
                  "applications": 0}
         log.append(entry)
 
         def counted(x):
             entry["applications"] += 1
-            return M.matvec(x)
-        pre = spla.LinearOperator(M.shape, matvec=counted, dtype=float)
-        return bicgstab(matrix, rhs, M=pre, **kwargs)
-    monkeypatch.setattr(spla, "bicgstab", logged)
+            return psolve(x)
+        return bicgstab(matrix, rhs, counted, rtol, maxiter, x0)
+    monkeypatch.setattr(solver, "_bicgstab", logged)
     return log
 
 
@@ -522,7 +525,7 @@ class TestSharedFactors:
         assert call_counts == {"splu": 1, "bicgstab": sol.iterations - 1}
         # reference: every BiCGSTAB call reports non-convergence, so each
         # step factorizes its own Jacobian and is solved directly by it
-        monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=1))
+        monkeypatch.setattr(solver, "_bicgstab", zero_krylov(info=1))
         ref = allen_cahn_front()
         assert ref.iterations == sol.iterations
         assert np.abs(sol.values - ref.values).max() <= 1e-12
@@ -531,10 +534,10 @@ class TestSharedFactors:
             self, call_counts, monkeypatch, zero_krylov):
         # a zero Krylov step never lowers the residual: each step after the
         # first refactors and retries with the exact step, which succeeds
-        monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=0))
+        monkeypatch.setattr(solver, "_bicgstab", zero_krylov(info=0))
         sol = allen_cahn_front()
         assert call_counts["splu"] == sol.iterations > 1
-        monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=1))
+        monkeypatch.setattr(solver, "_bicgstab", zero_krylov(info=1))
         assert np.array_equal(sol.values, allen_cahn_front().values)
 
     def test_krylov_step_refactors_before_raising(self, monkeypatch,
@@ -557,7 +560,7 @@ class TestSharedFactors:
             return krylov(*args, **kwargs)
 
         monkeypatch.setattr(spla, "splu", logged_splu)
-        monkeypatch.setattr(spla, "bicgstab", logged_bicgstab)
+        monkeypatch.setattr(solver, "_bicgstab", logged_bicgstab)
         with pytest.raises(ConvergenceError, match="damping floor") as exc:
             allen_cahn_front()
         assert calls == ["splu", "bicgstab", "splu"]
@@ -597,7 +600,7 @@ class TestSharedFactors:
         op = arc_bump_operator()[1]
         allen_cahn_front(op)
         inherited = op._jac_lu
-        monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=1))
+        monkeypatch.setattr(solver, "_bicgstab", zero_krylov(info=1))
         call_counts["splu"] = 0
         sol = allen_cahn_front(op)
         assert call_counts["splu"] == sol.iterations
@@ -760,24 +763,23 @@ class TestKrylovBreakdown:
 
     @staticmethod
     def breakdown_operator():
-        # a grounded 8-node operator on which SciPy's BiCGSTAB breaks down
-        # (info -10) at a relative residual of 2.4e-12, above the 1e-13 target
-        c = np.array([-0.01303, 0.67410, 1.11120])
-        g = build_grid(lambda p: ((p - c) ** 2).sum(axis=1) < 2.20072 ** 2,
-                       [[-0.25, 1.0], [0.5, 1.0], [1.0, 1.5]], 0.25,
-                       face_policy=[("dirichlet", "dirichlet"),
-                                    ("dirichlet", "dirichlet"),
-                                    ("neumann", "dirichlet")])
+        # a grounded 6-node operator on which BiCGSTAB breaks down (info -10:
+        # (r~, r) vanishes) after 2 iterations at a relative residual of
+        # 1.0e-2, far above the 1e-13 target
+        c = np.array([0.67139, 0.70987, 1.61103])
+        g = build_grid(lambda p: ((p - c) ** 2).sum(axis=1) < 1.29219 ** 2,
+                       [[0.5, 1.0], [0.5, 0.75], [1.0, 1.75]], 0.25,
+                       face_policy=[("neumann", "dirichlet")] * 3)
         return assemble_laplacian(g)
 
     def test_restart_from_the_breakdown_iterate(self, call_counts):
         op = self.breakdown_operator()
-        assert op.n == 8
+        assert op.n == 6
         sol = solve_linear(op, np.ones(op.n))
         assert sol.meta["path"] == "bicgstab"
         assert call_counts["bicgstab"] == 2
         dense = la.solve(op.matrix.toarray(), np.ones(op.n))
-        # equal to rounding: the restart lands within 1.1e-14 relative
+        # equal to rounding: the restart lands within 1.4e-16 relative
         assert np.abs(sol.values - dense).max() <= 1e-13 * np.abs(dense).max()
 
     @pytest.mark.parametrize("iterate", [0.5, math.nan], ids=["finite", "nan"])
@@ -785,12 +787,12 @@ class TestKrylovBreakdown:
                                                          iterate):
         calls = []
 
-        def broken(matrix, rhs, **kwargs):
-            calls.append(kwargs["x0"])
-            return np.full_like(rhs, iterate), -10
-        monkeypatch.setattr(spla, "bicgstab", broken)
+        def broken(matrix, rhs, psolve, rtol, maxiter, x0=None):
+            calls.append(x0)
+            return np.full_like(rhs, iterate), -10, 0
+        monkeypatch.setattr(solver, "_bicgstab", broken)
         with pytest.raises(ConvergenceError, match="bicgstab"):
-            solve_linear(self.breakdown_operator(), np.ones(8))
+            solve_linear(self.breakdown_operator(), np.ones(6))
         # a finite iterate is the restart's start; a NaN one is not restarted
         assert calls[0] is None
         if math.isnan(iterate):
@@ -800,12 +802,13 @@ class TestKrylovBreakdown:
 
 
 class TestKrylovMissedTarget:
-    """SciPy's BiCGSTAB can return info 0 with a true residual far above its
-    target; solve_linear restarts once from that iterate."""
+    """BiCGSTAB can return info 0 with a true residual far above its target
+    (its recursively updated residual drifts from the true one);
+    solve_linear restarts once from that iterate."""
 
     @staticmethod
     def drifting_operator():
-        # info 0 after 23 iterations with max|A u - 1| = 0.145, 4 % off
+        # info 0 after 20 iterations with max|A u - 1| = 0.367, 3.4 % off
         c = np.array([0.11885, -1.62981, 6.92481])
         g = build_grid(lambda p: ((p - c) ** 2).sum(axis=1) < 7.38693 ** 2,
                        [[0.0, 1.0], [-2.0, -1.0], [4.0, 9.0]], 1.0,
@@ -825,10 +828,10 @@ class TestKrylovMissedTarget:
     def test_missed_restart_raises(self, monkeypatch):
         calls = []
 
-        def drifting(matrix, rhs, **kwargs):
-            calls.append(kwargs["x0"])
-            return np.zeros_like(rhs), 0
-        monkeypatch.setattr(spla, "bicgstab", drifting)
+        def drifting(matrix, rhs, psolve, rtol, maxiter, x0=None):
+            calls.append(x0)
+            return np.zeros_like(rhs), 0, 0
+        monkeypatch.setattr(solver, "_bicgstab", drifting)
         with pytest.raises(ConvergenceError, match="bicgstab"):
             solve_linear(self.drifting_operator(), np.ones(20))
         assert len(calls) == 2 and (calls[1] == 0.0).all()
@@ -859,7 +862,7 @@ class TestForcing:
         # whose inherited LU preconditions every step
         op = arc_bump_operator()[1]
         inexact = [allen_cahn_front(op).iterations for _ in range(2)]
-        monkeypatch.setattr(spla, "bicgstab", zero_krylov(info=1))
+        monkeypatch.setattr(solver, "_bicgstab", zero_krylov(info=1))
         assert inexact == [allen_cahn_front().iterations] * 2
 
 
@@ -1013,3 +1016,25 @@ class TestJacobianMatrix:
         assert [r["outcome"] for r in restarts] == ["converged"] * 4
         assert sum(r["iterations"] for r in restarts) >= 4
         assert calls == {"diags": 0, "subtract": 0}
+
+
+def test_lambda1_does_not_depend_on_the_blas_thread_count():
+    # lambda1 is a Rayleigh quotient over n = 18,335 nodes; BLAS splits dot
+    # products of vectors above about 10,000 entries over its threads
+    code = ("from epigraph_lab import assemble_laplacian, build_grid,"
+            " principal_eigenpair, strip_set;"
+            " g = build_grid(strip_set(0.0, 2.0),"
+            " [[0.0, 4.0], [0.0, 2.0]], 1.0 / 48);"
+            " print(principal_eigenpair(assemble_laplacian(g)).lambda1.hex())")
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
