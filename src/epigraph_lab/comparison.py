@@ -21,7 +21,7 @@ from . import closed_forms
 from .discretization import (_axis_arms, as_trace, assemble_laplacian, build_grid,
                              stencil_residual)
 from .errors import LabError, ValidationError
-from .nonlinearity import Nonlinearity, epsilon_bounded, lipschitz_on
+from .nonlinearity import Nonlinearity, epsilon_bounded, eval_f, lipschitz_on
 from .solver import (SolutionField, SolvePolicy, _lambda1, factorize,
                      principal_eigenpair, solve_semilinear)
 
@@ -133,8 +133,9 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
                     amplitude: float = 1.0) -> ComparisonReport:
     """Random-restart probe that the zero solution is the only one.
 
-    f must be defined at 0 with f(0) = 0, and ``amplitude`` finite and
-    >= 0; otherwise ValidationError. The operative hypothesis lambda_1 > L
+    f must be defined at 0 with f(0) = 0 and on the working range
+    [-amplitude, amplitude] (a ``custom_table`` must cover it), and
+    ``amplitude`` finite and >= 0; otherwise ValidationError. The operative hypothesis lambda_1 > L
     is checked first (L taken on the declared working range
     [-amplitude, amplitude]); when it fails the report carries a
     "hypothesis violated" status instead of asserting, and restart outcomes
@@ -158,6 +159,13 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
         raise ValidationError("tol must be positive and finite")
     if not 0 <= amplitude < math.inf:
         raise ValidationError("amplitude must be finite and >= 0")
+    try:   # only whether f is defined there; a value may overflow
+        with np.errstate(all="ignore"):
+            eval_f(f, np.array([-amplitude, amplitude]))
+    except ValidationError as exc:   # a custom_table that stops short
+        raise ValidationError(
+            f"f must be defined on the working range [-{amplitude:g},"
+            f" {amplitude:g}]: {exc}") from exc
     op = assemble_laplacian(grid)
     lam1 = _lambda1(op, f)
     L = lipschitz_on(f, (-amplitude, amplitude))

@@ -631,6 +631,13 @@ def _weierstrass(**params):
         "kind": "epigraph", "profile": "weierstrass", "params": params})
 
 
+def _short_table(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text("t,f\n-0.5,-0.5\n0,0\n0.5,0.5\n")
+    return _with(uniqueness_config, params__amplitude=1.0, nonlinearity={
+        "kind": "custom_table", "csv": str(table)})(tmp_path)
+
+
 # values each rejected by one schema, library or loader check, with the
 # message that names the cause; custom_sampled_unsorted and the two
 # revolution entries are tables np.interp would misread
@@ -671,6 +678,9 @@ REJECTED_CONFIGS = {
     # the working range [-amplitude, amplitude] needs amplitude >= 0
     "amplitude_negative": (_with(uniqueness_config, params__amplitude=-0.5),
                            "params.amplitude must be a number >= 0"),
+    # and f defined on all of it: a table on [-0.5, 0.5] under amplitude 1
+    "table_short_of_amplitude": (_short_table,
+                                 "working range [-1, 1]: domain exceeded"),
 }
 
 

@@ -348,6 +348,22 @@ def test_uniqueness_amplitude_must_be_finite_and_nonnegative(amplitude):
                         amplitude=amplitude)
 
 
+def test_uniqueness_table_must_cover_the_working_range():
+    # a table on [-0.5, 0.5] under amplitude 1 is rejected before any solve,
+    # not reported as every restart leaving its range; one on exactly
+    # [-1, 1] runs
+    g = interval_grid(0.0, 1.0, 0.25)
+    short = make_nonlinearity("custom_table", ts=[-0.5, 0.0, 0.5],
+                              fs=[-0.5, 0.0, 0.5])
+    with pytest.raises(ValidationError, match="working range \\[-1, 1\\]"):
+        uniqueness_test(g, short, n_restarts=2, amplitude=1.0)
+    full = make_nonlinearity("custom_table", ts=[-1.0, 0.0, 1.0],
+                             fs=[-1.0, 0.0, 1.0])
+    rep = uniqueness_test(g, full, n_restarts=2, amplitude=1.0)
+    assert rep.comparison_holds
+    assert [r["outcome"] for r in rep.meta["restarts"]] == ["converged"] * 2
+
+
 def test_uniqueness_at_zero_amplitude_restarts_from_zero():
     g = interval_grid(0.0, 1.0, 0.25)
     rep = uniqueness_test(g, make_nonlinearity("allen_cahn"), n_restarts=2,
