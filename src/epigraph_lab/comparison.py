@@ -135,11 +135,10 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
 
     f must be defined at 0 with f(0) = 0 and on the working range
     [-amplitude, amplitude] (a ``custom_table`` must cover it), and
-    ``amplitude`` finite and >= 0; otherwise ValidationError. The operative hypothesis lambda_1 > L
-    is checked first (L taken on the declared working range
-    [-amplitude, amplitude]); when it fails the report carries a
-    "hypothesis violated" status instead of asserting, and restart outcomes
-    are recorded as-is.
+    ``amplitude`` finite and >= 0; otherwise ValidationError. The operative
+    hypothesis lambda_1 > L is checked first (L taken on the working
+    range); when it fails the report carries a "hypothesis violated" status
+    instead of asserting, and restart outcomes are recorded as-is.
 
     lambda_1 comes from one solver call, ``solver._lambda1(op, f)``, which
     linearizes once at the solution under test: on the Newton route it

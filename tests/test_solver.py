@@ -837,6 +837,63 @@ class TestKrylovMissedTarget:
         assert len(calls) == 2 and (calls[1] == 0.0).all()
 
 
+def _krylov_system(name):
+    """(matrix, rhs, psolve, rtol, maxiter) of one BiCGSTAB call the solver
+    makes: a Newton step on a float32 LU, the 3-D torsion lift, and the
+    lift on grids where SciPy's BiCGSTAB breaks down or drifts."""
+    if name == "newton":
+        op = arc_bump_operator()[1]
+        jac = solver._jacobian(op, np.ones(op.n))
+        rhs = np.random.default_rng(0).normal(size=op.n)
+        return jac, rhs, solver.factorize(op.matrix, True).solve, 1e-10, 10
+    if name == "lift_3d":
+        g = build_grid(make_epigraph("half_space", dimension=3),
+                       [[0.0, 1.0], [0.0, 1.0], [0.5, 1.5]], 1.0 / 8)
+        op = assemble_laplacian(g)
+    elif name == "breakdown":
+        # SciPy breaks down (info -10) here at a relative residual of 2.4e-12
+        c = np.array([-0.01303, 0.67410, 1.11120])
+        g = build_grid(lambda p: ((p - c) ** 2).sum(axis=1) < 2.20072 ** 2,
+                       [[-0.25, 1.0], [0.5, 1.0], [1.0, 1.5]], 0.25,
+                       face_policy=[("dirichlet", "dirichlet"),
+                                    ("dirichlet", "dirichlet"),
+                                    ("neumann", "dirichlet")])
+        op = assemble_laplacian(g)
+    else:
+        op = TestKrylovMissedTarget.drifting_operator()
+    return (op.matrix, np.ones(op.n), solver._jacobi(op.matrix).dot,
+            solver._KRYLOV_TOL, 40 * op.n + 100)
+
+
+@pytest.mark.parametrize("name", ["newton", "lift_3d", "breakdown", "drifting"])
+def test_bicgstab_is_scipys_algorithm(monkeypatch, name):
+    # with numpy's BLAS dot in place of the einsum reduction, the loop
+    # reproduces SciPy's bicgstab bit for bit, from zero and from its own
+    # iterate: the solution, the info code, and one iteration per two
+    # preconditioner applications, a half step counting one
+    matrix, rhs, psolve, rtol, maxiter = _krylov_system(name)
+    monkeypatch.setattr(solver, "_dot", np.dot)
+    x0, infos = None, []
+    for _ in range(2):
+        applications = 0
+
+        def counted(x):
+            nonlocal applications
+            applications += 1
+            return psolve(x)
+
+        pre = spla.LinearOperator(matrix.shape, matvec=counted, dtype=float)
+        want, info = spla.bicgstab(matrix, rhs, x0=x0, rtol=rtol, atol=0.0,
+                                   maxiter=maxiter, M=pre)
+        got = _bicgstab(matrix, rhs, psolve, rtol, maxiter, x0)
+        assert got[0].tobytes() == want.tobytes()
+        assert got[1:] == (info, -(-applications // 2))
+        x0 = want
+        infos.append(info)
+    if name == "breakdown":
+        assert infos == [-10, 0]
+
+
 class TestForcing:
     """Each Newton step's BiCGSTAB runs to the relative residual
     max(1e-10, min(0.1, res_k / res_0)) (Dembo, Eisenstat & Steihaug,
