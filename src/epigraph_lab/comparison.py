@@ -15,14 +15,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import closed_forms
 from .discretization import (_axis_arms, as_trace, assemble_laplacian, build_grid,
                              stencil_residual)
 from .errors import LabError, ValidationError
 from .nonlinearity import Nonlinearity, epsilon_bounded, eval_f, lipschitz_on
-from .solver import (SolutionField, SolvePolicy, _lambda1, factorize,
+from .solver import (SolutionField, SolvePolicy, _lambda1, _lu,
                      principal_eigenpair, solve_semilinear)
 
 __all__ = [
@@ -85,11 +84,14 @@ def ordered_pair(grid, op, L: float, rng) -> tuple:
     Solves (A - L I) w = s for a random nonnegative slack s, which keeps
     w >= 0 whenever lambda_1 > L (inverse positivity), and returns
     (v - w, v) with v = 0. The pair satisfies the differential ordering with
-    slack exactly s."""
+    slack exactly s. L must be finite (ValidationError otherwise); a
+    singular A - L I raises JacobianSingularError."""
     if op.grid is not grid:
         raise ValidationError("op was assembled on another grid")
+    if not math.isfinite(L):
+        raise ValidationError("L must be finite")
     s = rng.uniform(0.0, 1.0, op.n)
-    w = factorize(op.matrix - L * sp.eye(op.n)).solve(s)
+    w = _lu(op, np.full(op.n, L)).solve(s)
     u = SolutionField(grid=grid, values=-w, trace=0.0, method="constructed")
     v = SolutionField(grid=grid, values=np.zeros(op.n), trace=0.0,
                       method="constructed")
@@ -142,14 +144,14 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
 
     lambda_1 comes from one solver call, ``solver._lambda1(op, f)``, which
     linearizes once at the solution under test: on the Newton route it
-    keeps the double-precision LU of J(0) = A - diag(f'(0)) on the shared
-    operator (A's own LU when f'(0) = 0) and reads lambda_1 through it, so
-    A is factorized only when that read cannot be trusted. Every restart is
-    a solve on that operator; its Newton steps run BiCGSTAB preconditioned
-    by the kept J(0), one preconditioner application each once the iterates
-    settle near u = 0. On the Picard route, or for a singular J(0), nothing
-    is kept, and the first Newton restart factorizes the Jacobian at its
-    iterate instead."""
+    keeps the double-precision LU of J(0) = A - diag(f'(0)) as the Jacobian
+    LU of the operator every restart shares (A's own LU when f'(0) = 0) and
+    reads lambda_1 through it, so A is factorized only when that read
+    cannot be trusted. Every restart is a solve on that operator; its
+    Newton steps run BiCGSTAB preconditioned by the kept J(0), one
+    preconditioner application each once the iterates settle near u = 0.
+    On the Picard route, or for a singular J(0), nothing is kept, and the
+    first Newton restart factorizes the Jacobian at its iterate instead."""
     if f.f0 != 0.0:
         raise ValidationError("uniqueness probe needs f(0) = 0")
     if n_restarts < 1:

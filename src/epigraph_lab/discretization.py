@@ -277,33 +277,17 @@ def build_grid(domain, box, h: float, face_policy=None) -> DomainGrid:
                       face_artificial=face_artificial)
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseOperator:
     """CSR-backed discrete -Laplacian with Dirichlet boundary bookkeeping.
 
     Immutable once ``assemble_laplacian`` returns it: nothing writes to
-    ``matrix`` afterwards, so ``solver`` keeps the matrix's LU factors on the
-    operator (``_lu``) and every solve with this operator reuses them. Next
-    to them sits the latest Jacobian LU kept on this operator (``_jac_lu``):
-    the last one a Newton solve factorized, or one kept before any solve, as
-    ``solver._lambda1`` keeps that of J(0) = A - diag(f'(0)). The next Newton
-    solve on the operator starts from that LU as its BiCGSTAB
-    preconditioner. ``_lu`` and a kept J(0) are double precision; a Jacobian
-    LU that a Newton step factorized is single precision (float32 SuperLU
-    factors behind a float64 ``solve``), as it only preconditions. A solve's
-    last bits therefore depend on what ran on the operator before it;
-    rerunning the same sequence of calls gives bit-identical results.
-
-    ``components`` is the number of connected components of the matrix's
-    pattern, which assembly labels once; ``solver`` reads it before every
-    eigensolve. The n-long labels are not kept.
-
-    ``_diag_pos`` holds the positions of A's diagonal entries in
-    ``matrix.data``, which ``solver._jacobian`` finds on first use: each
-    Newton Jacobian A - diag(f') is a copy of A's values with f' subtracted
-    there, on ``matrix``'s own ``indices`` and ``indptr``. Those are shared,
-    not copied, and nothing sorts or writes them: ``matrix`` is still never
-    written."""
+    ``matrix`` afterwards, so whatever is computed from it stays valid.
+    Operators are compared by identity (and hashed by it), so two
+    assemblies of one grid are two operators. ``components`` is the number
+    of connected components of the matrix's pattern, which assembly labels
+    once; ``solver`` reads it before every eigensolve. The n-long labels
+    are not kept."""
 
     matrix: sp.csr_matrix
     bc_rows: np.ndarray
@@ -311,9 +295,6 @@ class SparseOperator:
     bc_points: np.ndarray
     grid: DomainGrid = field(repr=False)
     components: int
-    _lu: object = field(default=None, init=False, repr=False, compare=False)
-    _jac_lu: object = field(default=None, init=False, repr=False, compare=False)
-    _diag_pos: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

@@ -5,41 +5,43 @@ one SuperLU call: it orders the columns on the pattern of A^T + A (the
 cut-cell pattern is symmetric, only the values are not) and factors one
 column per panel with no relaxed supernodes, which on these small-supernode
 stencils needs less memory and fill than SuperLU's dense panels and
-zero-padded supernodes. The LU of an operator's matrix is kept on the
-``SparseOperator`` and shared by every solve with that matrix: the linear
-solve in one and two dimensions, Picard, each Newton step whose Jacobian is
-A itself (f' identically zero) and the shift-invert eigensolve. The
-LU-or-Krylov rule is by dimension: one and two dimensions factorize, where
-fill stays near-linear; from three dimensions on the fill explodes and
-``solve_linear`` runs Jacobi-preconditioned BiCGSTAB to a relative residual
-of 1e-13 instead (the cut-arm operator is not symmetric). BiCGSTAB is
-SciPy's algorithm in a loop of this module's own (``_bicgstab``), whose
-inner products and norms ``np.einsum`` sums: BLAS ``ddot`` splits vectors
-above about 10,000 entries over its threads, so a result summed by it would
-change with the BLAS thread count. A one-dimensional operator's eigenpair
-needs no LU at all (see below).
+zero-padded supernodes. Its one caller, ``_lu(op, fp)``, gives every LU:
+that of A - diag(fp), or A's own when fp is absent or identically zero.
+Per operator this module keeps, in a record that a weak-keyed dictionary
+drops with the operator (``_kept(op)``), A's LU, the latest Jacobian LU and
+the positions of A's diagonal. A's LU is shared by every solve with that
+matrix: the linear solve in one and two dimensions, Picard, each Newton
+step whose Jacobian is A itself (f' identically zero) and the shift-invert
+eigensolve. The LU-or-Krylov rule is by dimension: one and two dimensions
+factorize, where fill stays near-linear; from three dimensions on the fill
+explodes and ``solve_linear`` runs Jacobi-preconditioned BiCGSTAB to a
+relative residual of 1e-13 instead (the cut-arm operator is not
+symmetric). BiCGSTAB is SciPy's algorithm in a loop of this module's own
+(``_bicgstab``), whose inner products and norms ``np.einsum`` sums: BLAS
+``ddot`` splits vectors above about 10,000 entries over its threads, so a
+result summed by it would change with the BLAS thread count. A
+one-dimensional operator's eigenpair needs no LU at all (see below).
 
 ``solve_semilinear`` is a damped Newton iteration on F(u) = A u - b - f(u)
 with the exact Jacobian J(u) = A - diag(f'(u)), which ``_jacobian`` builds
 on A's own index arrays: a copy of A's values with f'(u) subtracted at A's
-diagonal positions, which each operator finds once and keeps
-(``SparseOperator._diag_pos``), so no step forms a sparse diagonal or a
-sparse difference. The stopping test reads diag(A) once per solve. The
-latest Jacobian LU of a
-Newton solve is kept on the operator (``SparseOperator._jac_lu``) and
-preconditions every later step with a nonzero f', in this solve and in later
-Newton solves on that operator (a lagged preconditioner: Knoll & Keyes,
-JCP 193, 2004): BiCGSTAB solves J(u_k) delta = -F(u_k) within 10 iterations
-to the relative residual max(1e-10, min(0.1, res_k / res_0)), res_k and res_0
-being the max-norm residuals at u_k and at the initial guess. That inexact
-Newton forcing term is O(||F(u_k)||), so it keeps the local quadratic
-convergence (Dembo, Eisenstat & Steihaug, SINUM 19, 1982) and spends few
-Krylov iterations on the early steps, whose accuracy the next step discards.
+diagonal positions, which are found once per operator and kept, so no step
+forms a sparse diagonal or a sparse difference. The stopping test reads
+diag(A) once per solve. The latest Jacobian LU of a Newton solve is kept
+for the operator and preconditions every later step with a nonzero f', in
+this solve and in later Newton solves on that operator (a lagged
+preconditioner: Knoll & Keyes, JCP 193, 2004): BiCGSTAB solves
+J(u_k) delta = -F(u_k) within 10 iterations to the relative residual
+max(1e-10, min(0.1, res_k / res_0)), res_k and res_0 being the max-norm
+residuals at u_k and at the initial guess. That inexact Newton forcing
+term is O(||F(u_k)||), so it keeps the local quadratic convergence (Dembo,
+Eisenstat & Steihaug, SINUM 19, 1982) and spends few Krylov iterations on
+the early steps, whose accuracy the next step discards.
 A step refactorizes J(u_k), replaces the kept LU and is solved directly by
 the fresh factors when there is none yet, when BiCGSTAB fails (nonzero info
 or a non-finite step) or when its step reaches the damping floor. So a
 Newton solve's last bits depend on the Newton solves and the LU kept before
-it on its operator; the same sequence of calls reruns bit-identically.
+it for its operator; the same sequence of calls reruns bit-identically.
 One rule, ``_route``, picks the iteration: the Picard iteration
 u <- A^{-1} (b + f(u)) when the policy asks for it or when the
 nonlinearity declares that f' blows up somewhere (``sqrt_saturation``,
@@ -79,18 +81,19 @@ A - sigma I, keeps ARPACK's Krylov basis to 10 vectors and ends with one
 inverse-iteration step through the same factors, which makes the
 eigenfunction positive where it falls below ARPACK's rounding (next to a
 cusp). ``_lambda1(op, f)`` is ``uniqueness_test``'s one solver call: it
-keeps the double-precision LU of J(0) = A - diag(f'(0)) on the operator
-(A's own when f'(0) = 0), which preconditions the probe's restarts, all of
-which should end at u = 0, and runs that helper about sigma = f'(0)
-through it. Every path starts from fixed data (ARPACK from the ones
-vector), so reruns are bit-identical, and every result passes the same
-checks: Rayleigh quotient, residual at most 1e-8 lambda1, positive
+keeps the double-precision LU of J(0) = A - diag(f'(0)) as the operator's
+Jacobian LU (A's own when f'(0) = 0), which preconditions the probe's
+restarts, all of which should end at u = 0, and runs that helper about
+sigma = f'(0) through it. Every path starts from fixed data (ARPACK from
+the ones vector), so reruns are bit-identical, and every result passes the
+same checks: Rayleigh quotient, residual at most 1e-8 lambda1, positive
 eigenfunction.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,14 +186,10 @@ class _SingleLU:
     The right-hand side is divided by its max norm before the cast to
     float32 and the solution multiplied back, so entries outside float32's
     range (below about 1e-38 or above 3.4e38) neither flush to zero nor
-    overflow. Every other attribute (``L``, ``U``, ``nnz``, ...) is the
-    wrapped factors'."""
+    overflow. The float32 factors themselves are ``_lu``."""
 
     def __init__(self, lu):
         self._lu = lu
-
-    def __getattr__(self, name):
-        return getattr(self._lu, name)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         scale = float(np.abs(rhs).max())
@@ -220,8 +219,8 @@ def factorize(matrix: sp.spmatrix, single: bool = False):
     With ``single`` the matrix is factorized in float32 and the factors'
     ``solve`` scales and casts a float64 right-hand side (``_SingleLU``):
     an approximate inverse, with relative error of order kappa 2^-24, for
-    Newton's Jacobian LU, which preconditions BiCGSTAB. Every other caller
-    factorizes in double precision.
+    Newton's Jacobian LU, which preconditions BiCGSTAB. Every other LU is
+    double precision.
 
     ``spla.splu`` is looked up at call time, so a wrapper installed on the
     module sees every factorization. A singular matrix raises
@@ -235,48 +234,60 @@ def factorize(matrix: sp.spmatrix, single: bool = False):
     return _SingleLU(lu) if single else lu
 
 
-def _factors(op: SparseOperator):
-    """The LU of ``op.matrix``, computed on first use and kept on ``op``."""
-    if op._lu is None:
-        op._lu = factorize(op.matrix)
-    return op._lu
+@dataclass
+class _Kept:
+    """What ``solver`` keeps for one operator: A's double-precision LU, the
+    latest Jacobian LU (see the module docstring) and the positions of A's
+    diagonal entries in ``matrix.data``. It holds no reference to the
+    operator, so it is dropped with it."""
+
+    lu: object = None
+    jac_lu: object = None
+    diag_pos: np.ndarray = None
+
+
+_KEPT = weakref.WeakKeyDictionary()
+
+
+def _kept(op: SparseOperator) -> _Kept:
+    """The record ``solver`` keeps for ``op``, made on first use."""
+    return _KEPT.setdefault(op, _Kept())
+
+
+def _lu(op: SparseOperator, fp: np.ndarray = None, single: bool = False):
+    """The LU of J = A - diag(fp), the package's one caller of ``factorize``.
+
+    With ``fp`` None or identically zero J is A, whose double-precision LU
+    is computed on first use and kept for ``op``. Otherwise J's factors
+    (``_jacobian``) are fresh, float32 with ``single``, and kept only where
+    a caller writes them to ``_kept(op).jac_lu``. A singular J raises
+    JacobianSingularError."""
+    if fp is not None and fp.any():
+        return factorize(_jacobian(op, fp), single)
+    kept = _kept(op)
+    if kept.lu is None:
+        kept.lu = factorize(op.matrix)
+    return kept.lu
 
 
 def _jacobian(op: SparseOperator, fp: np.ndarray) -> sp.csr_matrix:
     """J = A - diag(fp) as a CSR matrix on ``op.matrix``'s own ``indices``
     and ``indptr`` (shared, never sorted or written) with a copy of its
     values, from which fp is subtracted at A's diagonal entries. Their
-    positions are found once per operator and kept on it (``op._diag_pos``).
+    positions are found once per operator and kept (``_Kept.diag_pos``).
 
     J's values are those of ``op.matrix - sp.diags(fp)``, bit for bit and at
     the same positions, without the DIA matrix and the sparse subtraction,
     except that a J_ii that cancels to exactly zero stays stored where the
     subtraction drops it. Each call allocates only the values (8 bytes per
     nonzero, where the subtraction allocated 12)."""
-    a = op.matrix
-    if op._diag_pos is None:
+    a, kept = op.matrix, _kept(op)
+    if kept.diag_pos is None:
         rows = np.repeat(np.arange(op.n, dtype=a.indices.dtype), np.diff(a.indptr))
-        op._diag_pos = np.flatnonzero(a.indices == rows)
+        kept.diag_pos = np.flatnonzero(a.indices == rows)
     jac = sp.csr_matrix((a.data.copy(), a.indices, a.indptr), shape=a.shape)
-    jac.data[op._diag_pos] -= fp
+    jac.data[kept.diag_pos] -= fp
     return jac
-
-
-def _keep_jacobian_lu(op: SparseOperator, fp: np.ndarray, single: bool):
-    """Factorize the Jacobian J = A - diag(fp) (``_jacobian``), keep its LU
-    on ``op`` as the Jacobian LU that preconditions later Newton steps, and
-    return it. With fp identically zero J is A, whose shared (double) LU is
-    kept instead. A singular J raises JacobianSingularError and keeps
-    nothing.
-
-    ``single`` is fixed by the caller's role: a Newton step's refactorization
-    passes True (float32 factors, see ``factorize``), ``_lambda1``'s J(0),
-    the point every uniqueness restart must reach, passes False."""
-    if fp.any():
-        op._jac_lu = factorize(_jacobian(op, fp), single)
-    else:
-        op._jac_lu = _factors(op)
-    return op._jac_lu
 
 
 def _jacobi(matrix: sp.csr_matrix):
@@ -358,7 +369,7 @@ def _linear_core(op: SparseOperator, rhs: np.ndarray) -> tuple:
     if not rhs.any():
         return np.zeros(op.n), "trivial", 0
     if op.grid.dimension <= _LU_MAX_DIMENSION:
-        return _factors(op).solve(rhs), "lu", 0
+        return _lu(op).solve(rhs), "lu", 0
     jacobi = _jacobi(op.matrix).dot
     maxiter = min(40 * op.n + 100, 200000)
     bound = _KRYLOV_MARGIN * _KRYLOV_TOL * _norm(rhs)
@@ -453,7 +464,7 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                      op: SparseOperator = None) -> SolutionField:
     """Solve A u = b + f(u) on the grid with Dirichlet trace data.
 
-    Newton keeps one Jacobian LU per operator, on ``op``: a step with f' not
+    Newton keeps one Jacobian LU per operator: a step with f' not
     identically zero runs BiCGSTAB preconditioned by the latest LU of
     A - diag(f'(u)) that a Newton solve on ``op`` factorized, to the relative
     residual max(1e-10, min(0.1, res_k / res_0)) (the max-norm residuals at
@@ -462,10 +473,10 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
     (then the step solved directly by the fresh float32 factors, an inexact
     Newton step, is tried once before ConvergenceError). The first
     Newton solve on an operator therefore factorizes its first Jacobian,
-    unless a Jacobian LU was kept on ``op`` before it (``_lambda1`` keeps
+    unless a Jacobian LU was kept for ``op`` before it (``_lambda1`` keeps
     that of J(0) = A - diag(f'(0))); a later one may factorize
     nothing, and its last bits depend on the Newton solves and the LU kept
-    before it on ``op``. Steps with f' identically zero and Picard use the
+    before it for ``op``. Steps with f' identically zero and Picard use the
     operator's shared LU of A."""
     policy = policy or SolvePolicy()
     policy.validate()
@@ -527,8 +538,8 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         fp = eval_f_prime(f, u)
         if not fp.any():
             # with f' identically zero the Jacobian is A: reuse its factors
-            return direct_step(u, res, _factors(op).solve(-r), iters)
-        lu = op._jac_lu   # the latest Jacobian LU kept on op
+            return direct_step(u, res, _lu(op).solve(-r), iters)
+        lu = _kept(op).jac_lu   # the latest Jacobian LU kept for op
         if lu is not None:
             rtol = max(_FORCING_MIN, min(_FORCING_MAX, res / res0))
             delta, info, _ = _bicgstab(_jacobian(op, fp), -r, lu.solve,
@@ -537,13 +548,13 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                 step = line_search(u, res, delta)
                 if step is not None:
                     return step
-        # no LU yet, or the Krylov step failed: refactorize at u in float32
-        # and take the direct step by the fresh factors
-        return direct_step(u, res, _keep_jacobian_lu(op, fp, True).solve(-r),
-                           iters)
+        # no LU yet, or the Krylov step failed: refactorize at u in float32,
+        # keep the factors and take the direct step by them
+        lu = _kept(op).jac_lu = _lu(op, fp, True)
+        return direct_step(u, res, lu.solve(-r), iters)
 
     def picard_step(u, r, res, iters):
-        u = _factors(op).solve(b + eval_f(f, u))
+        u = _lu(op).solve(b + eval_f(f, u))
         return (u, *residual(u))
 
     step = newton_step if method == "newton" else picard_step
@@ -660,7 +671,7 @@ def _eigenpair(op: SparseOperator, jac=None, c: float = 0.0) -> EigenPair:
                 return pair
         except (ConvergenceError, NumericalError):
             pass
-    return _shift_invert_eigenpair(op, _factors(op), 0.0)
+    return _shift_invert_eigenpair(op, _lu(op), 0.0)
 
 
 def principal_eigenpair(op: SparseOperator) -> EigenPair:
@@ -685,8 +696,8 @@ def _lambda1(op: SparseOperator, f: Nonlinearity) -> float:
     """lambda_1 of op for the uniqueness probe of f, which has f(0) = 0.
 
     On the Newton route (``_route``) this keeps the double-precision LU of
-    J(0) = A - c I, c = f'(0) (f is autonomous: one number), on ``op`` as
-    its Jacobian LU for the probe's restarts (A's own LU when c = 0), and
+    J(0) = A - c I, c = f'(0) (f is autonomous: one number), as ``op``'s
+    Jacobian LU for the probe's restarts (A's own LU when c = 0), and
     reads lambda_1 by shift-invert about c through it. A is an M-matrix, so
     by Perron-Frobenius lambda_1 is real, every other eigenvalue has a
     larger real part and only lambda_1's eigenvector is positive: when
@@ -699,7 +710,7 @@ def _lambda1(op: SparseOperator, f: Nonlinearity) -> float:
         fp0 = eval_f_prime(f, np.zeros(op.n))
         c = float(fp0[0])
         try:
-            jac = _keep_jacobian_lu(op, fp0, False)
+            jac = _kept(op).jac_lu = _lu(op, fp0)
         except JacobianSingularError:
             pass
     return _eigenpair(op, jac, c).lambda1

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from epigraph_lab import (
@@ -125,6 +126,22 @@ def test_ordered_pair_rejects_an_operator_of_another_grid():
         ordered_pair(g, other, 1.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("profile, box, h", [
+    ("arc_bump", [[-2.0, 2.0], [0.0, 2.0]], 0.25),
+    ("weierstrass", [[-1.0, 1.0], [0.0, 4.0]], 1.0 / 32),
+], ids=["arc_bump", "weierstrass"])
+@pytest.mark.parametrize("L", [0.0, 1.0, 5.0])
+def test_ordered_pair_matches_the_sparse_difference(profile, box, h, L):
+    # the solver's A - diag(L) on A's own index arrays (A's kept LU at
+    # L = 0) gives the solution of the sparse difference A - L I exactly
+    g = build_grid(make_epigraph(profile), box, h)
+    op = assemble_laplacian(g)
+    u, _ = ordered_pair(g, op, L, np.random.default_rng(5))
+    s = np.random.default_rng(5).uniform(0.0, 1.0, op.n)
+    w = solver.factorize(op.matrix - L * sp.eye(op.n)).solve(s)
+    assert np.array_equal(u.values, -w)
+
+
 def test_ordered_pair_on_singular_shift_is_a_numerical_error():
     # one node with diagonal 2 / h^2 = 8: A - 8 I is exactly singular
     g = interval_grid(0.0, 1.0, 0.5)
@@ -182,13 +199,19 @@ class TestThresholdScan:
             threshold_scan(1.0, [-1.0, 2.0])
 
 
+def interval_ordered_pair(L):
+    op = assemble_laplacian(interval_grid(0.0, 2.0, 0.25))
+    return ordered_pair(op.grid, op, L, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("probe", [
     lambda L: threshold_scan(L, [1.0, 2.0]),
     lambda lam: hopf_slope_check(
         SolutionField(grid=interval_grid(0.0, 2.0, 0.25), values=np.zeros(7)),
         lam),
-], ids=["threshold_scan", "hopf_slope_check"])
+    interval_ordered_pair,
+], ids=["threshold_scan", "hopf_slope_check", "ordered_pair"])
 def test_probes_reject_non_finite_inputs(probe, value):
     with pytest.raises(ValidationError, match="finite"):
         probe(value)
@@ -319,7 +342,7 @@ class TestUniqueness:
         lam, restarts = run()
         monkeypatch.setattr(solver, "_eigenpair", lambda op, jac, c:
                             solver._shift_invert_eigenpair(
-                                op, solver._factors(op), 0.0))
+                                op, solver._lu(op), 0.0))
         ref_lam, ref_restarts = run()
         assert [it for _, it in restarts] == [1] * 20
         assert restarts == ref_restarts

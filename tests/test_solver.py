@@ -1,9 +1,12 @@
 """Linear, Newton/Picard and eigenvalue solves against closed-form targets."""
 
+import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -586,12 +589,12 @@ class TestSharedFactors:
         op = arc_bump_operator()[1]
         solve_semilinear(op.grid, make_nonlinearity("linear", slope=slope),
                          trace=0.5, op=op)
-        inherited = op._jac_lu
+        inherited = solver._kept(op).jac_lu
         assert inherited is not None
         call_counts["splu"] = 0
         sol = allen_cahn_front(op)
         assert call_counts["splu"] == splu
-        assert (op._jac_lu is inherited) == (splu == 0)
+        assert (solver._kept(op).jac_lu is inherited) == (splu == 0)
         assert sol.meta["residual_internal"] <= SolvePolicy().tol
         assert np.abs(sol.values - allen_cahn_front().values).max() <= 1e-12
 
@@ -599,12 +602,12 @@ class TestSharedFactors:
                                                       monkeypatch, zero_krylov):
         op = arc_bump_operator()[1]
         allen_cahn_front(op)
-        inherited = op._jac_lu
+        inherited = solver._kept(op).jac_lu
         monkeypatch.setattr(solver, "_bicgstab", zero_krylov(info=1))
         call_counts["splu"] = 0
         sol = allen_cahn_front(op)
         assert call_counts["splu"] == sol.iterations
-        assert op._jac_lu is not inherited
+        assert solver._kept(op).jac_lu is not inherited
         assert sol.meta["residual_internal"] <= SolvePolicy().tol
 
     def test_newton_solve_after_a_failed_one_converges(self, call_counts):
@@ -615,7 +618,7 @@ class TestSharedFactors:
             solve_semilinear(op.grid, make_nonlinearity("allen_cahn"),
                              trace=tanh_trace, op=op,
                              policy=SolvePolicy(init=init, max_iter=2))
-        assert op._jac_lu is not None
+        assert solver._kept(op).jac_lu is not None
         sol = allen_cahn_front(op)
         assert sol.meta["residual_internal"] <= SolvePolicy().tol
         assert np.abs(sol.values - allen_cahn_front().values).max() <= 1e-12
@@ -669,7 +672,7 @@ class TestSharedFactors:
                               n_restarts=4, amplitude=0.5)
         assert len(rep.meta["restarts"]) == 4
         assert call_counts == {"splu": 1, "bicgstab": 0}
-        assert ops[0]._jac_lu is None
+        assert solver._kept(ops[0]).jac_lu is None
 
     def test_singular_jacobian_at_zero_keeps_nothing(self, monkeypatch):
         # the first factorization, J(0)'s, fails: the eigenpair factorizes A,
@@ -708,8 +711,8 @@ class TestSharedFactors:
         op = assemble_laplacian(restart_grid())
         lam = solver._lambda1(op, make_nonlinearity("allen_cahn"))
         assert shifts == [1.0, 0.0]
-        assert op._jac_lu is not op._lu
-        assert op._jac_lu.L.dtype == np.float64
+        assert solver._kept(op).jac_lu is not solver._kept(op).lu
+        assert solver._kept(op).jac_lu.L.dtype == np.float64
         ref = principal_eigenpair(assemble_laplacian(restart_grid()))
         assert lam == ref.lambda1
 
@@ -931,9 +934,9 @@ class TestFactorPrecision:
     def test_newton_keeps_float32_jacobian_and_float64_a(self):
         op = arc_bump_operator()[1]
         allen_cahn_front(op)
-        assert op._jac_lu.L.dtype == np.float32
+        assert solver._kept(op).jac_lu._lu.L.dtype == np.float32
         principal_eigenpair(op)
-        assert op._lu.L.dtype == np.float64
+        assert solver._kept(op).lu.L.dtype == np.float64
 
     def test_uniqueness_keeps_float64_jacobian_at_zero(self, call_counts,
                                                        monkeypatch):
@@ -949,7 +952,7 @@ class TestFactorPrecision:
                         n_restarts=4, amplitude=0.5)
         # J(0)'s LU only, which the eigenpair read and no restart replaced
         assert call_counts["splu"] == 1
-        assert ops[0]._jac_lu.L.dtype == np.float64
+        assert solver._kept(ops[0]).jac_lu.L.dtype == np.float64
 
     @pytest.mark.parametrize("c", [2.0 ** -140, 2.0 ** 140],
                              ids=["2^-140", "2^140"])
@@ -957,7 +960,7 @@ class TestFactorPrecision:
         # a plain float32 cast flushes c r to zero or overflows it to inf
         op = arc_bump_operator()[1]
         allen_cahn_front(op)
-        lu = op._jac_lu
+        lu = solver._kept(op).jac_lu
         r = np.random.default_rng(1).uniform(-1e-3, 1e-3, op.n)
         x = lu.solve(r)
         assert x.dtype == np.float64 and np.isfinite(x).all() and x.any()
@@ -965,14 +968,38 @@ class TestFactorPrecision:
 
     def test_front_matches_double_factors(self, monkeypatch):
         sol = allen_cahn_front()
-        keep = solver._keep_jacobian_lu
-        monkeypatch.setattr(solver, "_keep_jacobian_lu",
-                            lambda op, fp, single: keep(op, fp, False))
+        lu = solver._lu
+        monkeypatch.setattr(solver, "_lu",
+                            lambda op, fp=None, single=False: lu(op, fp))
         op = arc_bump_operator()[1]
         ref = allen_cahn_front(op)
-        assert op._jac_lu.L.dtype == np.float64
+        assert solver._kept(op).jac_lu.L.dtype == np.float64
         assert sol.iterations == ref.iterations
         assert np.abs(sol.values - ref.values).max() <= 1e-12
+
+
+def test_operators_hold_no_solver_state():
+    # the solver keeps its factors in its own record per operator, which
+    # leaves with the operator: at large_solve's size a leaked LU is 19.4M
+    # factor entries
+    fields = [f.name for f in dataclasses.fields(discretization.SparseOperator)]
+    assert fields == ["matrix", "bc_rows", "bc_coeffs", "bc_points", "grid",
+                      "components"]
+    g, op = arc_bump_operator()
+    keys = set(vars(op))
+    solve_semilinear(g, TestSharedFactors.torsion, op=op)   # the torsion lift
+    allen_cahn_front(op)
+    principal_eigenpair(op)
+    solver._lambda1(op, make_nonlinearity("allen_cahn"))
+    assert set(vars(op)) == keys
+    kept = solver._kept(op)
+    assert kept.lu is not None and kept.jac_lu is not None
+    assert kept.diag_pos is not None
+    # the solver's dictionary held the record; it leaves with the operator
+    op_ref, kept_ref = weakref.ref(op), weakref.ref(kept)
+    del op, kept
+    gc.collect()
+    assert op_ref() is None and kept_ref() is None
 
 
 def test_three_dimensional_factors_pad_no_supernode():

@@ -8,6 +8,7 @@ import numpy as np
 from epigraph_lab import (SolvePolicy, assemble_laplacian, build_grid,
                           make_epigraph, make_nonlinearity, solve_semilinear,
                           stencil_residual, tanh_front)
+from epigraph_lab import solver
 
 
 def tanh_trace(pts):
@@ -28,7 +29,8 @@ def test_large_box_front_converges_at_fine_h():
     # the kept Jacobian LU, which preconditions BiCGSTAB, is single precision:
     # its SuperLU factors solve a float32 vector in float32 (reading ``L``
     # would copy the factors, about 170 MB more at this size)
-    probe = op._jac_lu._lu.solve(np.ones(op.n, dtype=np.float32))
+    single = solver._kept(op).jac_lu._lu
+    probe = single.solve(np.ones(op.n, dtype=np.float32))
     assert probe.dtype == np.float32
     # the residual through the gather-based stencil walker, with f written out
     fu = sol.values - sol.values ** 3
