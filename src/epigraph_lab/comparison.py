@@ -56,10 +56,11 @@ def _boundary_points(grid):
 def comparison_test(u: SolutionField, v: SolutionField) -> ComparisonReport:
     """Check the ordering conclusion u <= v + 1e-10 at interior nodes.
 
+    u and v must share a grid, or at least its nodes (equal ``points``).
     The boundary ordering precondition is verified on every Dirichlet arm
     endpoint first; violating it is a usage error, not a comparison failure.
     """
-    if u.grid is not v.grid and u.grid.shape != v.grid.shape:
+    if u.grid is not v.grid and not np.array_equal(u.grid.points, v.grid.points):
         raise ValidationError("fields must share a grid")
     tol = 1e-10
     pts = _boundary_points(u.grid)
@@ -144,14 +145,14 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
 
     lambda_1 comes from one solver call, ``solver._lambda1(op, f)``, which
     linearizes once at the solution under test: on the Newton route it
-    keeps the double-precision LU of J(0) = A - diag(f'(0)) as the Jacobian
-    LU of the operator every restart shares (A's own LU when f'(0) = 0) and
-    reads lambda_1 through it, so A is factorized only when that read
-    cannot be trusted. Every restart is a solve on that operator; its
-    Newton steps run BiCGSTAB preconditioned by the kept J(0), one
-    preconditioner application each once the iterates settle near u = 0.
-    On the Picard route, or for a singular J(0), nothing is kept, and the
-    first Newton restart factorizes the Jacobian at its iterate instead."""
+    returns the double-precision LU of J(0) = A - diag(f'(0)) (A's own LU
+    when f'(0) = 0) and reads lambda_1 through it, so A is factorized only
+    when that read cannot be trusted. Every restart is a solve on one
+    operator that starts with that LU as its Jacobian LU: its Newton steps
+    run BiCGSTAB preconditioned by J(0), one preconditioner application each
+    once the iterates settle near u = 0. On the Picard route, or for a
+    singular J(0), there is no such LU, and each Newton restart factorizes
+    the Jacobian at its first iterate instead."""
     if f.f0 != 0.0:
         raise ValidationError("uniqueness probe needs f(0) = 0")
     if n_restarts < 1:
@@ -168,7 +169,7 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
             f"f must be defined on the working range [-{amplitude:g},"
             f" {amplitude:g}]: {exc}") from exc
     op = assemble_laplacian(grid)
-    lam1 = _lambda1(op, f)
+    lam1, jac = _lambda1(op, f)
     L = lipschitz_on(f, (-amplitude, amplitude))
     hypothesis_ok = lam1 > L
     rng = np.random.default_rng(seed)
@@ -177,7 +178,7 @@ def uniqueness_test(grid, f: Nonlinearity, n_restarts: int = 20,
     for k in range(n_restarts):
         init = rng.uniform(-amplitude, amplitude, op.n)
         try:
-            sol = solve_semilinear(grid, f, trace=0.0, op=op,
+            sol = solve_semilinear(grid, f, trace=0.0, op=op, _jac_lu=jac,
                                    policy=SolvePolicy(init=init, tol=min(tol * 1e-2, 1e-10)))
             norm = sol.max_norm
             restarts.append({"restart": k, "norm": norm,

@@ -8,10 +8,10 @@ stencils needs less memory and fill than SuperLU's dense panels and
 zero-padded supernodes. Its one caller, ``_lu(op, fp)``, gives every LU:
 that of A - diag(fp), or A's own when fp is absent or identically zero.
 Per operator this module keeps, in a record that a weak-keyed dictionary
-drops with the operator (``_kept(op)``), A's LU, the latest Jacobian LU and
-the positions of A's diagonal. A's LU is shared by every solve with that
-matrix: the linear solve in one and two dimensions, Picard, each Newton
-step whose Jacobian is A itself (f' identically zero) and the shift-invert
+drops with the operator (``_kept(op)``), A's LU and the positions of A's
+diagonal, functions of the operator alone. A's LU is shared by every solve
+with that matrix: the linear solve in one and two dimensions, Picard, each
+Newton step whose Jacobian is A (f' identically zero) and the shift-invert
 eigensolve. The LU-or-Krylov rule is by dimension: one and two dimensions
 factorize, where fill stays near-linear; from three dimensions on the fill
 explodes and ``solve_linear`` runs Jacobi-preconditioned BiCGSTAB to a
@@ -27,21 +27,19 @@ with the exact Jacobian J(u) = A - diag(f'(u)), which ``_jacobian`` builds
 on A's own index arrays: a copy of A's values with f'(u) subtracted at A's
 diagonal positions, which are found once per operator and kept, so no step
 forms a sparse diagonal or a sparse difference. The stopping test reads
-diag(A) once per solve. The latest Jacobian LU of a Newton solve is kept
-for the operator and preconditions every later step with a nonzero f', in
-this solve and in later Newton solves on that operator (a lagged
-preconditioner: Knoll & Keyes, JCP 193, 2004): BiCGSTAB solves
-J(u_k) delta = -F(u_k) within 10 iterations to the relative residual
-max(1e-10, min(0.1, res_k / res_0)), res_k and res_0 being the max-norm
-residuals at u_k and at the initial guess. That inexact Newton forcing
-term is O(||F(u_k)||), so it keeps the local quadratic convergence (Dembo,
-Eisenstat & Steihaug, SINUM 19, 1982) and spends few Krylov iterations on
-the early steps, whose accuracy the next step discards.
-A step refactorizes J(u_k), replaces the kept LU and is solved directly by
-the fresh factors when there is none yet, when BiCGSTAB fails (nonzero info
-or a non-finite step) or when its step reaches the damping floor. So a
-Newton solve's last bits depend on the Newton solves and the LU kept before
-it for its operator; the same sequence of calls reruns bit-identically.
+diag(A) once per solve. A Newton solve's latest Jacobian LU preconditions
+its later steps with a nonzero f' (a lagged preconditioner: Knoll & Keyes,
+JCP 193, 2004): BiCGSTAB solves J(u_k) delta = -F(u_k) within 10
+iterations to the relative residual max(1e-10, min(0.1, res_k / res_0)),
+res_k and res_0 being the max-norm residuals at u_k and at the initial
+guess. That inexact Newton forcing term is O(||F(u_k)||), so it keeps the
+local quadratic convergence (Dembo, Eisenstat & Steihaug, SINUM 19, 1982)
+and spends few Krylov iterations on the early steps, whose accuracy the
+next step discards.
+A step refactorizes J(u_k), replaces the solve's LU (none at the start,
+unless the caller passes one) and is solved directly by the fresh factors
+when there is none, when BiCGSTAB fails (nonzero info or a non-finite step)
+or when its step reaches the damping floor. The LU dies with the solve.
 One rule, ``_route``, picks the iteration: the Picard iteration
 u <- A^{-1} (b + f(u)) when the policy asks for it or when the
 nonlinearity declares that f' blows up somewhere (``sqrt_saturation``,
@@ -66,7 +64,7 @@ answer keeps double accuracy, and the one step solved directly by fresh
 factors is an inexact Newton step with relative error of order
 kappa(J) 2^-24. A's shared LU (the lift, Picard, f' identically zero steps
 and the shift-invert eigensolve need an exact inverse), the J(0) LU that
-``_lambda1`` keeps and every factorization outside Newton stay double
+``_lambda1`` returns and every factorization outside Newton stay double
 precision.
 
 ``principal_eigenpair`` rejects a reducible operator (more than one
@@ -81,13 +79,12 @@ A - sigma I, keeps ARPACK's Krylov basis to 10 vectors and ends with one
 inverse-iteration step through the same factors, which makes the
 eigenfunction positive where it falls below ARPACK's rounding (next to a
 cusp). ``_lambda1(op, f)`` is ``uniqueness_test``'s one solver call: it
-keeps the double-precision LU of J(0) = A - diag(f'(0)) as the operator's
-Jacobian LU (A's own when f'(0) = 0), which preconditions the probe's
-restarts, all of which should end at u = 0, and runs that helper about
-sigma = f'(0) through it. Every path starts from fixed data (ARPACK from
-the ones vector), so reruns are bit-identical, and every result passes the
-same checks: Rayleigh quotient, residual at most 1e-8 lambda1, positive
-eigenfunction.
+factorizes J(0) = A - diag(f'(0)) in double precision (A's own LU when
+f'(0) = 0), runs that helper about sigma = f'(0) through it and returns it
+with lambda_1, for the probe's restarts to start from. Every path starts
+from fixed data (ARPACK from the ones vector), so reruns are bit-identical,
+and every result passes the same checks: Rayleigh quotient, residual at
+most 1e-8 lambda1, positive eigenfunction.
 """
 
 from __future__ import annotations
@@ -176,8 +173,9 @@ class SolvePolicy:
             raise ValidationError("policy method must be auto or picard")
         if not 0 < self.tol < math.inf:
             raise ValidationError("tolerances must be positive and finite")
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be >= 1")
+        m = self.max_iter   # an integer: the loop stops at iters == max_iter
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValidationError("max_iter must be an integer >= 1")
 
 
 class _SingleLU:
@@ -236,13 +234,12 @@ def factorize(matrix: sp.spmatrix, single: bool = False):
 
 @dataclass
 class _Kept:
-    """What ``solver`` keeps for one operator: A's double-precision LU, the
-    latest Jacobian LU (see the module docstring) and the positions of A's
-    diagonal entries in ``matrix.data``. It holds no reference to the
-    operator, so it is dropped with it."""
+    """What ``solver`` keeps for one operator: A's double-precision LU and
+    the positions of A's diagonal entries in ``matrix.data``, both functions
+    of the operator alone. It holds no reference to the operator, so it is
+    dropped with it."""
 
     lu: object = None
-    jac_lu: object = None
     diag_pos: np.ndarray = None
 
 
@@ -259,9 +256,8 @@ def _lu(op: SparseOperator, fp: np.ndarray = None, single: bool = False):
 
     With ``fp`` None or identically zero J is A, whose double-precision LU
     is computed on first use and kept for ``op``. Otherwise J's factors
-    (``_jacobian``) are fresh, float32 with ``single``, and kept only where
-    a caller writes them to ``_kept(op).jac_lu``. A singular J raises
-    JacobianSingularError."""
+    (``_jacobian``) are fresh, float32 with ``single``, and belong to the
+    caller. A singular J raises JacobianSingularError."""
     if fp is not None and fp.any():
         return factorize(_jacobian(op, fp), single)
     kept = _kept(op)
@@ -461,23 +457,21 @@ def _route(f: Nonlinearity, method: str = "auto") -> str:
 
 def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                      policy: SolvePolicy = None,
-                     op: SparseOperator = None) -> SolutionField:
+                     op: SparseOperator = None, *,
+                     _jac_lu=None) -> SolutionField:
     """Solve A u = b + f(u) on the grid with Dirichlet trace data.
 
-    Newton keeps one Jacobian LU per operator: a step with f' not
+    Newton keeps one Jacobian LU for the solve: a step with f' not
     identically zero runs BiCGSTAB preconditioned by the latest LU of
-    A - diag(f'(u)) that a Newton solve on ``op`` factorized, to the relative
-    residual max(1e-10, min(0.1, res_k / res_0)) (the max-norm residuals at
-    the iterate and at the initial guess), and refactorizes at u only when
-    there is none yet, BiCGSTAB fails or its step fails the line search
-    (then the step solved directly by the fresh float32 factors, an inexact
-    Newton step, is tried once before ConvergenceError). The first
-    Newton solve on an operator therefore factorizes its first Jacobian,
-    unless a Jacobian LU was kept for ``op`` before it (``_lambda1`` keeps
-    that of J(0) = A - diag(f'(0))); a later one may factorize
-    nothing, and its last bits depend on the Newton solves and the LU kept
-    before it for ``op``. Steps with f' identically zero and Picard use the
-    operator's shared LU of A."""
+    A - diag(f'(u)) this solve factorized, or ``_jac_lu`` before any (the
+    uniqueness probe passes J(0)'s), to the relative residual
+    max(1e-10, min(0.1, res_k / res_0)) (the max-norm residuals at the
+    iterate and at the initial guess), and refactorizes at u only when there
+    is none, BiCGSTAB fails or its step fails the line search (then the step
+    solved directly by the fresh float32 factors, an inexact Newton step, is
+    tried once before ConvergenceError). The LU is dropped on return, so the
+    result depends only on the arguments. Steps with f' identically zero
+    and Picard use the operator's shared LU of A."""
     policy = policy or SolvePolicy()
     policy.validate()
     if op is None:
@@ -531,7 +525,10 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
                 iterations=iters, residual=res)
         return step
 
+    jac_lu = _jac_lu   # the solve's latest Jacobian LU
+
     def newton_step(u, r, res, iters):
+        nonlocal jac_lu
         if not math.isfinite(res):
             raise ConvergenceError("no convergence: non-finite residual",
                                    iterations=iters, residual=res)
@@ -539,19 +536,18 @@ def solve_semilinear(grid: DomainGrid, f: Nonlinearity, trace=0.0,
         if not fp.any():
             # with f' identically zero the Jacobian is A: reuse its factors
             return direct_step(u, res, _lu(op).solve(-r), iters)
-        lu = _kept(op).jac_lu   # the latest Jacobian LU kept for op
-        if lu is not None:
+        if jac_lu is not None:
             rtol = max(_FORCING_MIN, min(_FORCING_MAX, res / res0))
-            delta, info, _ = _bicgstab(_jacobian(op, fp), -r, lu.solve,
+            delta, info, _ = _bicgstab(_jacobian(op, fp), -r, jac_lu.solve,
                                        rtol, _NEWTON_KRYLOV_MAXITER)
             if info == 0 and np.isfinite(delta).all():
                 step = line_search(u, res, delta)
                 if step is not None:
                     return step
         # no LU yet, or the Krylov step failed: refactorize at u in float32,
-        # keep the factors and take the direct step by them
-        lu = _kept(op).jac_lu = _lu(op, fp, True)
-        return direct_step(u, res, lu.solve(-r), iters)
+        # keep the factors for this solve and take the direct step by them
+        jac_lu = _lu(op, fp, True)
+        return direct_step(u, res, jac_lu.solve(-r), iters)
 
     def picard_step(u, r, res, iters):
         u = _lu(op).solve(b + eval_f(f, u))
@@ -692,25 +688,26 @@ def principal_eigenpair(op: SparseOperator) -> EigenPair:
     return _eigenpair(op)
 
 
-def _lambda1(op: SparseOperator, f: Nonlinearity) -> float:
-    """lambda_1 of op for the uniqueness probe of f, which has f(0) = 0.
+def _lambda1(op: SparseOperator, f: Nonlinearity) -> tuple:
+    """(lambda_1 of op, J(0)'s LU) for the uniqueness probe of f, which has
+    f(0) = 0.
 
-    On the Newton route (``_route``) this keeps the double-precision LU of
-    J(0) = A - c I, c = f'(0) (f is autonomous: one number), as ``op``'s
-    Jacobian LU for the probe's restarts (A's own LU when c = 0), and
-    reads lambda_1 by shift-invert about c through it. A is an M-matrix, so
+    On the Newton route (``_route``) this factorizes J(0) = A - c I,
+    c = f'(0) (f is autonomous: one number), in double precision (A's own
+    LU when c = 0), returns the factors for the probe's restarts and reads
+    lambda_1 by shift-invert about c through them. A is an M-matrix, so
     by Perron-Frobenius lambda_1 is real, every other eigenvalue has a
     larger real part and only lambda_1's eigenvector is positive: when
     lambda_1 > c it is the eigenvalue nearest c. The pair is kept when its
     eigenvector is positive and its eigenvalue exceeds c. Otherwise, on the
-    Picard route, for a singular J(0) (both keep nothing) and for a
-    tridiagonal operator, ``principal_eigenpair(op)`` answers."""
+    Picard route, for a singular J(0) (both return None for the LU) and for
+    a tridiagonal operator, ``principal_eigenpair(op)`` answers."""
     jac, c = None, 0.0
     if _route(f) == "newton":
         fp0 = eval_f_prime(f, np.zeros(op.n))
         c = float(fp0[0])
         try:
-            jac = _kept(op).jac_lu = _lu(op, fp0)
+            jac = _lu(op, fp0)
         except JacobianSingularError:
             pass
-    return _eigenpair(op, jac, c).lambda1
+    return _eigenpair(op, jac, c).lambda1, jac

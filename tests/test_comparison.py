@@ -108,6 +108,30 @@ def test_mismatched_grids_rejected():
         comparison_test(u, v)
 
 
+@pytest.mark.parametrize("other", ["shifted_strip", "arc_bump"])
+def test_grids_of_one_lattice_shape_but_other_nodes_rejected(other):
+    # 9 x 9 lattices all: the strip's nodes shifted by 5 (63 nodes each),
+    # or an arc_bump window's 23 nodes
+    grid = build_grid(strip_set(0.0, 1.0), [[0.0, 1.0], [0.0, 1.0]], 0.125)
+    if other == "shifted_strip":
+        alien = build_grid(strip_set(0.0, 1.0), [[5.0, 6.0], [0.0, 1.0]], 0.125)
+    else:
+        alien = build_grid(make_epigraph("arc_bump"), [[-1.0, 1.0], [0.0, 2.0]],
+                           0.25)
+    assert alien.shape == grid.shape and alien is not grid
+    u = SolutionField(grid=grid, values=np.zeros(grid.n_interior), trace=0.0,
+                      method="x")
+    v = SolutionField(grid=alien, values=np.ones(alien.n_interior), trace=0.0,
+                      method="x")
+    with pytest.raises(ValidationError, match="share a grid"):
+        comparison_test(u, v)
+    # a grid rebuilt on the same nodes is the same grid
+    twin = build_grid(strip_set(0.0, 1.0), [[0.0, 1.0], [0.0, 1.0]], 0.125)
+    rep = comparison_test(u, SolutionField(grid=twin, values=np.ones(63),
+                                           trace=0.0, method="x"))
+    assert rep.comparison_holds
+
+
 def test_ordered_pairs_hold_across_seeds():
     g = interval_grid(0.0, 2.0, 1.0 / 32)
     op = assemble_laplacian(g)
@@ -238,7 +262,7 @@ class TestUniqueness:
         # restart 0 raises, restart 1 converges to u = 0.5 while lambda_1 > L
         outcomes = iter([ConvergenceError("no convergence: stub"), 0.5])
 
-        def stub(grid, f, trace=0.0, policy=None, op=None):
+        def stub(grid, f, trace=0.0, policy=None, op=None, _jac_lu=None):
             outcome = next(outcomes)
             if isinstance(outcome, Exception):
                 raise outcome
@@ -300,7 +324,7 @@ class TestUniqueness:
 
     def test_lambda1_through_jacobian_at_zero_matches_principal_eigenpair(
             self):
-        # shift-invert about f'(0) = 1 through the kept LU of J(0) = A - I
+        # shift-invert about f'(0) = 1 through the LU of J(0) = A - I
         g = build_grid(strip_set(0.0, 1.0), [[0.0, 2.0], [0.0, 1.0]], 0.125)
         rep = uniqueness_test(g, make_nonlinearity("allen_cahn"), n_restarts=2,
                               amplitude=0.5)
@@ -327,9 +351,9 @@ class TestUniqueness:
         assert rep.lambda1 < 1.0
 
     def test_restarts_do_not_depend_on_how_lambda1_is_read(self, monkeypatch):
-        # criterion 5's config; the reference keeps J(0)'s LU as _lambda1
-        # does but reads lambda_1 by ARPACK through A's LU, which it leaves
-        # on op next to J(0)'s
+        # criterion 5's config; the reference passes J(0)'s LU to the
+        # restarts as _lambda1 does but reads lambda_1 by ARPACK through
+        # A's LU
         g = build_grid(strip_set(0.0, 2.0, dimension=1), [[0.0, 2.0]],
                        1.0 / 32)
         f = make_nonlinearity("linear", slope=1.0)

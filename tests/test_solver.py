@@ -39,7 +39,7 @@ from epigraph_lab import (
     threshold_scan,
     uniqueness_test,
 )
-from epigraph_lab import discretization, solver
+from epigraph_lab import comparison, discretization, solver
 from epigraph_lab.solver import _bicgstab
 
 # smallest eigenvalue of (1/h^2) tridiag(-1, 2, -1), 3 nodes, h = 1/4:
@@ -170,6 +170,28 @@ def test_policy_validation():
         SolvePolicy(tol=-1.0).validate()
     with pytest.raises(ValidationError):
         SolvePolicy(max_iter=0).validate()
+
+
+@pytest.mark.parametrize("max_iter", [1.5, math.inf, math.nan, True, "3"],
+                         ids=["1.5", "inf", "nan", "bool", "str"])
+def test_max_iter_must_be_an_integer(max_iter):
+    # the loop stops at iters == max_iter: 1.5 and inf once ran all 5 Newton
+    # iterations of this solve, where max_iter=1 raises at the cap
+    with pytest.raises(ValidationError, match="integer >= 1"):
+        SolvePolicy(max_iter=max_iter).validate()
+    g = build_grid(make_epigraph("arc_bump"), [[-2.0, 2.0], [0.0, 4.0]], 1 / 8)
+    with pytest.raises(ValidationError, match="integer >= 1"):
+        solve_semilinear(g, make_nonlinearity("allen_cahn"), trace=0.5,
+                         policy=SolvePolicy(max_iter=max_iter))
+
+
+def test_max_iter_takes_numpy_integers():
+    g = build_grid(make_epigraph("arc_bump"), [[-2.0, 2.0], [0.0, 4.0]], 1 / 8)
+    f = make_nonlinearity("allen_cahn")
+    sol = solve_semilinear(g, f, trace=0.5, policy=SolvePolicy(max_iter=np.int64(80)))
+    assert sol.iterations == solve_semilinear(g, f, trace=0.5).iterations
+    with pytest.raises(ConvergenceError, match="iteration cap"):
+        solve_semilinear(g, f, trace=0.5, policy=SolvePolicy(max_iter=np.int64(1)))
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan], ids=["inf", "nan"])
@@ -456,6 +478,34 @@ def call_counts(monkeypatch):
 
 
 @pytest.fixture
+def jacobian_lus(monkeypatch):
+    """Every Jacobian LU (``fp`` not identically zero) that ``solver._lu``
+    returns, in order: the factors a solve makes and drops on return."""
+    lus, lu = [], solver._lu
+
+    def recorded(op, fp=None, single=False):
+        factors = lu(op, fp, single)
+        if fp is not None and fp.any():
+            lus.append(factors)
+        return factors
+    monkeypatch.setattr(solver, "_lu", recorded)
+    return lus
+
+
+@pytest.fixture
+def restart_lus(monkeypatch):
+    """The Jacobian LU ``uniqueness_test`` passes each restart (``_jac_lu``),
+    in order."""
+    passed, solve = [], comparison.solve_semilinear
+
+    def recorded(*args, _jac_lu=None, **kwargs):
+        passed.append(_jac_lu)
+        return solve(*args, _jac_lu=_jac_lu, **kwargs)
+    monkeypatch.setattr(comparison, "solve_semilinear", recorded)
+    return passed
+
+
+@pytest.fixture
 def krylov_log(monkeypatch):
     """Record each BiCGSTAB call: its ``rtol``, the max norm of its
     right-hand side (the Newton residual at the iterate) and its
@@ -486,11 +536,12 @@ def restart_grid():
     return build_grid(strip_set(0.0, 1.0), [[0.0, 2.0], [0.0, 1.0]], 0.125)
 
 
-def allen_cahn_front(op=None):
-    """The Allen-Cahn front on ``op`` (by default a fresh arc_bump operator)."""
+def allen_cahn_front(op=None, jac_lu=None):
+    """The Allen-Cahn front on ``op`` (by default a fresh arc_bump operator),
+    whose Newton solve starts from the Jacobian LU ``jac_lu`` if given."""
     op = arc_bump_operator()[1] if op is None else op
     return solve_semilinear(op.grid, make_nonlinearity("allen_cahn"),
-                            trace=tanh_trace, op=op,
+                            trace=tanh_trace, op=op, _jac_lu=jac_lu,
                             policy=SolvePolicy(init="front_lift"))
 
 
@@ -569,59 +620,32 @@ class TestSharedFactors:
         assert calls == ["splu", "bicgstab", "splu"]
         assert exc.value.iterations == 1
 
-    def test_second_newton_solve_on_op_factorizes_nothing(self, call_counts):
-        # the Jacobian LU stays on op and preconditions the next solve
-        op = arc_bump_operator()[1]
-        allen_cahn_front(op)
-        assert call_counts["splu"] == 1
-        sol = allen_cahn_front(op)
-        assert call_counts["splu"] == 1
-        assert sol.meta["residual_internal"] <= SolvePolicy().tol
-        ref = allen_cahn_front()
-        assert np.abs(sol.values - ref.values).max() <= 1e-12
-
-    # the LU of A + 5 I (slope -5) preconditions the front's Jacobians well
-    # enough; that of A - 20 I (slope 20) does not, so BiCGSTAB fails at a
-    # step, which refactorizes and replaces the LU
+    # a Jacobian LU passed in, here the float32 one a Newton solve of linear
+    # f would factorize, preconditions the solve from its first step: that
+    # of A + 5 I (slope -5) preconditions the front's Jacobians well enough;
+    # that of A - 20 I (slope 20) does not, so BiCGSTAB fails at a step,
+    # which refactorizes and replaces the LU for the rest of the solve
     @pytest.mark.parametrize("slope,splu", [(-5.0, 0), (20.0, 1)])
     def test_newton_solve_inherits_another_nonlinearitys_lu(
             self, call_counts, slope, splu):
         op = arc_bump_operator()[1]
-        solve_semilinear(op.grid, make_nonlinearity("linear", slope=slope),
-                         trace=0.5, op=op)
-        inherited = solver._kept(op).jac_lu
-        assert inherited is not None
+        passed = solver._lu(op, np.full(op.n, slope), single=True)
         call_counts["splu"] = 0
-        sol = allen_cahn_front(op)
+        sol = allen_cahn_front(op, jac_lu=passed)
         assert call_counts["splu"] == splu
-        assert (solver._kept(op).jac_lu is inherited) == (splu == 0)
+        assert call_counts["bicgstab"] >= 1
         assert sol.meta["residual_internal"] <= SolvePolicy().tol
         assert np.abs(sol.values - allen_cahn_front().values).max() <= 1e-12
 
     def test_failing_krylov_replaces_the_inherited_lu(self, call_counts,
                                                       monkeypatch, zero_krylov):
         op = arc_bump_operator()[1]
-        allen_cahn_front(op)
-        inherited = solver._kept(op).jac_lu
+        passed = solver._lu(op, np.ones(op.n))
         monkeypatch.setattr(solver, "_bicgstab", zero_krylov(info=1))
         call_counts["splu"] = 0
-        sol = allen_cahn_front(op)
+        sol = allen_cahn_front(op, jac_lu=passed)
         assert call_counts["splu"] == sol.iterations
-        assert solver._kept(op).jac_lu is not inherited
         assert sol.meta["residual_internal"] <= SolvePolicy().tol
-
-    def test_newton_solve_after_a_failed_one_converges(self, call_counts):
-        # the failed solve leaves the LU of a Jacobian far from the front's
-        op = arc_bump_operator()[1]
-        init = np.random.default_rng(0).uniform(-5.0, 5.0, op.n)
-        with pytest.raises(ConvergenceError, match="iteration cap"):
-            solve_semilinear(op.grid, make_nonlinearity("allen_cahn"),
-                             trace=tanh_trace, op=op,
-                             policy=SolvePolicy(init=init, max_iter=2))
-        assert solver._kept(op).jac_lu is not None
-        sol = allen_cahn_front(op)
-        assert sol.meta["residual_internal"] <= SolvePolicy().tol
-        assert np.abs(sol.values - allen_cahn_front().values).max() <= 1e-12
 
     # every Newton step of every restart runs BiCGSTAB, which the LU of
     # J(0) = A - f'(0) I preconditions so well that each call stops at its
@@ -656,28 +680,20 @@ class TestSharedFactors:
         assert call_counts["bicgstab"] == sum(r["iterations"] for r in restarts)
 
     def test_picard_uniqueness_keeps_no_jacobian(self, call_counts,
-                                                 monkeypatch):
+                                                 restart_lus):
         # power 0.5: f' blows up at 0, so the restarts run Picard on A's LU
-        # and the probe keeps no Jacobian LU on their operator
-        ops = []
-
-        def assemble(grid):
-            ops.append(assemble_laplacian(grid))
-            return ops[-1]
-
-        monkeypatch.setattr("epigraph_lab.comparison.assemble_laplacian",
-                            assemble)
+        # and the probe passes them no Jacobian LU
         rep = uniqueness_test(restart_grid(),
                               make_nonlinearity("power", exponent=0.5),
                               n_restarts=4, amplitude=0.5)
         assert len(rep.meta["restarts"]) == 4
         assert call_counts == {"splu": 1, "bicgstab": 0}
-        assert solver._kept(ops[0]).jac_lu is None
+        assert restart_lus == [None] * 4
 
-    def test_singular_jacobian_at_zero_keeps_nothing(self, monkeypatch):
+    def test_singular_jacobian_at_zero_keeps_nothing(self, monkeypatch,
+                                                    restart_lus):
         # the first factorization, J(0)'s, fails: the eigenpair factorizes A,
-        # and restart 0 factorizes the Jacobian at its start and
-        # preconditions the later restarts with it
+        # and each restart factorizes the Jacobian at its start
         splu, calls = spla.splu, []
 
         def singular_first(*args, **kwargs):
@@ -692,13 +708,15 @@ class TestSharedFactors:
                               amplitude=0.5)
         assert [r["outcome"] for r in rep.meta["restarts"]] == ["converged"] * 4
         assert rep.comparison_holds
-        assert len(calls) == 3
+        assert restart_lus == [None] * 4
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("error", [ConvergenceError, NumericalError])
     def test_lambda1_falls_back_when_the_read_through_j0_fails(
             self, monkeypatch, error):
         # an Arnoldi failure about f'(0) = 1 is not final: the eigensolve
-        # about 0 through A's LU answers, bit for bit, and J(0) stays kept
+        # about 0 through A's LU answers, bit for bit, and J(0)'s LU is still
+        # returned for the restarts
         original, shifts = solver._shift_invert_eigenpair, []
 
         def failing(op, lu, sigma):
@@ -709,10 +727,10 @@ class TestSharedFactors:
 
         monkeypatch.setattr(solver, "_shift_invert_eigenpair", failing)
         op = assemble_laplacian(restart_grid())
-        lam = solver._lambda1(op, make_nonlinearity("allen_cahn"))
+        lam, jac = solver._lambda1(op, make_nonlinearity("allen_cahn"))
         assert shifts == [1.0, 0.0]
-        assert solver._kept(op).jac_lu is not solver._kept(op).lu
-        assert solver._kept(op).jac_lu.L.dtype == np.float64
+        assert jac is not solver._kept(op).lu
+        assert jac.L.dtype == np.float64
         ref = principal_eigenpair(assemble_laplacian(restart_grid()))
         assert lam == ref.lambda1
 
@@ -731,6 +749,70 @@ class TestSharedFactors:
         assert sol.meta["lift"] == "bicgstab"
         assert sol.iterations == 0
         assert call_counts == {"splu": 0, "bicgstab": 1}
+
+
+class TestHistoryIndependence:
+    """A solve gives the same field bit for bit whatever ran on its operator
+    before: the solver keeps only A's LU and diagonal positions per operator,
+    and a Newton solve's Jacobian LU lives for that solve alone."""
+
+    # Newton with f' varying (the front, power 2, whose f'(0) = 0) and
+    # constant (linear: a Jacobian LU of A - c I that a later solve would
+    # find good enough at slope -5 and not at slope 20)
+    solves = {
+        "front": (make_nonlinearity("allen_cahn"), tanh_trace, "front_lift"),
+        "linear-5": (make_nonlinearity("linear", slope=-5.0), 0.5,
+                     "torsion_lift"),
+        "linear1": (make_nonlinearity("linear", slope=1.0), 0.5,
+                    "torsion_lift"),
+        "linear20": (make_nonlinearity("linear", slope=20.0), 0.5,
+                     "torsion_lift"),
+        "power": (make_nonlinearity("power", exponent=2.0), 0.5, "zero"),
+    }
+
+    def solve(self, op, name):
+        f, trace, init = self.solves[name]
+        return solve_semilinear(op.grid, f, trace=trace, op=op,
+                                policy=SolvePolicy(init=init))
+
+    def assert_same_as_fresh(self, op, name, assemble):
+        sol, ref = self.solve(op, name), self.solve(assemble(), name)
+        assert sol.iterations == ref.iterations
+        assert np.array_equal(sol.values, ref.values)
+
+    @SETTINGS
+    @given(history=st.lists(st.sampled_from(sorted(solves)), min_size=1,
+                            max_size=3))
+    def test_last_solve_matches_a_fresh_operator(self, history):
+        op = arc_bump_operator()[1]
+        for name in history[:-1]:
+            self.solve(op, name)
+        self.assert_same_as_fresh(op, history[-1],
+                                  lambda: arc_bump_operator()[1])
+
+    # the arc_bump box [-4,4] x [0,6] at h = 1/16 (n = 8,857); a front after
+    # an earlier solve once differed from a fresh one by 2.3e-13
+    @pytest.mark.parametrize("history", [["linear-5"], ["linear-5", "front"],
+                                         ["failed"]],
+                             ids=["linear", "linear_front", "failed"])
+    def test_front_matches_a_fresh_operator(self, history):
+        def assemble():
+            return assemble_laplacian(build_grid(
+                make_epigraph("arc_bump"), [[-4.0, 4.0], [0.0, 6.0]], 1.0 / 16))
+
+        op = assemble()
+        for name in history:
+            if name != "failed":
+                self.solve(op, name)
+                continue
+            # a capped solve from far away: its last Jacobian LU is far from
+            # the front's
+            init = np.random.default_rng(0).uniform(-5.0, 5.0, op.n)
+            with pytest.raises(ConvergenceError, match="iteration cap"):
+                solve_semilinear(op.grid, make_nonlinearity("allen_cahn"),
+                                 trace=tanh_trace, op=op,
+                                 policy=SolvePolicy(init=init, max_iter=2))
+        self.assert_same_as_fresh(op, "front", assemble)
 
 
 def test_components_are_labelled_once_per_operator(monkeypatch):
@@ -902,13 +984,13 @@ class TestForcing:
     max(1e-10, min(0.1, res_k / res_0)) (Dembo, Eisenstat & Steihaug,
     SINUM 19, 1982)."""
 
-    def test_rtol_follows_the_newton_residual(self, krylov_log):
-        # the second front on op inherits the first one's LU, so every step
-        # runs BiCGSTAB and the first call's right-hand side is -F(u_0)
+    def test_rtol_follows_the_newton_residual(self, krylov_log, jacobian_lus):
+        # a second front passed the first one's last LU preconditions every
+        # step by BiCGSTAB, so the first call's right-hand side is -F(u_0)
         op = arc_bump_operator()[1]
         allen_cahn_front(op)
         krylov_log.clear()
-        sol = allen_cahn_front(op)
+        sol = allen_cahn_front(op, jac_lu=jacobian_lus[-1])
         assert len(krylov_log) == sol.iterations > 2
         res0 = krylov_log[0]["rhs"]
         for call in krylov_log:
@@ -918,49 +1000,44 @@ class TestForcing:
 
     def test_front_iterations_match_exact_newton(self, monkeypatch,
                                                  zero_krylov):
-        # loose early steps cost no Newton step, on a fresh operator or one
-        # whose inherited LU preconditions every step
+        # loose early steps cost no Newton step, from no LU or from a passed
+        # one that preconditions every step
         op = arc_bump_operator()[1]
-        inexact = [allen_cahn_front(op).iterations for _ in range(2)]
+        lu = solver._lu(op, np.ones(op.n), single=True)
+        inexact = [allen_cahn_front(op, jac_lu=jac).iterations
+                   for jac in (None, lu)]
         monkeypatch.setattr(solver, "_bicgstab", zero_krylov(info=1))
         assert inexact == [allen_cahn_front().iterations] * 2
 
 
 class TestFactorPrecision:
     """Newton's refactorized Jacobian LU is float32; A's LU, the J(0) LU that
-    ``uniqueness_test`` keeps and the factorizations outside Newton are
-    float64."""
+    ``uniqueness_test`` passes to its restarts and the factorizations outside
+    Newton are float64."""
 
-    def test_newton_keeps_float32_jacobian_and_float64_a(self):
+    def test_newton_keeps_float32_jacobian_and_float64_a(self, jacobian_lus):
         op = arc_bump_operator()[1]
         allen_cahn_front(op)
-        assert solver._kept(op).jac_lu._lu.L.dtype == np.float32
+        assert [lu._lu.L.dtype for lu in jacobian_lus] == [np.float32]
         principal_eigenpair(op)
         assert solver._kept(op).lu.L.dtype == np.float64
 
     def test_uniqueness_keeps_float64_jacobian_at_zero(self, call_counts,
-                                                       monkeypatch):
-        ops = []
-
-        def assemble(grid):
-            ops.append(assemble_laplacian(grid))
-            return ops[-1]
-
-        monkeypatch.setattr("epigraph_lab.comparison.assemble_laplacian",
-                            assemble)
+                                                       restart_lus):
         uniqueness_test(restart_grid(), make_nonlinearity("allen_cahn"),
                         n_restarts=4, amplitude=0.5)
-        # J(0)'s LU only, which the eigenpair read and no restart replaced
+        # J(0)'s LU only, which the eigenpair read and every restart started
+        # from; no restart refactorized
         assert call_counts["splu"] == 1
-        assert solver._kept(ops[0]).jac_lu.L.dtype == np.float64
+        assert len(restart_lus) == 4 and len(set(map(id, restart_lus))) == 1
+        assert restart_lus[0].L.dtype == np.float64
 
     @pytest.mark.parametrize("c", [2.0 ** -140, 2.0 ** 140],
                              ids=["2^-140", "2^140"])
     def test_single_factors_scale_the_rhs_before_the_cast(self, c):
         # a plain float32 cast flushes c r to zero or overflows it to inf
         op = arc_bump_operator()[1]
-        allen_cahn_front(op)
-        lu = solver._kept(op).jac_lu
+        lu = solver._lu(op, np.ones(op.n), single=True)
         r = np.random.default_rng(1).uniform(-1e-3, 1e-3, op.n)
         x = lu.solve(r)
         assert x.dtype == np.float64 and np.isfinite(x).all() and x.any()
@@ -968,12 +1045,15 @@ class TestFactorPrecision:
 
     def test_front_matches_double_factors(self, monkeypatch):
         sol = allen_cahn_front()
-        lu = solver._lu
-        monkeypatch.setattr(solver, "_lu",
-                            lambda op, fp=None, single=False: lu(op, fp))
-        op = arc_bump_operator()[1]
-        ref = allen_cahn_front(op)
-        assert solver._kept(op).jac_lu.L.dtype == np.float64
+        lu, made = solver._lu, []
+
+        def double(op, fp=None, single=False):
+            made.append(lu(op, fp))
+            return made[-1]
+
+        monkeypatch.setattr(solver, "_lu", double)
+        ref = allen_cahn_front()
+        assert [factors.L.dtype for factors in made] == [np.float64]
         assert sol.iterations == ref.iterations
         assert np.abs(sol.values - ref.values).max() <= 1e-12
 
@@ -993,8 +1073,7 @@ def test_operators_hold_no_solver_state():
     solver._lambda1(op, make_nonlinearity("allen_cahn"))
     assert set(vars(op)) == keys
     kept = solver._kept(op)
-    assert kept.lu is not None and kept.jac_lu is not None
-    assert kept.diag_pos is not None
+    assert kept.lu is not None and kept.diag_pos is not None
     # the solver's dictionary held the record; it leaves with the operator
     op_ref, kept_ref = weakref.ref(op), weakref.ref(kept)
     del op, kept
